@@ -2,8 +2,7 @@
 
 Estimation by maximum likelihood with analytic derivatives, elasticities of
 outcome probabilities, and likelihood-ratio tests for splitting data by
-segment or pooling across periods. Hot kernels run under numba by default;
-set SEVLOGIT_BACKEND=numpy to force the pure-numpy fallback.
+segment or pooling across periods. The hot kernels are vectorized numpy.
 """
 
 __version__ = "0.1.0"

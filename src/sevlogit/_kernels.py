@@ -1,8 +1,7 @@
 """Hot numeric kernels: stabilized MNL probabilities, log-likelihood, score, information.
 
-Two interchangeable backends: numba @njit loops (default when numba imports)
-and a pure-numpy vectorized path. Select with SEVLOGIT_BACKEND=numba|numpy|auto.
-Kernels are sequential over observations so results are bit-reproducible.
+Vectorized numpy over all observations at once. Reductions run in numpy's
+fixed order, so results are bit-reproducible from run to run on one machine.
 
 Every kernel takes the flattened design: per-entry arrays (slot, outcome,
 column) plus the covariate matrix whose last column is the constant 1.
@@ -10,15 +9,10 @@ Probabilities are floored at the smallest positive normal before logs; the
 flooring count is returned as a quasi-separation diagnostic.
 """
 
-import os
-
 import numpy as np
 
-PROB_FLOOR = float(np.finfo(np.float64).tiny)
 _LOG_FLOOR = float(np.log(np.finfo(np.float64).tiny))
 
-
-# ---------------------------------------------------------------- numpy path
 
 def _entry_tables(entry_slot, entry_outcome, n_outcomes, n_params):
     n_entries = entry_slot.shape[0]
@@ -29,38 +23,39 @@ def _entry_tables(entry_slot, entry_outcome, n_outcomes, n_params):
     return onehot, scatter
 
 
-def _utilities_np(x, entry_slot, entry_outcome, entry_col, theta, n_outcomes):
+def _utilities(x, entry_slot, entry_outcome, entry_col, theta, n_outcomes):
     xe = x[:, entry_col]
     onehot, _ = _entry_tables(entry_slot, entry_outcome, n_outcomes, theta.shape[0])
     return (xe * theta[entry_slot]) @ onehot, xe
 
 
-def _prob_matrix_np(x, entry_slot, entry_outcome, entry_col, theta, n_outcomes):
-    util, _ = _utilities_np(x, entry_slot, entry_outcome, entry_col, theta, n_outcomes)
+def _floored_loglik(util, y, w):
+    """Weighted LL over floored log-probabilities, the floored count, and log-sum-exp."""
+    top = util.max(axis=1)
+    lse = top + np.log(np.exp(util - top[:, None]).sum(axis=1))
+    logp = util[np.arange(util.shape[0]), y] - lse
+    n_floored = int((logp < _LOG_FLOOR).sum())
+    return float(w @ np.maximum(logp, _LOG_FLOOR)), n_floored, lse
+
+
+def prob_matrix(x, entry_slot, entry_outcome, entry_col, theta, n_outcomes):
+    util, _ = _utilities(x, entry_slot, entry_outcome, entry_col, theta, n_outcomes)
     util -= util.max(axis=1, keepdims=True)
     np.exp(util, out=util)
     util /= util.sum(axis=1, keepdims=True)
     return util
 
 
-def _loglik_np(x, y, w, entry_slot, entry_outcome, entry_col, theta, n_outcomes):
-    util, _ = _utilities_np(x, entry_slot, entry_outcome, entry_col, theta, n_outcomes)
-    top = util.max(axis=1)
-    lse = top + np.log(np.exp(util - top[:, None]).sum(axis=1))
-    logp = util[np.arange(x.shape[0]), y] - lse
-    n_floored = int((logp < _LOG_FLOOR).sum())
-    value = float(w @ np.maximum(logp, _LOG_FLOOR))
+def loglik(x, y, w, entry_slot, entry_outcome, entry_col, theta, n_outcomes):
+    util, _ = _utilities(x, entry_slot, entry_outcome, entry_col, theta, n_outcomes)
+    value, n_floored, _ = _floored_loglik(util, y, w)
     return value, n_floored
 
 
-def _loglik_grad_hess_np(x, y, w, entry_slot, entry_outcome, entry_col, theta, n_outcomes):
+def loglik_grad_hess(x, y, w, entry_slot, entry_outcome, entry_col, theta, n_outcomes):
     n_params = theta.shape[0]
-    util, xe = _utilities_np(x, entry_slot, entry_outcome, entry_col, theta, n_outcomes)
-    top = util.max(axis=1)
-    lse = top + np.log(np.exp(util - top[:, None]).sum(axis=1))
-    logp = util[np.arange(x.shape[0]), y] - lse
-    n_floored = int((logp < _LOG_FLOOR).sum())
-    value = float(w @ np.maximum(logp, _LOG_FLOOR))
+    util, xe = _utilities(x, entry_slot, entry_outcome, entry_col, theta, n_outcomes)
+    value, n_floored, lse = _floored_loglik(util, y, w)
 
     prob = np.exp(util - lse[:, None])
     pe = prob[:, entry_outcome]  # per-entry outcome probability, (n, E)
@@ -77,129 +72,6 @@ def _loglik_grad_hess_np(x, y, w, entry_slot, entry_outcome, entry_col, theta, n
     return value, gradient, hessian, n_floored
 
 
-# ---------------------------------------------------------------- numba path
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    njit = None
-    HAVE_NUMBA = False
-
-
-if HAVE_NUMBA:
-
-    @njit(cache=True, inline="always")
-    def _fill_row_probs(x, n, entry_slot, entry_outcome, entry_col, theta, n_outcomes, util, prob):
-        for i in range(n_outcomes):
-            util[i] = 0.0
-        for e in range(entry_slot.shape[0]):
-            util[entry_outcome[e]] += theta[entry_slot[e]] * x[n, entry_col[e]]
-        top = util[0]
-        for i in range(1, n_outcomes):
-            if util[i] > top:
-                top = util[i]
-        denom = 0.0
-        for i in range(n_outcomes):
-            prob[i] = np.exp(util[i] - top)
-            denom += prob[i]
-        for i in range(n_outcomes):
-            prob[i] /= denom
-
-    @njit(cache=True)
-    def _prob_matrix_nb(x, entry_slot, entry_outcome, entry_col, theta, n_outcomes):
-        n = x.shape[0]
-        out = np.empty((n, n_outcomes))
-        util = np.empty(n_outcomes)
-        for row in range(n):
-            _fill_row_probs(
-                x, row, entry_slot, entry_outcome, entry_col, theta, n_outcomes, util, out[row]
-            )
-        return out
-
-    @njit(cache=True)
-    def _loglik_nb(x, y, w, entry_slot, entry_outcome, entry_col, theta, n_outcomes):
-        value = 0.0
-        n_floored = 0
-        util = np.empty(n_outcomes)
-        prob = np.empty(n_outcomes)
-        for n in range(x.shape[0]):
-            _fill_row_probs(
-                x, n, entry_slot, entry_outcome, entry_col, theta, n_outcomes, util, prob
-            )
-            p_obs = prob[y[n]]
-            if p_obs < PROB_FLOOR:
-                p_obs = PROB_FLOOR
-                n_floored += 1
-            value += w[n] * np.log(p_obs)
-        return value, n_floored
-
-    @njit(cache=True)
-    def _loglik_grad_hess_nb(x, y, w, entry_slot, entry_outcome, entry_col, theta, n_outcomes):
-        n_entries = entry_slot.shape[0]
-        n_params = theta.shape[0]
-        value = 0.0
-        n_floored = 0
-        gradient = np.zeros(n_params)
-        hessian = np.zeros((n_params, n_params))
-        util = np.empty(n_outcomes)
-        prob = np.empty(n_outcomes)
-        xe = np.empty(n_entries)
-        pe = np.empty(n_entries)
-        for n in range(x.shape[0]):
-            _fill_row_probs(
-                x, n, entry_slot, entry_outcome, entry_col, theta, n_outcomes, util, prob
-            )
-            p_obs = prob[y[n]]
-            if p_obs < PROB_FLOOR:
-                p_obs = PROB_FLOOR
-                n_floored += 1
-            w_n = w[n]
-            value += w_n * np.log(p_obs)
-            for e in range(n_entries):
-                xe[e] = x[n, entry_col[e]]
-                pe[e] = prob[entry_outcome[e]]
-            for e1 in range(n_entries):
-                s1 = entry_slot[e1]
-                o1 = entry_outcome[e1]
-                p1 = pe[e1]
-                wx1 = w_n * xe[e1]
-                resid = (1.0 if o1 == y[n] else 0.0) - p1
-                gradient[s1] += resid * wx1
-                px1 = p1 * wx1
-                for e2 in range(n_entries):
-                    curv = (1.0 if o1 == entry_outcome[e2] else 0.0) - pe[e2]
-                    hessian[s1, entry_slot[e2]] -= curv * px1 * xe[e2]
-        hessian = 0.5 * (hessian + hessian.T)
-        return value, gradient, hessian, n_floored
-
-
-def _resolve_backend() -> str:
-    requested = os.environ.get("SEVLOGIT_BACKEND", "auto").strip().lower()
-    if requested in ("", "auto"):
-        return "numba" if HAVE_NUMBA else "numpy"
-    if requested == "numba":
-        if not HAVE_NUMBA:
-            raise RuntimeError("SEVLOGIT_BACKEND=numba but numba is not importable")
-        return "numba"
-    if requested == "numpy":
-        return "numpy"
-    raise RuntimeError(f"SEVLOGIT_BACKEND must be numba, numpy or auto, got {requested!r}")
-
-
-_BACKEND = _resolve_backend()
-
-if _BACKEND == "numba":
-    prob_matrix = _prob_matrix_nb
-    loglik = _loglik_nb
-    loglik_grad_hess = _loglik_grad_hess_nb
-else:
-    prob_matrix = _prob_matrix_np
-    loglik = _loglik_np
-    loglik_grad_hess = _loglik_grad_hess_np
-
-
 def active_backend() -> str:
-    """Name of the kernel backend selected at import time."""
-    return _BACKEND
+    """Name of the kernel backend; kept for the ``backend`` field of run records."""
+    return "numpy"

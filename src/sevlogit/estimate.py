@@ -2,8 +2,8 @@
 
 Newton iterations on the exact Hessian with step-halving, starting from
 theta = 0 (the objective is globally concave, so the start only affects the
-iteration count). If the Hessian solve fails the step falls back to a BFGS
-secant approximation of the inverse curvature. Covariance comes from the
+iteration count). Every iterate's information matrix is checked for
+singularity before a step is taken from it. Covariance comes from the
 observed information (inverse negative Hessian) at the optimum.
 """
 
@@ -33,6 +33,19 @@ class EstimateOptions:
     max_iterations: int = 200
     max_halvings: int = 30
     condition_limit: float = 1e10  # beyond this the information matrix is singular
+
+    def __post_init__(self):
+        finite = math.isfinite
+        rules = (
+            ("gradient_tol", finite(self.gradient_tol) and self.gradient_tol > 0, "finite and > 0"),
+            ("ll_rel_tol", finite(self.ll_rel_tol) and self.ll_rel_tol >= 0, "finite and >= 0"),
+            ("max_iterations", self.max_iterations >= 1, ">= 1"),
+            ("max_halvings", self.max_halvings >= 0, ">= 0"),
+            ("condition_limit", finite(self.condition_limit) and self.condition_limit > 1, "finite and > 1"),
+        )
+        for name, ok, rule in rules:
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
 
     def as_dict(self) -> dict:
         return {
@@ -91,33 +104,10 @@ def null_log_likelihood(dataset: Dataset) -> float:
     return value
 
 
-def _bfgs_update(h_inv: np.ndarray, step: np.ndarray, grad_delta: np.ndarray) -> np.ndarray:
-    """One BFGS update of ``h_inv``, an approximation to the inverse of -Hessian.
-
-    The curvature pair is ``s = step`` and ``y = -grad_delta``.
-
-    - When ``s @ y > 1e-12`` the result satisfies the secant equation
-      ``H_new @ y = s`` and is symmetric positive definite if ``h_inv`` was.
-    - Otherwise ``h_inv`` itself is returned, unchanged.
-
-    It learns curvature only along the steps it is shown. It recovers the
-    exact inverse of -Hessian only under exact line searches on a quadratic
-    (n updates in n dimensions); under other step lengths it promises no more
-    than the two properties above.
-    """
-    y = -grad_delta
-    sy = float(step @ y)
-    if sy <= 1e-12:
-        return h_inv
-    rho = 1.0 / sy
-    k = step.shape[0]
-    eye = np.eye(k)
-    left = eye - rho * np.outer(step, y)
-    return left @ h_inv @ left.T + rho * np.outer(step, step)
-
-
-def _deficient_slots(neg_hessian: np.ndarray, condition_limit: float) -> list[int]:
-    eigvals, eigvecs = np.linalg.eigh(neg_hessian)
+def _deficient_slots(
+    eigvals: np.ndarray, eigvecs: np.ndarray, condition_limit: float
+) -> list[int]:
+    """Slots loading on the eigenvectors of -Hessian at or below the condition cutoff."""
     cutoff = max(eigvals.max(), 0.0) / condition_limit
     slots: set[int] = set()
     for j in range(eigvals.shape[0]):
@@ -138,8 +128,13 @@ def estimate(
         Iteration cap exceeded or the line search stalled away from an
         optimum; the exception carries the last iterate.
     NonIdentificationError
-        The information matrix at the optimum is singular past the condition
-        limit; the exception names the offending slots.
+        The information matrix at some iterate, the optimum included, is
+        singular past the condition limit; raised at that iterate, before a
+        step is taken from it. The exception names the offending slots.
+    NumericError
+        The log-likelihood at theta = 0 is not finite.
+    ValueError
+        The dataset is empty.
     """
     options = options or EstimateOptions()
     if dataset.n_obs == 0:
@@ -162,31 +157,42 @@ def estimate(
             )
     max_floored = 0
 
-    def full_eval(values: np.ndarray):
+    def evaluate(values: np.ndarray):
         nonlocal max_floored
         ll, grad, hess, n_floored = _kernels.loglik_grad_hess(*inputs, values, n_outcomes)
-        if not math.isfinite(ll):
-            raise NumericError("log-likelihood is not finite")
         max_floored = max(max_floored, n_floored)
         return ll, grad, hess
 
-    def ll_only(values: np.ndarray) -> float:
-        nonlocal max_floored
-        ll, n_floored = _kernels.loglik(*inputs, values, n_outcomes)
-        max_floored = max(max_floored, n_floored)
-        return ll
-
     theta = np.zeros(n_params)
-    ll, grad, hess = full_eval(theta)
+    ll, grad, hess = evaluate(theta)
+    if not math.isfinite(ll):
+        raise NumericError("log-likelihood is not finite")
     ll_zero = ll
-    h_inv_approx = np.eye(n_params)
-    used_fallback = False
     line_search_failed = False
     ll_stalls = 0  # consecutive sub-threshold LL gains
     iterations = 0
     converged = False
 
     while True:
+        # the log-likelihood is concave, so -Hessian singular past the limit at
+        # any iterate means collinear columns or separation: stop right there
+        neg_hess = -hess
+        eigvals, eigvecs = np.linalg.eigh(neg_hess)
+        min_eig = float(eigvals.min())
+        max_eig = float(eigvals.max())
+        if (
+            not math.isfinite(min_eig)
+            or min_eig <= 0.0
+            or max_eig / min_eig > options.condition_limit
+        ):
+            slots = _deficient_slots(eigvals, eigvecs, options.condition_limit)
+            names = ", ".join(layout.slot_names()[i] for i in slots) or "unknown"
+            raise NonIdentificationError(
+                "information matrix is singular or near-singular at iteration "
+                f"{iterations} (condition {max_eig / max(min_eig, 1e-300):.2e}); "
+                f"unidentified slots: {names}",
+                slots=slots,
+            )
         if float(np.abs(grad).max()) < options.gradient_tol:
             converged = True
             break
@@ -203,56 +209,36 @@ def estimate(
         if iterations >= options.max_iterations:
             break
 
-        neg_hess = -hess
-        direction = None
-        try:
-            np.linalg.cholesky(neg_hess)  # positive-definiteness probe
-            direction = np.linalg.solve(neg_hess, grad)
-        except np.linalg.LinAlgError:
-            direction = None
-        if direction is not None and (
-            not np.isfinite(direction).all() or float(grad @ direction) <= 0.0
-        ):
-            direction = None
-        if direction is None:
-            direction = h_inv_approx @ grad
-            used_fallback = True
-
+        direction = np.linalg.solve(neg_hess, grad)
         # accept within summation-noise slack: near the optimum the true Newton
         # gain sinks below the evaluation noise of a several-thousand-unit LL
         slack = 1e-12 * (abs(ll) + 1.0)
         step = 1.0
         new_theta = theta + direction
-        new_ll = ll_only(new_theta)
+        new_ll, new_grad, new_hess = evaluate(new_theta)
         halvings = 0
         while not (math.isfinite(new_ll) and new_ll >= ll - slack) and halvings < options.max_halvings:
             step *= 0.5
             halvings += 1
             new_theta = theta + step * direction
-            new_ll = ll_only(new_theta)
+            new_ll, new_grad, new_hess = evaluate(new_theta)
 
         iterations += 1
         if not (math.isfinite(new_ll) and new_ll >= ll - slack):
             line_search_failed = True
             break
 
-        prev_ll, prev_grad, prev_theta = ll, grad, theta
-        theta = new_theta
-        ll, grad, hess = full_eval(theta)
-        h_inv_approx = _bfgs_update(h_inv_approx, theta - prev_theta, grad - prev_grad)
+        prev_ll = ll
+        theta, ll, grad, hess = new_theta, new_ll, new_grad, new_hess
         ll_stalls = ll_stalls + 1 if _ll_converged(ll, prev_ll, options.ll_rel_tol) else 0
 
     gradient_max = float(np.abs(grad).max())
-    if not converged:
-        converged = gradient_max < options.gradient_tol
 
     if max_floored > 0:
         diagnostics.append(
             f"observed-outcome probability floored for {max_floored} observation(s) "
             "during optimization (possible quasi-separation)"
         )
-    if used_fallback:
-        diagnostics.append("Hessian solve failed at least once; used quasi-Newton secant step")
 
     result_stub = ParameterVector(theta.copy(), layout)
     if not converged:
@@ -270,24 +256,6 @@ def estimate(
             last_result=partial,
         )
 
-    neg_hess = -hess
-    eigvals = np.linalg.eigvalsh(neg_hess)
-    min_eig = float(eigvals.min())
-    max_eig = float(eigvals.max())
-    singular = (
-        not math.isfinite(min_eig)
-        or min_eig <= 0.0
-        or max_eig / min_eig > options.condition_limit
-    )
-    if singular:
-        slots = _deficient_slots(neg_hess, options.condition_limit)
-        names = ", ".join(layout.slot_names()[i] for i in slots) or "unknown"
-        raise NonIdentificationError(
-            "information matrix is singular or near-singular at the optimum "
-            f"(condition {max_eig / max(min_eig, 1e-300):.2e}); "
-            f"unidentified slots: {names}",
-            slots=slots,
-        )
     condition = max_eig / min_eig
     if condition > 0.01 * options.condition_limit:
         diagnostics.append(

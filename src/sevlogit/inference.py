@@ -11,8 +11,9 @@ from .chi2 import chi_square_sf
 from .data import Dataset, partition
 from .errors import EmptyPartitionError, InconsistencyError, SevlogitError
 from .estimate import EstimateOptions, EstimationResult, estimate
-from .likelihood import probability_matrix
-from .modelspec import ModelSpec, ThetaLike, bind_design
+from .likelihood import probabilities_for_matrix, probability_matrix
+# bind_design is not called here, but perfbench/tracing.py patches it in this namespace
+from .modelspec import ModelSpec, ThetaLike, bind_design  # noqa: F401
 
 SPLIT_CONFIDENCE_LEVELS = (0.90, 0.95, 0.99)
 TEMPORAL_CONFIDENCE_LEVELS = (0.70, 0.90, 0.95, 0.99)
@@ -138,24 +139,10 @@ def elasticity_report(
 def _flipped_probabilities(model, theta, dataset, col):
     base = dataset.covariate_matrix.copy()
     base[:, col] = 0.0
-    off = _probabilities_for_matrix(model, theta, dataset.variable_names, base)
+    off = probabilities_for_matrix(model, theta, dataset.variable_names, base)
     base[:, col] = 1.0
-    on = _probabilities_for_matrix(model, theta, dataset.variable_names, base)
+    on = probabilities_for_matrix(model, theta, dataset.variable_names, base)
     return off, on
-
-
-def _probabilities_for_matrix(model, theta, variable_names, matrix):
-    from . import _kernels
-    from .modelspec import _theta_values
-
-    design = bind_design(model, tuple(variable_names))
-    values = _theta_values(theta, design.layout)
-    aug = np.empty((matrix.shape[0], matrix.shape[1] + 1))
-    aug[:, :-1] = matrix
-    aug[:, -1] = 1.0
-    return _kernels.prob_matrix(
-        aug, design.entry_slot, design.entry_outcome, design.entry_col, values, design.n_outcomes
-    )
 
 
 def finite_difference_elasticity(
@@ -181,9 +168,9 @@ def finite_difference_elasticity(
     minus = x.copy()
     minus[:, col] = values - step
     names = dataset.variable_names
-    p_plus = _probabilities_for_matrix(model, theta, names, plus)[:, outcome]
-    p_minus = _probabilities_for_matrix(model, theta, names, minus)[:, outcome]
-    p_base = _probabilities_for_matrix(model, theta, names, x)[:, outcome]
+    p_plus = probabilities_for_matrix(model, theta, names, plus)[:, outcome]
+    p_minus = probabilities_for_matrix(model, theta, names, minus)[:, outcome]
+    p_base = probabilities_for_matrix(model, theta, names, x)[:, outcome]
     derivative = (p_plus - p_minus) / (2.0 * step)
     return derivative * values / p_base
 

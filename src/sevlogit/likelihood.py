@@ -38,13 +38,12 @@ def probabilities_from_utilities(utilities: np.ndarray) -> np.ndarray:
     return p / p.sum(axis=-1, keepdims=True)
 
 
-def _dataset_inputs(model: ModelSpec, dataset: Dataset, theta: ThetaLike):
-    design = bind_design(model, dataset.variable_names)
+def _bound_theta(model: ModelSpec, variable_names, theta: ThetaLike):
+    design = bind_design(model, tuple(variable_names))
     values = _theta_values(theta, design.layout)
     if not np.isfinite(values).all():
         raise NumericError("non-finite parameter value")
-    x = augmented_matrix(dataset)
-    return design, values, x
+    return design, values
 
 
 def probabilities(model: ModelSpec, theta: ThetaLike, obs: Observation) -> np.ndarray:
@@ -53,32 +52,39 @@ def probabilities(model: ModelSpec, theta: ThetaLike, obs: Observation) -> np.nd
     return probability_matrix(model, theta, ds)[0]
 
 
-def probability_matrix(model: ModelSpec, theta: ThetaLike, dataset: Dataset) -> np.ndarray:
-    """(n_obs, n_outcomes) matrix of outcome probabilities."""
-    design, values, x = _dataset_inputs(model, dataset, theta)
+def probabilities_for_matrix(
+    model: ModelSpec, theta: ThetaLike, variable_names, matrix: np.ndarray
+) -> np.ndarray:
+    """(rows, n_outcomes) outcome probabilities of a raw covariate matrix.
+
+    ``matrix`` holds one column per name in ``variable_names``, without the
+    constant column.
+    """
+    design, values = _bound_theta(model, variable_names, theta)
     p = _kernels.prob_matrix(
-        x, design.entry_slot, design.entry_outcome, design.entry_col, values, design.n_outcomes
-    )
-    if not np.isfinite(p).all():
-        raise NumericError("non-finite utility while computing probabilities")
-    return p
-
-
-def log_likelihood(model: ModelSpec, theta: ThetaLike, dataset: Dataset) -> float:
-    """Weighted sum over observations of the log observed-outcome probability."""
-    if dataset.n_obs == 0:
-        raise ValueError("dataset is empty")
-    design, values, x = _dataset_inputs(model, dataset, theta)
-    value, _ = _kernels.loglik(
-        x,
-        dataset.outcome_indices,
-        dataset.weights,
+        augmented_matrix(matrix),
         design.entry_slot,
         design.entry_outcome,
         design.entry_col,
         values,
         design.n_outcomes,
     )
+    if not np.isfinite(p).all():
+        raise NumericError("non-finite utility while computing probabilities")
+    return p
+
+
+def probability_matrix(model: ModelSpec, theta: ThetaLike, dataset: Dataset) -> np.ndarray:
+    """(n_obs, n_outcomes) matrix of outcome probabilities."""
+    return probabilities_for_matrix(model, theta, dataset.variable_names, dataset.covariate_matrix)
+
+
+def log_likelihood(model: ModelSpec, theta: ThetaLike, dataset: Dataset) -> float:
+    """Weighted sum over observations of the log observed-outcome probability."""
+    if dataset.n_obs == 0:
+        raise ValueError("dataset is empty")
+    design, values = _bound_theta(model, dataset.variable_names, theta)
+    value, _ = _kernels.loglik(*_design_inputs(design, dataset), values, design.n_outcomes)
     return float(value)
 
 
@@ -86,16 +92,9 @@ def gradient_hessian(model: ModelSpec, theta: ThetaLike, dataset: Dataset) -> Li
     """Log-likelihood with analytic score and Hessian, aggregated through shared slots."""
     if dataset.n_obs == 0:
         raise ValueError("dataset is empty")
-    design, values, x = _dataset_inputs(model, dataset, theta)
+    design, values = _bound_theta(model, dataset.variable_names, theta)
     value, grad, hess, n_floored = _kernels.loglik_grad_hess(
-        x,
-        dataset.outcome_indices,
-        dataset.weights,
-        design.entry_slot,
-        design.entry_outcome,
-        design.entry_col,
-        values,
-        design.n_outcomes,
+        *_design_inputs(design, dataset), values, design.n_outcomes
     )
     return LikelihoodEvaluation(float(value), grad, hess, int(n_floored))
 
@@ -103,7 +102,7 @@ def gradient_hessian(model: ModelSpec, theta: ThetaLike, dataset: Dataset) -> Li
 def _design_inputs(design: Design, dataset: Dataset):
     """Kernel argument tuple for repeated evaluations against one dataset."""
     return (
-        augmented_matrix(dataset),
+        augmented_matrix(dataset.covariate_matrix),
         dataset.outcome_indices,
         dataset.weights,
         design.entry_slot,

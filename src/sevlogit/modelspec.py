@@ -13,7 +13,7 @@ from typing import Iterable, Mapping, Union
 
 import numpy as np
 
-from .data import Dataset, Observation, OutcomeSet
+from .data import Observation, OutcomeSet
 from .errors import ModelSpecError, SchemaError
 
 CONSTANT = "constant"
@@ -278,9 +278,8 @@ def bind_design(model: ModelSpec, variable_names: tuple[str, ...]) -> Design:
     )
 
 
-def augmented_matrix(dataset: Dataset) -> np.ndarray:
+def augmented_matrix(x: np.ndarray) -> np.ndarray:
     """Covariate matrix with a trailing constant-1 column, as the kernels expect."""
-    x = dataset.covariate_matrix
     out = np.empty((x.shape[0], x.shape[1] + 1))
     out[:, :-1] = x
     out[:, -1] = 1.0

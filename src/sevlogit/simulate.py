@@ -16,7 +16,7 @@ import numpy as np
 from .data import Dataset, Observation, SegmentKey
 from .errors import ConfigError
 from .modelspec import ModelSpec, ThetaLike, _theta_values, build_layout
-from .inference import _probabilities_for_matrix
+from .likelihood import probabilities_for_matrix
 
 RNG_ALGORITHM = "PCG64"
 
@@ -141,9 +141,9 @@ def simulate(config: GeneratorConfig) -> Dataset:
             if rows.size == 0:
                 continue
             comp_theta = theta if comp.theta is None else _theta_values(comp.theta, layout)
-            prob[rows] = _probabilities_for_matrix(config.model, comp_theta, names, matrix[rows])
+            prob[rows] = probabilities_for_matrix(config.model, comp_theta, names, matrix[rows])
     else:
-        prob[:] = _probabilities_for_matrix(config.model, theta, names, matrix)
+        prob[:] = probabilities_for_matrix(config.model, theta, names, matrix)
 
     cumulative = np.cumsum(prob, axis=1)
     outcome = np.minimum(

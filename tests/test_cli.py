@@ -125,6 +125,19 @@ class TestExitCodes:
         code = run("estimate", "--data", data, "--model", spec, "--tol", "1e-9")
         assert code == 5
 
+    @pytest.mark.parametrize(
+        "flag, value, field",
+        [("--tol", "-1", "gradient_tol"), ("--tol", "nan", "gradient_tol"),
+         ("--max-iter", "0", "max_iterations")],
+    )
+    def test_invalid_estimate_option_exits_2(self, workdir, capsys, flag, value, field):
+        code = run(
+            "estimate", "--data", workdir / "data.csv", "--model", workdir / "spec.json",
+            flag, value,
+        )
+        assert code == 2
+        assert field in capsys.readouterr().err
+
     def test_usage_error_exits_2(self):
         assert run("estimate", "--data") == 2
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import sevlogit as sl
+from sevlogit import _kernels
 from sevlogit.estimate import EstimateOptions, null_log_likelihood
 from sevlogit.likelihood import gradient_hessian
 
@@ -111,6 +112,25 @@ class TestEstimate:
         with pytest.raises(ValueError, match="empty"):
             sl.estimate(constants_model, ds)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("gradient_tol", 0.0),
+            ("gradient_tol", -1.0),
+            ("gradient_tol", math.nan),
+            ("ll_rel_tol", -1e-12),
+            ("ll_rel_tol", math.inf),
+            ("max_iterations", 0),
+            ("max_halvings", -1),
+            ("condition_limit", 1.0),
+            ("condition_limit", math.inf),
+        ],
+    )
+    def test_invalid_options_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            EstimateOptions(**{field: value})
+        EstimateOptions(ll_rel_tol=0.0, max_iterations=1, max_halvings=0)  # the edges are valid
+
     def test_iteration_cap_raises_with_last_iterate(self, constants_model, share_dataset):
         with pytest.raises(sl.NonConvergenceError) as err:
             sl.estimate(constants_model, share_dataset, EstimateOptions(max_iterations=1))
@@ -118,6 +138,62 @@ class TestEstimate:
         assert partial is not None
         assert not partial.converged
         assert partial.iterations == 1
+
+
+def _count_full_passes(monkeypatch):
+    """Count calls of the full kernel; the returned one-item list is updated in place."""
+    calls = [0]
+    real = _kernels.loglik_grad_hess
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(_kernels, "loglik_grad_hess", counted)
+    return calls
+
+
+class TestNewtonLoop:
+    def test_one_full_pass_per_iterate_and_no_ll_only_pass(
+        self, speed_model, speed_dataset, monkeypatch
+    ):
+        def ll_only(*args):
+            raise AssertionError("estimate called the LL-only kernel")
+
+        monkeypatch.setattr(_kernels, "loglik", ll_only)
+        full_passes = _count_full_passes(monkeypatch)
+        result = sl.estimate(speed_model, speed_dataset)
+        assert result.iterations >= 3
+        assert full_passes == [result.iterations + 1]
+
+    def test_nonfinite_trial_is_halved_not_raised(self, speed_model, speed_dataset, monkeypatch):
+        expected = sl.estimate(speed_model, speed_dataset, TIGHT).theta_hat.values
+        real = _kernels.loglik_grad_hess
+        calls = [0]
+
+        def first_trial_nan(*args):
+            calls[0] += 1
+            ll, grad, hess, n_floored = real(*args)
+            if calls[0] == 2:  # pass 1 is theta = 0, pass 2 the first full Newton step
+                ll = math.nan
+            return ll, grad, hess, n_floored
+
+        monkeypatch.setattr(_kernels, "loglik_grad_hess", first_trial_nan)
+        result = sl.estimate(speed_model, speed_dataset, TIGHT)
+        assert result.converged
+        assert calls[0] >= result.iterations + 2  # at least one halving
+        assert np.abs(result.theta_hat.values - expected).max() < 1e-8
+
+    def test_nonfinite_ll_at_zero_raises(self, speed_model, speed_dataset, monkeypatch):
+        real = _kernels.loglik_grad_hess
+
+        def nan_ll(*args):
+            _, grad, hess, n_floored = real(*args)
+            return math.nan, grad, hess, n_floored
+
+        monkeypatch.setattr(_kernels, "loglik_grad_hess", nan_ll)
+        with pytest.raises(sl.NumericError):
+            sl.estimate(speed_model, speed_dataset)
 
 
 def separable_dataset(n):
@@ -133,9 +209,9 @@ def separable_dataset(n):
 
 
 class TestNonIdentification:
-    def test_collinear_covariates_raise_with_both_slots(self, three_outcomes):
+    def test_collinear_covariates_raise_with_both_slots(self, three_outcomes, monkeypatch):
         # identical columns make the information matrix singular at every theta,
-        # forcing the quasi-Newton fallback before non-identification is declared
+        # so non-identification is declared at theta = 0, before any step
         model = sl.ModelSpec(
             three_outcomes,
             (sl.TermSpec("constant", (1, 2)), sl.TermSpec("x1", (1,)), sl.TermSpec("x2", (1,))),
@@ -147,8 +223,10 @@ class TestNonIdentification:
             outcome = int(rng.choice(3, p=[0.5, 0.4, 0.1]))
             obs.append(sl.Observation({"x1": v, "x2": v}, outcome))
         ds = sl.Dataset(three_outcomes, tuple(obs), ("x1", "x2"))
+        full_passes = _count_full_passes(monkeypatch)
         with pytest.raises(sl.NonIdentificationError) as err:
             sl.estimate(model, ds)
+        assert full_passes == [1]  # theta = 0 only
         layout = sl.build_layout(model)
         flagged = {layout.slot_names()[i] for i in err.value.slots}
         assert {"x1:injury", "x2:injury"} <= flagged
@@ -235,62 +313,6 @@ class TestFitStatistics:
         object.__setattr__(result, "converged", False)
         with pytest.raises(ValueError):
             sl.fit_statistics(result)
-
-
-class TestBFGSFallbackUpdate:
-    def test_secant_update_learns_inverse_curvature(self):
-        # ascend a concave quadratic using only secant updates. BFGS learns
-        # curvature along the steps it is shown: with exact line searches the
-        # n steps are conjugate and H recovers the whole inverse of -Hessian
-        # (quadratic termination, Nocedal & Wright 2nd ed. ch. 6). Under a
-        # fixed step length it promises only the secant equation and SPD.
-        from sevlogit.estimate import _bfgs_update
-
-        rng = np.random.default_rng(23)
-        root = rng.normal(size=(3, 3))
-        neg_hess = root @ root.T + np.eye(3)  # SPD curvature of -LL
-        start = np.array([2.0, -1.0, 0.5])
-
-        h_inv = np.eye(3)
-        theta = start
-        grad = -neg_hess @ theta  # gradient of the quadratic peaked at 0
-        for _ in range(3):
-            direction = h_inv @ grad
-            alpha = (grad @ direction) / (direction @ neg_hess @ direction)
-            new_theta = theta + alpha * direction
-            new_grad = -neg_hess @ new_theta
-            h_inv = _bfgs_update(h_inv, new_theta - theta, new_grad - grad)
-            theta, grad = new_theta, new_grad
-        assert np.abs(theta).max() < 1e-10
-        assert np.allclose(h_inv, np.linalg.inv(neg_hess), rtol=0.0, atol=1e-10)
-
-        # fixed half steps, like the halved steps of estimate()
-        h_inv = np.eye(3)
-        theta = start
-        grad = -neg_hess @ theta
-        taken = 0
-        for _ in range(40):
-            step = 0.5 * (h_inv @ grad)
-            new_theta = theta + step
-            new_grad = -neg_hess @ new_theta
-            h_inv = _bfgs_update(h_inv, new_theta - theta, new_grad - grad)
-            y = -(new_grad - grad)
-            if step @ y > 1e-12:  # below this the update is skipped by design
-                taken += 1
-                residual = np.linalg.norm(h_inv @ y - step) / np.linalg.norm(step)
-                assert residual < 1e-12
-            assert np.allclose(h_inv, h_inv.T, rtol=0.0, atol=1e-12)
-            assert np.linalg.eigvalsh(h_inv).min() > 0.0
-            theta, grad = new_theta, new_grad
-        assert taken >= 3
-        assert np.abs(theta).max() < 1e-6
-
-    def test_skips_update_without_curvature(self):
-        from sevlogit.estimate import _bfgs_update
-
-        h_inv = np.eye(2)
-        same = _bfgs_update(h_inv, np.zeros(2), np.array([1.0, 0.0]))
-        assert same is h_inv
 
 
 class TestNullLogLikelihood:

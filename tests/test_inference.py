@@ -93,6 +93,26 @@ class TestElasticityReport:
             rel = np.abs(fd - analytic) / np.maximum(np.abs(analytic), 1e-12)
             assert rel.max() < 1e-6
 
+    def test_shared_slot_finite_difference_is_base_share(
+        self, speed_model, speed_theta, speed_dataset
+    ):
+        # for a slot shared by every non-base outcome the exact MNL elasticity
+        # x * (beta_i - sum_j P_j beta_j) reduces to beta * x * P_base; the
+        # closed form (1 - P_i) * beta * x overstates it by beta * x * P_other
+        beta = speed_theta.values[sl.build_layout(speed_model).slot_index("speed_limit", 1)]
+        prob = sl.probability_matrix(speed_model, speed_theta, speed_dataset)
+        x = speed_dataset.covariate_matrix[:, speed_dataset.variable_names.index("speed_limit")]
+        exact = beta * x * prob[:, 0]
+        for outcome, other in ((1, 2), (2, 1)):
+            fd = sl.finite_difference_elasticity(
+                speed_model, speed_theta, speed_dataset, "speed_limit", outcome
+            )
+            assert np.abs(fd - exact).max() < 1e-8 * np.abs(exact).max()
+            closed = (1.0 - prob[:, outcome]) * beta * x
+            assert np.allclose(closed - fd, beta * x * prob[:, other], rtol=1e-6, atol=0.0)
+        fatality_closed = ((1.0 - prob[:, 2]) * beta * x).mean()
+        assert fatality_closed > 1.5 * exact.mean()
+
     def test_significance_gating(self, alt_specific_setup):
         model, theta, ds = alt_specific_setup
         layout = sl.build_layout(model)

@@ -1,72 +1,10 @@
-"""Backend parity: numba kernels against the pure-numpy fallback."""
-
-import os
-import subprocess
-import sys
+"""Kernel details not covered through the likelihood API."""
 
 import numpy as np
-import pytest
 
 import sevlogit as sl
 from sevlogit import _kernels
 from sevlogit.modelspec import augmented_matrix, bind_design
-
-needs_numba = pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba not installed")
-
-
-@pytest.fixture(scope="module")
-def kernel_problem(speed_model, speed_theta):
-    config = sl.GeneratorConfig(
-        model=speed_model,
-        true_theta=speed_theta,
-        n_obs=800,
-        covariates={"speed_limit": sl.UniformDist(25, 70), "curve": sl.IndicatorDist(0.3)},
-        seed=21,
-    )
-    ds = sl.simulate(config)
-    design = bind_design(speed_model, ds.variable_names)
-    args = (
-        augmented_matrix(ds),
-        ds.outcome_indices,
-        ds.weights,
-        design.entry_slot,
-        design.entry_outcome,
-        design.entry_col,
-    )
-    return args, design.n_outcomes
-
-
-@needs_numba
-class TestBackendParity:
-    def test_value_gradient_hessian(self, kernel_problem):
-        # summation order differs between the backends, so compare at matrix scale
-        args, n_out = kernel_problem
-        rng = np.random.default_rng(4)
-        for _ in range(5):
-            theta = rng.normal(0, 0.3, 4)
-            ll_nb, g_nb, h_nb, f_nb = _kernels._loglik_grad_hess_nb(*args, theta, n_out)
-            ll_np, g_np, h_np, f_np = _kernels._loglik_grad_hess_np(*args, theta, n_out)
-            assert ll_nb == pytest.approx(ll_np, rel=1e-12)
-            assert np.abs(g_nb - g_np).max() <= 1e-9 * max(1.0, np.abs(g_np).max())
-            assert np.abs(h_nb - h_np).max() <= 1e-9 * max(1.0, np.abs(h_np).max())
-            assert f_nb == f_np
-
-    def test_loglik_only_agrees_with_full(self, kernel_problem):
-        args, n_out = kernel_problem
-        theta = np.array([-1.5, -3.0, 0.5, 0.02])
-        ll_a, _ = _kernels._loglik_nb(*args, theta, n_out)
-        ll_b, *_ = _kernels._loglik_grad_hess_nb(*args, theta, n_out)
-        assert ll_a == ll_b
-
-    def test_probability_matrices(self, kernel_problem):
-        args, n_out = kernel_problem
-        x = args[0]
-        design_args = args[3:]
-        theta = np.array([-1.5, -3.0, 0.5, 0.02])
-        p_nb = _kernels._prob_matrix_nb(x, *design_args, theta, n_out)
-        p_np = _kernels._prob_matrix_np(x, *design_args, theta, n_out)
-        assert np.allclose(p_nb, p_np, atol=1e-14)
-        assert np.allclose(p_nb.sum(axis=1), 1.0, atol=1e-12)
 
 
 def test_flooring_counts_agree():
@@ -79,7 +17,7 @@ def test_flooring_counts_agree():
     )
     design = bind_design(model, ds.variable_names)
     args = (
-        augmented_matrix(ds),
+        augmented_matrix(ds.covariate_matrix),
         ds.outcome_indices,
         ds.weights,
         design.entry_slot,
@@ -87,29 +25,11 @@ def test_flooring_counts_agree():
         design.entry_col,
     )
     theta = np.array([800.0])  # first row's observed-outcome probability underflows
-    _, n_floored_np = _kernels._loglik_np(*args, theta, 2)
-    assert n_floored_np == 1
-    if _kernels.HAVE_NUMBA:
-        _, n_floored_nb = _kernels._loglik_nb(*args, theta, 2)
-        assert n_floored_nb == 1
-
-
-def test_env_flag_selects_numpy_backend():
-    code = "import sevlogit; print(sevlogit.active_backend())"
-    env = dict(os.environ, SEVLOGIT_BACKEND="numpy")
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.strip() == "numpy"
-
-
-def test_env_flag_rejects_unknown_backend():
-    code = "import sevlogit"
-    env = dict(os.environ, SEVLOGIT_BACKEND="cuda")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert out.returncode != 0
-    assert "SEVLOGIT_BACKEND" in out.stderr
+    _, n_floored = _kernels.loglik(*args, theta, 2)
+    assert n_floored == 1
+    *_, n_floored_full = _kernels.loglik_grad_hess(*args, theta, 2)
+    assert n_floored_full == 1
 
 
 def test_active_backend_reports_selection():
-    assert sl.active_backend() in ("numba", "numpy")
+    assert sl.active_backend() == "numpy"
