@@ -16,14 +16,15 @@ from pathlib import Path
 
 from . import __version__, report
 from ._kernels import active_backend
-from .data import partition, summarize
+# partition is not called here, but perfbench/tracing.py patches it in this namespace
+from .data import Dataset, partition, summarize  # noqa: F401
 from .errors import ConfigError, SevlogitError
 from .estimate import EstimateOptions, estimate
 from .inference import (
     DEFAULT_SIGNIFICANCE_T,
+    PartitionReport,
     elasticity_report,
     evaluate_partition,
-    lr_split_test,
     lr_temporal_test,
 )
 from .io import ingest_csv, load_generator_config, load_model_spec, write_csv, write_text_atomic
@@ -176,31 +177,32 @@ def _parse_dims(raw: str) -> tuple[str, ...]:
     return dims
 
 
+def _fit_cells(args, model, dataset, dims) -> PartitionReport:
+    """Pooled and per-cell fits over every non-empty cell; a failed fit raises its own error."""
+    rep = evaluate_partition(model, dataset, dims, _options(args), min_cell_size=1)
+    if not rep.cells:
+        raise ConfigError(f"splitting by {{{', '.join(dims)}}} produces 1 cell(s); need at least 2")
+    for cell in rep.cells:
+        if cell.error is not None:
+            raise cell.error
+    return rep
+
+
 def _cmd_split_test(args) -> int:
     _check_inputs(args.data, args.model)
     model = load_model_spec(args.model)
     dataset = ingest_csv(args.data, model.outcome_set)
     dims = _parse_dims(args.by)
-    options = _options(args)
-    cells = partition(dataset, dims)
-    if len(cells) < 2:
-        raise ConfigError(
-            f"splitting by {{{', '.join(dims)}}} produces {len(cells)} cell(s); need at least 2"
-        )
-    pooled = estimate(model, dataset, options)
-    records = [report.estimation_record(pooled, label="pooled")]
-    components = []
-    for key, cell_data in cells.items():
-        label = ", ".join(str(v) for v in key)
-        cell_result = estimate(model, cell_data, options)
-        records.append(report.estimation_record(cell_result, label=label))
-        components.append((cell_result.ll_converged, cell_result.n_params))
-    test = lr_split_test(pooled.ll_converged, pooled.n_params, components)
+    rep = _fit_cells(args, model, dataset, dims)
+    records = [report.estimation_record(rep.pooled, label="pooled")]
+    for cell in rep.cells:
+        label = ", ".join(str(v) for v in cell.key)
+        records.append(report.estimation_record(cell.result, label=label))
     config = _config_dict(args, "split-test", by=",".join(dims))
     if args.format == "records":
-        text = report.records_to_text([config, *records, report.lr_record(test, "split")])
+        text = report.records_to_text([config, *records, report.lr_record(rep.test, "split")])
     else:
-        text = _config_header(config) + report.render_lr(test, "split")
+        text = _config_header(config) + report.render_lr(rep.test, "split")
     _emit(args, text)
     return 0
 
@@ -209,7 +211,6 @@ def _cmd_temporal_test(args) -> int:
     _check_inputs(args.data, args.model)
     model = load_model_spec(args.model)
     dataset = ingest_csv(args.data, model.outcome_set)
-    options = _options(args)
 
     periods = sorted({o.period for o in dataset.observations if o.period is not None})
     label_a, label_b = args.period_a, args.period_b
@@ -226,15 +227,11 @@ def _cmd_temporal_test(args) -> int:
         if label not in periods:
             raise ConfigError(f"period {label!r} not present in the data (found {periods})")
 
-    by_period = partition(dataset, ("period",))
-    data_a = by_period[(label_a,)]
-    data_b = by_period[(label_b,)]
-    from .data import concatenate
-
-    combined = concatenate([data_a, data_b])
-    fit_all = estimate(model, combined, options)
-    fit_a = estimate(model, data_a, options)
-    fit_b = estimate(model, data_b, options)
+    rows = tuple(o for o in dataset.observations if o.period in (label_a, label_b))
+    both = Dataset(dataset.outcome_set, rows, dataset.variable_names)
+    rep = _fit_cells(args, model, both, ("period",))
+    fits = {cell.key: cell.result for cell in rep.cells}
+    fit_all, fit_a, fit_b = rep.pooled, fits[(label_a,)], fits[(label_b,)]
     test = lr_temporal_test(
         fit_all.ll_converged,
         fit_a.ll_converged,

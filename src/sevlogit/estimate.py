@@ -26,35 +26,21 @@ from .modelspec import ModelSpec, ParameterVector, bind_design
 from .likelihood import _design_inputs
 
 
+LL_REL_TOL = 1e-10  # relative LL-change convergence threshold
+MAX_HALVINGS = 30
+CONDITION_LIMIT = 1e10  # beyond this the information matrix is singular
+
+
 @dataclass(frozen=True)
 class EstimateOptions:
     gradient_tol: float = 1e-6  # max-norm convergence threshold
-    ll_rel_tol: float = 1e-10  # relative LL-change convergence threshold
     max_iterations: int = 200
-    max_halvings: int = 30
-    condition_limit: float = 1e10  # beyond this the information matrix is singular
 
     def __post_init__(self):
-        finite = math.isfinite
-        rules = (
-            ("gradient_tol", finite(self.gradient_tol) and self.gradient_tol > 0, "finite and > 0"),
-            ("ll_rel_tol", finite(self.ll_rel_tol) and self.ll_rel_tol >= 0, "finite and >= 0"),
-            ("max_iterations", self.max_iterations >= 1, ">= 1"),
-            ("max_halvings", self.max_halvings >= 0, ">= 0"),
-            ("condition_limit", finite(self.condition_limit) and self.condition_limit > 1, "finite and > 1"),
-        )
-        for name, ok, rule in rules:
-            if not ok:
-                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
-
-    def as_dict(self) -> dict:
-        return {
-            "gradient_tol": self.gradient_tol,
-            "ll_rel_tol": self.ll_rel_tol,
-            "max_iterations": self.max_iterations,
-            "max_halvings": self.max_halvings,
-            "condition_limit": self.condition_limit,
-        }
+        if not (math.isfinite(self.gradient_tol) and self.gradient_tol > 0):
+            raise ValueError(f"gradient_tol must be finite and > 0, got {self.gradient_tol!r}")
+        if not self.max_iterations >= 1:
+            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations!r}")
 
 
 @dataclass(frozen=True)
@@ -104,11 +90,9 @@ def null_log_likelihood(dataset: Dataset) -> float:
     return value
 
 
-def _deficient_slots(
-    eigvals: np.ndarray, eigvecs: np.ndarray, condition_limit: float
-) -> list[int]:
+def _deficient_slots(eigvals: np.ndarray, eigvecs: np.ndarray) -> list[int]:
     """Slots loading on the eigenvectors of -Hessian at or below the condition cutoff."""
-    cutoff = max(eigvals.max(), 0.0) / condition_limit
+    cutoff = max(eigvals.max(), 0.0) / CONDITION_LIMIT
     slots: set[int] = set()
     for j in range(eigvals.shape[0]):
         if eigvals[j] <= cutoff:
@@ -183,9 +167,9 @@ def estimate(
         if (
             not math.isfinite(min_eig)
             or min_eig <= 0.0
-            or max_eig / min_eig > options.condition_limit
+            or max_eig / min_eig > CONDITION_LIMIT
         ):
-            slots = _deficient_slots(eigvals, eigvecs, options.condition_limit)
+            slots = _deficient_slots(eigvals, eigvecs)
             names = ", ".join(layout.slot_names()[i] for i in slots) or "unknown"
             raise NonIdentificationError(
                 "information matrix is singular or near-singular at iteration "
@@ -217,7 +201,7 @@ def estimate(
         new_theta = theta + direction
         new_ll, new_grad, new_hess = evaluate(new_theta)
         halvings = 0
-        while not (math.isfinite(new_ll) and new_ll >= ll - slack) and halvings < options.max_halvings:
+        while not (math.isfinite(new_ll) and new_ll >= ll - slack) and halvings < MAX_HALVINGS:
             step *= 0.5
             halvings += 1
             new_theta = theta + step * direction
@@ -230,7 +214,7 @@ def estimate(
 
         prev_ll = ll
         theta, ll, grad, hess = new_theta, new_ll, new_grad, new_hess
-        ll_stalls = ll_stalls + 1 if _ll_converged(ll, prev_ll, options.ll_rel_tol) else 0
+        ll_stalls = ll_stalls + 1 if _ll_converged(ll, prev_ll, LL_REL_TOL) else 0
 
     gradient_max = float(np.abs(grad).max())
 
@@ -247,7 +231,7 @@ def estimate(
             ll, dataset, ll_zero, iterations, False, gradient_max, diagnostics, options,
         )
         reason = (
-            f"line search stalled after {options.max_halvings} halvings"
+            f"line search stalled after {MAX_HALVINGS} halvings"
             if line_search_failed
             else f"no convergence after {iterations} iterations"
         )
@@ -257,7 +241,7 @@ def estimate(
         )
 
     condition = max_eig / min_eig
-    if condition > 0.01 * options.condition_limit:
+    if condition > 0.01 * CONDITION_LIMIT:
         diagnostics.append(
             f"information matrix is ill-conditioned (condition {condition:.2e}); "
             "standard errors for weakly identified slots are unreliable"

@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .chi2 import chi_square_sf
-from .data import Dataset, partition
+from .data import PARTITION_DIMS, Dataset, partition
 from .errors import EmptyPartitionError, InconsistencyError, SevlogitError
 from .estimate import EstimateOptions, EstimationResult, estimate
 from .likelihood import probabilities_for_matrix, probability_matrix
@@ -26,6 +26,7 @@ def elasticity_point(probability: float, coefficient: float, value: float) -> fl
 
     Closed MNL form: (1 - P) * coefficient * value. Exact for coefficients
     specific to the outcome; the conventional approximation for shared ones.
+    Applies elementwise to arrays of probabilities and values.
     """
     return (1.0 - probability) * coefficient * value
 
@@ -119,7 +120,7 @@ def elasticity_report(
                 if indicator:
                     per_obs = (prob_on[:, out] - prob_off[:, out]) / prob_off[:, out]
                 else:
-                    per_obs = (1.0 - prob[:, out]) * theta[slot] * values
+                    per_obs = elasticity_point(prob[:, out], theta[slot], values)
                 value = _aggregate(per_obs, prob[:, out], aggregation)
             cells.append(
                 ElasticityCell(
@@ -189,10 +190,6 @@ class LRTestResult:
         return self.p_value < 1.0 - confidence
 
 
-def _decisions(p_value: float, levels: Sequence[float]) -> dict[float, bool]:
-    return {level: p_value < 1.0 - level for level in levels}
-
-
 def lr_split_test(
     ll_pooled: float,
     k_pooled: int,
@@ -223,7 +220,8 @@ def lr_split_test(
     p_value = chi_square_sf(statistic, df)
     components = {"pooled": float(ll_pooled)}
     components.update({f"subset{i}": float(ll) for i, (ll, _) in enumerate(subsets)})
-    return LRTestResult(statistic, df, p_value, _decisions(p_value, levels), components)
+    decisions = {level: p_value < 1.0 - level for level in levels}
+    return LRTestResult(statistic, df, p_value, decisions, components)
 
 
 def lr_temporal_test(
@@ -237,24 +235,14 @@ def lr_temporal_test(
 ) -> LRTestResult:
     """Test whether model parameters shifted between two periods.
 
-    statistic = -2 * (combined LL - first-period LL - second-period LL),
-    chi-square with df = K_first + K_second - K_combined. Rejection means the
-    periods should not be pooled.
+    The split test with the two periods as subsets: statistic =
+    -2 * (combined LL - (first-period LL + second-period LL)), chi-square with
+    df = K_first + K_second - K_combined. Rejection means the periods should
+    not be pooled.
     """
-    df = int(k_first) + int(k_second) - int(k_all)
-    if df <= 0:
-        raise ValueError(f"degrees of freedom must be positive, got {df}")
-    statistic = -2.0 * (ll_all - ll_first - ll_second)
-    if statistic < -1e-8:
-        raise InconsistencyError(
-            f"period log-likelihoods sum below the combined value (statistic {statistic:.3e}); "
-            f"impossible for correctly nested fits - a period estimation likely failed "
-            f"(combined LL={ll_all:.6f}, first={ll_first:.6f}, second={ll_second:.6f})"
-        )
-    statistic = max(statistic, 0.0)
-    p_value = chi_square_sf(statistic, df)
+    test = lr_split_test(ll_all, k_all, [(ll_first, k_first), (ll_second, k_second)], levels)
     components = {"combined": float(ll_all), "first": float(ll_first), "second": float(ll_second)}
-    return LRTestResult(statistic, df, p_value, _decisions(p_value, levels), components)
+    return replace(test, component_lls=components)
 
 
 @dataclass(frozen=True)
@@ -267,6 +255,7 @@ class CellReport:
     status: str  # "ok", "skipped", or "failed"
     reason: Optional[str]
     result: Optional[EstimationResult]
+    error: Optional[SevlogitError] = None  # the exception of a "failed" cell
 
 
 @dataclass(frozen=True)
@@ -302,19 +291,18 @@ def evaluate_partition(
     """Estimate pooled and per-cell models over a partition and run the split test.
 
     Cells below the minimum size (default 30 observations per parameter) are
-    flagged and skipped; if any cell is skipped or fails to estimate, the
-    split test is marked unavailable instead of being computed over a subset.
+    flagged and skipped; a cell that fails to estimate keeps its exception in
+    `error`. If any cell is skipped or failed, the split test is marked
+    unavailable instead of being computed over a subset.
     """
-    from .data import PARTITION_DIMS
-
     cells = partition(dataset, dims)
     dims = tuple(d for d in PARTITION_DIMS if d in dims)
     n_params = model.n_params
     if min_cell_size is None:
         min_cell_size = 30 * n_params
 
-    skipped_all = all(ds.n_obs < min_cell_size for ds in cells.values())
-    if skipped_all:
+    # no cells means no rows; the pooled fit below rejects an empty dataset
+    if cells and all(ds.n_obs < min_cell_size for ds in cells.values()):
         raise EmptyPartitionError(
             f"every cell is below the minimum size {min_cell_size}; nothing to evaluate"
         )
@@ -343,7 +331,7 @@ def evaluate_partition(
         try:
             cell_result = estimate(model, cell_data, options)
         except SevlogitError as exc:
-            reports.append(CellReport(key, label, cell_data.n_obs, "failed", str(exc), None))
+            reports.append(CellReport(key, label, cell_data.n_obs, "failed", str(exc), None, exc))
             continue
         reports.append(CellReport(key, label, cell_data.n_obs, "ok", None, cell_result))
 
@@ -351,7 +339,7 @@ def evaluate_partition(
     if not_ok:
         reason = "; ".join(f"{r.label}: {r.status} ({r.reason})" for r in not_ok)
         test = None
-        unavailable = f"test unavailable, not all cells estimated: {reason}"
+        unavailable = f"not all cells estimated: {reason}"
     else:
         test = lr_split_test(
             pooled.ll_converged,

@@ -68,3 +68,46 @@ def share_dataset():
     """Counts matching the published 2006 severity shares: 79.03 / 20.56 / 0.41 percent."""
     outcomes = [0] * 7903 + [1] * 2056 + [2] * 41
     return dataset_from_outcomes(outcomes)
+
+
+@pytest.fixture(scope="session")
+def dark_gap_model(three_outcomes):
+    """Constants, a shared speed-limit slope and a fatality-only `dark` indicator."""
+    return sl.ModelSpec(
+        three_outcomes,
+        (
+            sl.TermSpec("constant", (1, 2)),
+            sl.TermSpec("speed_limit", (1, 2), shared=True),
+            sl.TermSpec("dark", (2,)),
+        ),
+    )
+
+
+@pytest.fixture(scope="session")
+def dark_gap_dataset(dark_gap_model):
+    """Two road classes; `dark` is always 0 on county roads, so that cell cannot identify
+    dark:fatality while the pooled data and the interstate cell can."""
+    theta = sl.ParameterVector.from_dict(
+        sl.build_layout(dark_gap_model),
+        {
+            "constant:injury": -1.8,
+            "constant:fatality": -4.0,
+            "speed_limit:injury+fatality": 0.03,
+            "dark:fatality": 0.7,
+        },
+    )
+
+    def draw(road_class, dark, seed):
+        config = sl.GeneratorConfig(
+            dark_gap_model,
+            theta,
+            1500,
+            {"speed_limit": sl.UniformDist(25, 70), "dark": dark},
+            segments=(sl.SegmentComponent(sl.SegmentKey(road_class=road_class), 1.0),),
+            seed=seed,
+        )
+        return sl.simulate(config)
+
+    interstate = draw("interstate", sl.IndicatorDist(0.3), 21)
+    county = draw("county-road", sl.ConstantDist(0.0), 22)
+    return sl.concatenate([interstate, county])

@@ -299,3 +299,94 @@ class TestOtherCommands:
         )
         assert code == 2
         assert "period" in capsys.readouterr().err
+
+
+def _records_of(capsys):
+    return [json.loads(line) for line in capsys.readouterr().out.strip().splitlines()]
+
+
+class TestOneTestPath:
+    """split-test and temporal-test share partition's fits and one LR computation."""
+
+    def test_failed_cell_exits_with_its_code_but_partition_reports_it(
+        self, tmp_path, dark_gap_model, dark_gap_dataset, capsys
+    ):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(model_spec_to_dict(dark_gap_model)))
+        data = tmp_path / "gap.csv"
+        write_csv(dark_gap_dataset, data)
+        code = run("split-test", "--data", data, "--model", spec, "--by", "road_class")
+        assert code == 5
+        assert "dark:fatality" in capsys.readouterr().err
+        code = run(
+            "partition", "--data", data, "--model", spec, "--by", "road_class",
+            "--format", "records",
+        )
+        assert code == 0
+        rec = _records_of(capsys)[1]
+        statuses = {c["label"]: c["status"] for c in rec["cells"]}
+        assert statuses == {"road_class=county-road": "failed", "road_class=interstate": "ok"}
+        assert rec["test"] is None
+        assert rec["test_unavailable_reason"].startswith("not all cells estimated: ")
+
+    def test_temporal_test_equals_split_by_period(
+        self, tmp_path, speed_model, speed_theta, capsys
+    ):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(model_spec_to_dict(speed_model)))
+        covs = {"speed_limit": sl.UniformDist(25, 70), "curve": sl.IndicatorDist(0.3)}
+        early = sl.simulate(
+            sl.GeneratorConfig(speed_model, speed_theta, 1500, covs, seed=3)
+        ).with_period("2004")
+        late = sl.simulate(
+            sl.GeneratorConfig(speed_model, speed_theta, 1500, covs, seed=4)
+        ).with_period("2006")
+        data = tmp_path / "years.csv"
+        write_csv(sl.concatenate([early, late]), data)
+        common = ("--data", data, "--model", spec, "--format", "records")
+        assert run("temporal-test", *common) == 0
+        temporal = _records_of(capsys)[-1]
+        assert run("split-test", *common, "--by", "period") == 0
+        split = _records_of(capsys)[-1]
+        assert (temporal["kind"], split["kind"]) == ("temporal", "split")
+        for field in ("statistic", "df", "p_value"):
+            assert temporal[field] == split[field], field
+
+    def test_partition_and_split_test_agree(self, tmp_path, speed_model, speed_theta, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(model_spec_to_dict(speed_model)))
+        config = sl.GeneratorConfig(
+            speed_model,
+            speed_theta,
+            3000,
+            {"speed_limit": sl.UniformDist(25, 70), "curve": sl.IndicatorDist(0.3)},
+            segments=(
+                sl.SegmentComponent(sl.SegmentKey(road_class="interstate"), 0.5),
+                sl.SegmentComponent(sl.SegmentKey(road_class="county-road"), 0.5),
+            ),
+            seed=8,
+        )
+        data = tmp_path / "mix.csv"
+        write_csv(sl.simulate(config), data)
+        common = ("--data", data, "--model", spec, "--by", "road_class", "--format", "records")
+        assert run("partition", *common) == 0
+        partition_test = _records_of(capsys)[1]["test"]
+        assert run("split-test", *common) == 0
+        assert _records_of(capsys)[-1] == partition_test
+
+    def test_split_test_single_cell_is_config_error(self, workdir, capsys):
+        code = run(
+            "split-test", "--data", workdir / "data.csv", "--model", workdir / "spec.json",
+            "--by", "location",
+        )
+        assert code == 2
+        assert "need at least 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["split-test", "partition"])
+    def test_empty_data_is_config_error(self, workdir, capsys, command):
+        header = (workdir / "data.csv").read_text().splitlines()[0]
+        data = workdir / "empty.csv"
+        data.write_text(header + "\n")
+        code = run(command, "--data", data, "--model", workdir / "spec.json", "--by", "road_class")
+        assert code == 2
+        assert "empty" in capsys.readouterr().err

@@ -5,6 +5,7 @@ import pytest
 
 import sevlogit as sl
 from sevlogit.inference import lr_split_test, lr_temporal_test
+from sevlogit.report import render_partition
 
 
 class TestElasticityPoint:
@@ -343,6 +344,22 @@ class TestEvaluatePartition:
         assert "ok" in statuses.values()
         assert report.test is None
         assert "not all cells estimated" in report.test_unavailable_reason
+        rendered = render_partition(report, 0.95)
+        assert "Split test unavailable: not all cells estimated: road_class=" in rendered
+
+    def test_failed_cell_carries_its_error(self, dark_gap_model, dark_gap_dataset):
+        report = sl.evaluate_partition(dark_gap_model, dark_gap_dataset, ("road_class",))
+        cells = {c.key: c for c in report.cells}
+        failed = cells[("county-road",)]
+        assert failed.status == "failed"
+        assert isinstance(failed.error, sl.NonIdentificationError)
+        assert "dark:fatality" in str(failed.error)
+        assert failed.reason == str(failed.error)
+        assert failed.result is None
+        assert cells[("interstate",)].status == "ok"
+        assert cells[("interstate",)].error is None
+        assert report.test is None
+        assert "county-road: failed" in report.test_unavailable_reason
 
     def test_default_min_cell_size(self, speed_model, speed_theta, mixture_pieces):
         covs, seg_a, seg_b = mixture_pieces
