@@ -17,7 +17,7 @@ from pathlib import Path
 from . import __version__, report
 from ._kernels import active_backend
 # partition is not called here, but perfbench/tracing.py patches it in this namespace
-from .data import Dataset, partition, summarize  # noqa: F401
+from .data import partition, summarize  # noqa: F401
 from .errors import ConfigError, SevlogitError
 from .estimate import EstimateOptions, estimate
 from .inference import (
@@ -212,7 +212,7 @@ def _cmd_temporal_test(args) -> int:
     model = load_model_spec(args.model)
     dataset = ingest_csv(args.data, model.outcome_set)
 
-    periods = sorted({o.period for o in dataset.observations if o.period is not None})
+    periods = list(dataset.period_labels)
     label_a, label_b = args.period_a, args.period_b
     if label_a is None and label_b is None:
         if len(periods) != 2:
@@ -227,8 +227,8 @@ def _cmd_temporal_test(args) -> int:
         if label not in periods:
             raise ConfigError(f"period {label!r} not present in the data (found {periods})")
 
-    rows = tuple(o for o in dataset.observations if o.period in (label_a, label_b))
-    both = Dataset(dataset.outcome_set, rows, dataset.variable_names)
+    code = dataset.columns["period"]
+    both = dataset.take((code == periods.index(label_a)) | (code == periods.index(label_b)))
     rep = _fit_cells(args, model, both, ("period",))
     fits = {cell.key: cell.result for cell in rep.cells}
     fit_all, fit_a, fit_b = rep.pooled, fits[(label_a,)], fits[(label_b,)]

@@ -14,6 +14,15 @@ from .errors import SchemaError
 ROAD_CLASSES = ("county-road", "city-street", "state-route", "us-route", "interstate", "other")
 LOCATIONS = ("rural", "urban", "other")
 ACCIDENT_TYPES = ("one-vehicle", "C+C", "C+LT", "LT+LT", "C/LT+C/LT", "C/LT+HT", "other")
+SEGMENT_LEVELS = {"road_class": ROAD_CLASSES, "location": LOCATIONS, "accident_type": ACCIDENT_TYPES}
+# dtypes of a Dataset's columns: X is (n, k), the others hold one entry per observation
+COLUMNS = {
+    "X": np.float64,
+    "y": np.int64,
+    "w": np.float64,
+    **dict.fromkeys(SEGMENT_LEVELS, np.int8),
+    "period": np.int32,
+}
 
 PARTITION_DIMS = ("road_class", "location", "accident_type", "period")
 
@@ -59,14 +68,14 @@ class SegmentKey:
     accident_type: str = "other"
 
     def __post_init__(self):
-        if self.road_class not in ROAD_CLASSES:
-            raise ValueError(f"unknown road_class {self.road_class!r}; expected one of {ROAD_CLASSES}")
-        if self.location not in LOCATIONS:
-            raise ValueError(f"unknown location {self.location!r}; expected one of {LOCATIONS}")
-        if self.accident_type not in ACCIDENT_TYPES:
-            raise ValueError(
-                f"unknown accident_type {self.accident_type!r}; expected one of {ACCIDENT_TYPES}"
-            )
+        for dim, levels in SEGMENT_LEVELS.items():
+            if getattr(self, dim) not in levels:
+                raise ValueError(unknown_level(dim, getattr(self, dim)))
+
+
+def unknown_level(dim: str, value: str) -> str:
+    """Error text for a segment value outside its closed enumeration."""
+    return f"unknown {dim} {value!r}; expected one of {SEGMENT_LEVELS[dim]}"
 
 
 @dataclass(frozen=True)
@@ -90,34 +99,111 @@ class Observation:
                 raise ValueError(f"covariate {name!r} is not finite: {value}")
 
 
-@dataclass(frozen=True, eq=False)
+def _require(ok: np.ndarray, message) -> None:
+    """Raise ValueError naming the first observation where `ok` is False."""
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        raise ValueError(f"observation {bad[0]}: {message(bad[0])}")
+
+
 class Dataset:
-    """Immutable collection of observations over a fixed outcome set and variable list."""
+    """Immutable accident table over a fixed outcome set and variable list, held as columns.
 
-    outcome_set: OutcomeSet
-    observations: tuple[Observation, ...]
-    variable_names: tuple[str, ...]
+    ``columns`` maps each COLUMNS name to a read-only array with one entry per
+    observation: ``X`` (n, k) covariates in ``variable_names`` order, ``y`` outcome
+    indices, ``w`` weights, codes into ROAD_CLASSES, LOCATIONS and ACCIDENT_TYPES, and
+    codes into ``period_labels`` (sorted, all in use) with -1 for no period. Producers
+    call ``from_columns``; this constructor converts Observation rows.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "observations", tuple(self.observations))
-        object.__setattr__(self, "variable_names", tuple(self.variable_names))
-        declared = set(self.variable_names)
-        if len(declared) != len(self.variable_names):
-            raise ValueError("duplicate variable names")
-        n_out = self.outcome_set.n_outcomes
-        for idx, obs in enumerate(self.observations):
-            if obs.outcome >= n_out:
-                raise ValueError(
-                    f"observation {idx}: outcome index {obs.outcome} out of range for {n_out} outcomes"
-                )
-            keys = set(obs.covariates)
-            if keys != declared:
-                missing = sorted(declared - keys)
-                extra = sorted(keys - declared)
+    def __init__(self, outcome_set: OutcomeSet, observations, variable_names):
+        rows, names = tuple(observations), tuple(variable_names)
+        for idx, obs in enumerate(rows):
+            if set(obs.covariates) != set(names):
                 raise ValueError(
                     f"observation {idx}: covariates do not match declared variables "
-                    f"(missing {missing}, unexpected {extra})"
+                    f"(missing {sorted(set(names) - set(obs.covariates))}, "
+                    f"unexpected {sorted(set(obs.covariates) - set(names))})"
                 )
+        x = np.array([[o.covariates[name] for name in names] for o in rows], dtype=np.float64)
+        columns = {
+            "X": x.reshape(len(rows), len(names)),
+            "y": [o.outcome for o in rows],
+            "w": [o.weight for o in rows],
+            **{
+                dim: [levels.index(getattr(o.segment, dim)) for o in rows]
+                for dim, levels in SEGMENT_LEVELS.items()
+            },
+            "period": range(len(rows)),  # row i has label i of a table from_columns reduces
+        }
+        built = Dataset.from_columns(outcome_set, names, columns, [o.period for o in rows])
+        self.__dict__.update(vars(built))
+
+    @classmethod
+    def from_columns(
+        cls,
+        outcome_set: OutcomeSet,
+        variable_names: Sequence[str],
+        columns: Mapping[str, np.ndarray],
+        period_labels: Sequence[Optional[str]] = (),
+    ) -> "Dataset":
+        """The validating constructor: wraps the columns, uncopied and made read-only.
+
+        ``columns`` maps every COLUMNS name to an array. Period labels may be unsorted,
+        repeated, unused or None (no period); they are reduced to the sorted labels in
+        use and the period codes remapped.
+        """
+        names, labels = tuple(variable_names), tuple(period_labels)
+        if len(set(names)) != len(names):
+            raise ValueError("duplicate variable names")
+        n = len(columns["y"])
+        c = {
+            key: np.asarray(columns[key], dtype=np.float64 if key in ("X", "w") else np.int64)
+            for key in COLUMNS
+        }
+        if c["X"].shape != (n, len(names)) or {c[key].shape for key in c if key != "X"} != {(n,)}:
+            raise ValueError(f"columns do not all hold {n} rows of {len(names)} covariates")
+        for dim, levels in {**SEGMENT_LEVELS, "period": labels}.items():
+            low = -1 if dim == "period" else 0
+            _require(
+                (c[dim] >= low) & (c[dim] < len(levels)),
+                lambda i: f"{dim} code {c[dim][i]} out of range",
+            )
+        _require(
+            np.isfinite(c["X"]).all(axis=1),
+            lambda i: f"covariates are not all finite: {dict(zip(names, c['X'][i].tolist()))}",
+        )
+        n_out = outcome_set.n_outcomes
+        _require(
+            (c["y"] >= 0) & (c["y"] < n_out),
+            lambda i: f"outcome index {c['y'][i]} out of range for {n_out} outcomes",
+        )
+        _require(
+            (c["w"] > 0) & np.isfinite(c["w"]),
+            lambda i: f"weight must be positive and finite, got {c['w'][i]}",
+        )
+
+        used = np.unique(c["period"][c["period"] >= 0])
+        kept = sorted({labels[i] for i in used} - {None})
+        position = {label: j for j, label in enumerate(kept)}
+        lookup = np.full(len(labels) + 1, -1)  # code -1 reads the last entry
+        lookup[used] = [position.get(labels[i], -1) for i in used]
+        c["period"] = lookup[c["period"]]
+        for key, dtype in COLUMNS.items():
+            c[key] = c[key].astype(dtype, copy=False)
+            c[key].flags.writeable = False
+
+        self = cls.__new__(cls)
+        self.__dict__.update(
+            outcome_set=outcome_set,
+            variable_names=names,
+            period_labels=tuple(kept),
+            columns=c,
+        )
+        return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Dataset is read-only; cannot set {name!r}")
 
     def __eq__(self, other):
         if not isinstance(other, Dataset):
@@ -125,45 +211,58 @@ class Dataset:
         return (
             self.outcome_set == other.outcome_set
             and self.variable_names == other.variable_names
-            and self.observations == other.observations
+            and self.period_labels == other.period_labels
+            and all(np.array_equal(col, other.columns[key]) for key, col in self.columns.items())
         )
 
     @property
     def n_obs(self) -> int:
-        return len(self.observations)
+        return len(self.columns["y"])
 
+    # A cached_property rather than a plain property: perfbench/tracing.py wraps it by that type.
     @cached_property
     def covariate_matrix(self) -> np.ndarray:
         """(n_obs, n_variables) float64 matrix in variable_names column order."""
-        out = np.empty((self.n_obs, len(self.variable_names)))
-        for i, obs in enumerate(self.observations):
-            for j, name in enumerate(self.variable_names):
-                out[i, j] = obs.covariates[name]
-        out.flags.writeable = False
-        return out
+        return self.columns["X"]
 
-    @cached_property
+    @property
     def outcome_indices(self) -> np.ndarray:
-        out = np.fromiter((o.outcome for o in self.observations), dtype=np.int64, count=self.n_obs)
-        out.flags.writeable = False
-        return out
+        return self.columns["y"]
+
+    @property
+    def weights(self) -> np.ndarray:
+        return self.columns["w"]
+
+    def levels(self, dim: str) -> tuple:
+        """Labels indexed by the codes of `dim`; a period code of -1 reads the trailing None."""
+        return self.period_labels + (None,) if dim == "period" else SEGMENT_LEVELS[dim]
 
     @cached_property
-    def weights(self) -> np.ndarray:
-        out = np.fromiter((o.weight for o in self.observations), dtype=np.float64, count=self.n_obs)
-        out.flags.writeable = False
-        return out
+    def observations(self) -> tuple[Observation, ...]:
+        """Per-row view of the columns, built on first use; kept for the public API and tests."""
+        c = self.columns
+        labels = [np.asarray(self.levels(d), dtype=object)[c[d]] for d in PARTITION_DIMS]
+        return tuple(
+            Observation(dict(zip(self.variable_names, x)), o, SegmentKey(rc, loc, at), period, w)
+            for x, o, w, rc, loc, at, period in zip(
+                c["X"].tolist(), c["y"].tolist(), c["w"].tolist(), *labels
+            )
+        )
 
     def outcome_counts(self) -> np.ndarray:
         return np.bincount(self.outcome_indices, minlength=self.outcome_set.n_outcomes)
 
+    def take(self, rows) -> "Dataset":
+        """Sub-dataset of the rows selected by an index array or boolean mask, in that order."""
+        columns = {key: col[rows] for key, col in self.columns.items()}
+        return Dataset.from_columns(
+            self.outcome_set, self.variable_names, columns, self.period_labels
+        )
+
     def with_period(self, period: Optional[str]) -> "Dataset":
         """Copy of the dataset with every observation relabelled to the given period."""
-        obs = tuple(
-            Observation(o.covariates, o.outcome, o.segment, period, o.weight)
-            for o in self.observations
-        )
-        return Dataset(self.outcome_set, obs, self.variable_names)
+        columns = dict(self.columns, period=np.zeros(self.n_obs, dtype=np.int64))
+        return Dataset.from_columns(self.outcome_set, self.variable_names, columns, (period,))
 
 
 def concatenate(datasets: Sequence[Dataset]) -> Dataset:
@@ -176,14 +275,17 @@ def concatenate(datasets: Sequence[Dataset]) -> Dataset:
             raise ValueError("outcome sets differ")
         if ds.variable_names != first.variable_names:
             raise ValueError("variable lists differ")
-    obs = tuple(o for ds in datasets for o in ds.observations)
-    return Dataset(first.outcome_set, obs, first.variable_names)
-
-
-def _dim_value(obs: Observation, dim: str):
-    if dim == "period":
-        return obs.period
-    return getattr(obs.segment, dim)
+    columns = {key: np.concatenate([ds.columns[key] for ds in datasets]) for key in COLUMNS}
+    # each dataset's period codes index its own slice of the joined label table
+    offsets = np.cumsum([0, *(len(ds.period_labels) for ds in datasets)])
+    columns["period"] = np.concatenate(
+        [
+            np.where(ds.columns["period"] < 0, -1, ds.columns["period"] + offset)
+            for ds, offset in zip(datasets, offsets)
+        ]
+    )
+    labels = [label for ds in datasets for label in ds.period_labels]
+    return Dataset.from_columns(first.outcome_set, first.variable_names, columns, labels)
 
 
 def partition(dataset: Dataset, dims: Sequence[str]) -> dict[tuple, Dataset]:
@@ -197,9 +299,10 @@ def partition(dataset: Dataset, dims: Sequence[str]) -> dict[tuple, Dataset]:
     Returns
     -------
     dict mapping a tuple of dimension values (in canonical PARTITION_DIMS order)
-    to the sub-dataset of observations carrying those values. Sub-datasets are
-    disjoint, cover the input, and preserve the outcome set and variable list.
-    Keys are sorted for deterministic iteration.
+    to the sub-dataset of observations carrying those values, in file order.
+    Sub-datasets are disjoint, cover the input, and preserve the outcome set and
+    variable list. Keys are sorted by their label strings (a missing period, None,
+    first) for deterministic iteration.
     """
     dims = tuple(dims)
     if not dims:
@@ -209,16 +312,14 @@ def partition(dataset: Dataset, dims: Sequence[str]) -> dict[tuple, Dataset]:
         raise ValueError(f"unknown partition dims {bad}; expected subset of {PARTITION_DIMS}")
     dims = tuple(d for d in PARTITION_DIMS if d in dims)
 
-    groups: dict[tuple, list[Observation]] = {}
-    for obs in dataset.observations:
-        key = tuple(_dim_value(obs, d) for d in dims)
-        groups.setdefault(key, []).append(obs)
-
-    ordered = sorted(groups, key=lambda k: tuple("" if v is None else str(v) for v in k))
-    return {
-        key: Dataset(dataset.outcome_set, tuple(groups[key]), dataset.variable_names)
-        for key in ordered
-    }
+    found, cell = np.unique(
+        np.column_stack([dataset.columns[d] for d in dims]), axis=0, return_inverse=True
+    )
+    keys = [tuple(dataset.levels(d)[c] for d, c in zip(dims, row)) for row in found.tolist()]
+    order = sorted(
+        range(len(keys)), key=lambda i: tuple("" if v is None else str(v) for v in keys[i])
+    )
+    return {keys[i]: dataset.take(cell == i) for i in order}
 
 
 @dataclass(frozen=True)
@@ -286,8 +387,7 @@ def summarize(dataset: Dataset, bins: Sequence[float], variable: str = "speed_li
     values = dataset.covariate_matrix[:, col]
     # side="left" against the interior edges yields the (a, b] band index
     band = np.searchsorted(np.asarray(edges), values, side="left")
-    for b, out in zip(band, dataset.outcome_indices):
-        counts[b, out] += 1
+    np.add.at(counts, (band, dataset.outcome_indices), 1)
 
     rows = tuple(
         SummaryBin(

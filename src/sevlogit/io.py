@@ -11,14 +11,17 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import tempfile
+from io import StringIO
+from itertools import compress, islice, repeat
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .data import Dataset, Observation, OutcomeSet, SegmentKey
+from .data import SEGMENT_LEVELS, Dataset, OutcomeSet, SegmentKey, concatenate, unknown_level
 from .errors import ConfigError, IngestionError, ModelSpecError, SchemaError
 from .modelspec import ModelSpec, TermSpec, build_layout
 from .simulate import (
@@ -32,95 +35,55 @@ from .simulate import (
 
 REQUIRED_COLUMNS = ("outcome", "road_class", "location", "accident_type")
 OPTIONAL_COLUMNS = ("period", "weight")
+BLOCK_ROWS = 8192  # rows converted at once; bounds ingest memory to one block of cells
 
 
 def ingest_csv(path, outcome_set: Optional[OutcomeSet] = None) -> Dataset:
-    """Read an accident CSV into a Dataset, reporting every malformed line at once."""
+    """Read an accident CSV into a Dataset, reporting every malformed line at once.
+
+    Rows stream through csv.reader and are converted BLOCK_ROWS at a time, a whole
+    column at once. Only a block that fails to convert is checked row by row, which
+    names every bad line.
+    """
     outcome_set = outcome_set or OutcomeSet()
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as handle:
-        lines = list(handle)
+        header_line = 0
+        line = handle.readline()
+        while line.startswith("#"):
+            header_line += 1
+            line = handle.readline()
+        if not line:
+            raise SchemaError(f"{path}: no header row found")
+        header = next(csv.reader([line]))
+        missing = [c for c in REQUIRED_COLUMNS if c not in header]
+        if missing:
+            raise SchemaError(f"{path}: missing required column(s) {missing}")
+        if len(set(header)) != len(header):
+            raise SchemaError(f"{path}: duplicate column names in header")
+        covariate_names = tuple(
+            name for name in header if name not in REQUIRED_COLUMNS and name not in OPTIONAL_COLUMNS
+        )
 
-    header_line = 0
-    while header_line < len(lines) and lines[header_line].startswith("#"):
-        header_line += 1
-    if header_line >= len(lines):
-        raise SchemaError(f"{path}: no header row found")
-
-    rows = list(csv.reader(lines[header_line:]))
-    header = rows[0]
-    missing = [c for c in REQUIRED_COLUMNS if c not in header]
-    if missing:
-        raise SchemaError(f"{path}: missing required column(s) {missing}")
-    if len(set(header)) != len(header):
-        raise SchemaError(f"{path}: duplicate column names in header")
-
-    col = {name: i for i, name in enumerate(header)}
-    covariate_names = tuple(
-        name for name in header if name not in REQUIRED_COLUMNS and name not in OPTIONAL_COLUMNS
-    )
-
-    observations = []
-    problems: list[tuple[int, str]] = []
-    for offset, row in enumerate(rows[1:], start=2):
-        line_no = header_line + offset  # 1-based physical line in the file
-        if not row or all(not cell for cell in row):
-            continue
-        if len(row) != len(header):
-            problems.append((line_no, f"expected {len(header)} cells, got {len(row)}"))
-            continue
-        row_problems = []
-
-        outcome_label = row[col["outcome"]]
-        outcome_idx = None
-        try:
-            outcome_idx = outcome_set.index_of(outcome_label)
-        except KeyError:
-            row_problems.append(
-                f"unknown outcome label {outcome_label!r} (expected one of {outcome_set.labels})"
-            )
-
-        segment = None
-        try:
-            segment = SegmentKey(
-                road_class=row[col["road_class"]],
-                location=row[col["location"]],
-                accident_type=row[col["accident_type"]],
-            )
-        except ValueError as exc:
-            row_problems.append(str(exc))
-
-        period = None
-        if "period" in col:
-            cell = row[col["period"]]
-            period = cell if cell else None
-
-        weight = 1.0
-        if "weight" in col:
-            cell = row[col["weight"]]
-            if cell:
-                try:
-                    weight = float(cell)
-                    if not weight > 0:
-                        row_problems.append(f"weight must be positive, got {cell}")
-                except ValueError:
-                    row_problems.append(f"non-numeric weight {cell!r}")
-
-        covariates = {}
-        for name in covariate_names:
-            cell = row[col[name]]
-            if cell == "":
-                row_problems.append(f"missing value for covariate {name!r}")
-                continue
+        reader = csv.reader(handle)
+        blocks, problems = [], []
+        first_line = header_line + 2  # 1-based physical line of the first data row
+        while True:
+            rows = list(islice(reader, BLOCK_ROWS))
             try:
-                covariates[name] = float(cell)
+                blocks.append(_convert_block(rows, header, covariate_names, outcome_set))
             except ValueError:
-                row_problems.append(f"non-numeric value {cell!r} for covariate {name!r}")
-
-        if row_problems:
-            problems.extend((line_no, msg) for msg in row_problems)
-            continue
-        observations.append(Observation(covariates, outcome_idx, segment, period, weight))
+                found = [
+                    (first_line + i, msg)
+                    for i, row in enumerate(rows)
+                    for msg in _row_problems(row, header, covariate_names, outcome_set)
+                ]
+                if not found:
+                    raise  # never drop a block the row checks cannot explain
+                problems.extend(found)
+            first_line += len(rows)
+            if len(rows) < BLOCK_ROWS:
+                break
 
     if problems:
         listing = "\n".join(f"  line {n}: {msg}" for n, msg in problems)
@@ -128,45 +91,115 @@ def ingest_csv(path, outcome_set: Optional[OutcomeSet] = None) -> Dataset:
             f"{path}: {len(problems)} problem(s) while ingesting:\n{listing}",
             lines=[n for n, _ in problems],
         )
-    return Dataset(outcome_set, tuple(observations), covariate_names)
+    return concatenate(blocks)
 
 
-def _format_value(value: float) -> str:
+def _codes(cells, labels) -> np.ndarray:
+    """Index of each cell in `labels`, or -1."""
+    index = {label: i for i, label in enumerate(labels)}
+    return np.fromiter(map(index.get, cells, repeat(-1)), dtype=np.int64, count=len(cells))
+
+
+def _floats(cells) -> np.ndarray:
+    return np.fromiter(map(float, cells), dtype=np.float64, count=len(cells))
+
+
+def _convert_block(rows, header, covariate_names, outcome_set) -> Dataset:
+    """One block of CSV rows as a Dataset, converted a column at a time; blank rows skipped.
+
+    Raises ValueError if any cell fails to convert or validate.
+    """
+    rows = list(filter(any, rows))
+    if set(map(len, rows)) - {len(header)}:
+        raise ValueError("ragged rows")  # checked here: zip would silently truncate them
+    cells = dict(zip(header, zip(*rows))) or dict.fromkeys(header, ())
+    columns = {dim: _codes(cells[dim], levels) for dim, levels in SEGMENT_LEVELS.items()}
+    columns["y"] = _codes(cells["outcome"], outcome_set.labels)
+    period = cells.get("period", ("",) * len(rows))
+    labels = sorted(set(period) - {""})
+    columns["period"] = _codes(period, labels)
+    columns["w"] = np.ones(len(rows))
+    if "weight" in cells:
+        given = np.fromiter(map(bool, cells["weight"]), dtype=bool, count=len(rows))
+        columns["w"][given] = _floats(list(compress(cells["weight"], given)))
+    columns["X"] = np.empty((len(rows), len(covariate_names)))
+    for j, name in enumerate(covariate_names):
+        columns["X"][:, j] = _floats(cells[name])
+    return Dataset.from_columns(outcome_set, covariate_names, columns, labels)
+
+
+def _row_problems(row, header, covariate_names, outcome_set) -> list[str]:
+    """Every problem of one CSV row, for the report of a block that failed to convert."""
+    if not any(row):
+        return []
+    if len(row) != len(header):
+        return [f"expected {len(header)} cells, got {len(row)}"]
+    cell = dict(zip(header, row))
+    problems = []
+    if cell["outcome"] not in outcome_set.labels:
+        problems.append(
+            f"unknown outcome label {cell['outcome']!r} (expected one of {outcome_set.labels})"
+        )
+    problems.extend(
+        unknown_level(dim, cell[dim])
+        for dim, levels in SEGMENT_LEVELS.items()
+        if cell[dim] not in levels
+    )
+    weight = cell.get("weight", "")
+    if weight:
+        try:
+            value = float(weight)
+            if not value > 0:
+                problems.append(f"weight must be positive, got {weight}")
+            elif value == math.inf:
+                problems.append(f"weight must be finite, got {weight}")
+        except ValueError:
+            problems.append(f"non-numeric weight {weight!r}")
+    for name in covariate_names:
+        value = cell[name]
+        if value == "":
+            problems.append(f"missing value for covariate {name!r}")
+            continue
+        try:
+            if not math.isfinite(float(value)):
+                problems.append(f"non-finite value {value!r} for covariate {name!r}")
+        except ValueError:
+            problems.append(f"non-numeric value {value!r} for covariate {name!r}")
+    return problems
+
+
+def _format_column(values: np.ndarray) -> np.ndarray:
+    """CSV cells of a float column: integral values as integers, the rest by repr."""
     # repr round-trips float64 exactly, preserving emit -> ingest identity
-    if value == int(value) and abs(value) < 1e15:
-        return str(int(value))
-    return repr(value)
+    integral = (values == np.trunc(values)) & (np.abs(values) < 1e15)
+    cells = np.empty(values.shape, dtype=object)
+    cells[integral] = list(map(str, values[integral].astype(np.int64).tolist()))
+    cells[~integral] = list(map(repr, values[~integral].tolist()))
+    return cells
 
 
 def write_csv(dataset: Dataset, path, note: Optional[str] = None) -> None:
     """Emit a dataset in the ingestion schema; `note` becomes a '#' metadata line."""
-    include_period = any(o.period is not None for o in dataset.observations)
-    include_weight = any(o.weight != 1.0 for o in dataset.observations)
+    c = dataset.columns
     header = list(REQUIRED_COLUMNS)
-    if include_period:
+    cells = [np.asarray(dataset.outcome_set.labels, dtype=object)[c["y"]]]
+    cells.extend(np.asarray(levels, dtype=object)[c[dim]] for dim, levels in SEGMENT_LEVELS.items())
+    if (c["period"] >= 0).any():
         header.append("period")
-    if include_weight:
+        cells.append(np.asarray(dataset.period_labels + ("",), dtype=object)[c["period"]])
+    if (c["w"] != 1.0).any():
         header.append("weight")
+        cells.append(_format_column(c["w"]))
     header.extend(dataset.variable_names)
+    cells.extend(_format_column(c["X"][:, j]) for j in range(len(dataset.variable_names)))
 
-    out = []
+    text = StringIO()
     if note:
-        out.append(f"# {note}")
-    out.append(",".join(header))
-    for obs in dataset.observations:
-        row = [
-            dataset.outcome_set.labels[obs.outcome],
-            obs.segment.road_class,
-            obs.segment.location,
-            obs.segment.accident_type,
-        ]
-        if include_period:
-            row.append(obs.period or "")
-        if include_weight:
-            row.append(_format_value(obs.weight))
-        row.extend(_format_value(obs.covariates[name]) for name in dataset.variable_names)
-        out.append(",".join(row))
-    write_text_atomic(path, "\n".join(out) + "\n")
+        text.write(f"# {note}\n")
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(zip(*cells))
+    write_text_atomic(path, text.getvalue())
 
 
 def write_text_atomic(path, text: str) -> None:

@@ -13,7 +13,7 @@ from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .data import Dataset, Observation, SegmentKey
+from .data import SEGMENT_LEVELS, Dataset, SegmentKey
 from .errors import ConfigError
 from .modelspec import ModelSpec, ThetaLike, _theta_values, build_layout
 from .likelihood import probabilities_for_matrix
@@ -127,10 +127,13 @@ def simulate(config: GeneratorConfig) -> Dataset:
     if config.segments:
         weights = np.array([c.weight for c in config.segments])
         component = rng.choice(len(config.segments), size=n, p=weights / weights.sum())
-        segments = [config.segments[i].segment for i in component]
     else:
         component = np.zeros(n, dtype=np.int64)
-        segments = [SegmentKey()] * n
+    keys = [c.segment for c in config.segments] or [SegmentKey()]
+    segment_codes = {
+        dim: np.array([levels.index(getattr(k, dim)) for k in keys], dtype=np.int8)[component]
+        for dim, levels in SEGMENT_LEVELS.items()
+    }
 
     uniforms = rng.random(n)
 
@@ -151,15 +154,11 @@ def simulate(config: GeneratorConfig) -> Dataset:
         config.model.outcome_set.n_outcomes - 1,
     ).astype(np.int64)
 
-    observations = tuple(
-        Observation(
-            covariates={name: float(columns[name][i]) for name in names},
-            outcome=int(outcome[i]),
-            segment=segments[i],
-        )
-        for i in range(n)
+    return Dataset.from_columns(
+        config.model.outcome_set,
+        names,
+        {"X": matrix, "y": outcome, "w": np.ones(n), "period": np.full(n, -1), **segment_codes},
     )
-    return Dataset(config.model.outcome_set, observations, names)
 
 
 def theta_for_target_shares(shares: Sequence[float]) -> np.ndarray:

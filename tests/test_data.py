@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import sevlogit as sl
-from sevlogit.data import PARTITION_DIMS
+from sevlogit.data import PARTITION_DIMS, ROAD_CLASSES
 
 
 class TestOutcomeSet:
@@ -151,10 +151,39 @@ class TestPartition:
             ["interstate", "county-road", "us-route"], ("rural", "urban"), n=57
         )
         parts = sl.partition(ds, ("road_class", "location"))
+        # x is unique per row, so equal value multisets mean each row lands in exactly one cell
+        def rows(observations):
+            return collections.Counter(
+                (o.covariates["x"], o.outcome, o.segment) for o in observations
+            )
+
         merged = [o for sub in parts.values() for o in sub.observations]
-        assert collections.Counter(map(id, merged)) == collections.Counter(
-            map(id, ds.observations)
+        assert rows(merged) == rows(ds.observations)
+        assert len(rows(ds.observations)) == ds.n_obs
+
+    def test_keys_in_label_order_and_rows_in_file_order(self):
+        # codes follow ROAD_CLASSES' enumeration order; keys must follow the label strings
+        periods = ("2006", None, "2004")
+        obs = tuple(
+            sl.Observation(
+                {"x": float(i)},
+                i % 3,
+                sl.SegmentKey(road_class=ROAD_CLASSES[(5 * i) % 6]),
+                period=periods[(i // 6) % 3],
+            )
+            for i in range(60)
         )
+        ds = sl.Dataset(sl.OutcomeSet(), obs, ("x",))
+        parts = sl.partition(ds, ("period", "road_class"))
+        assert len(parts) == 18
+        assert list(parts) == sorted(parts, key=lambda k: (k[0], k[1] or ""))
+        assert [k[0] for k in parts][:3] == ["city-street"] * 3
+        assert [k[1] for k in parts][:3] == [None, "2004", "2006"]
+        assert list(sl.partition(ds, ("period",))) == [(None,), ("2004",), ("2006",)]
+        for (road, period), cell in parts.items():
+            mask = np.array([o.segment.road_class == road and o.period == period for o in obs])
+            assert np.array_equal(cell.covariate_matrix, ds.covariate_matrix[mask])
+            assert np.array_equal(cell.outcome_indices, ds.outcome_indices[mask])
 
     def test_partition_by_period(self):
         outs = sl.OutcomeSet()

@@ -2,6 +2,7 @@
 
 import json
 import os
+import tracemalloc
 
 import pytest
 
@@ -97,6 +98,68 @@ class TestIngestCSV:
         assert ds.observations[1].period is None
         assert ds.observations[1].weight == 1.0
 
+    def test_non_finite_cells_are_ingest_problems(self, tmp_path):
+        path = tmp_path / "nonfinite.csv"
+        path.write_text(
+            "outcome,road_class,location,accident_type,weight,x\n"
+            "injury,other,other,other,1,nan\n"  # line 2
+            "injury,other,other,other,1,1e400\n"  # line 3: overflows to inf
+            "injury,other,other,other,inf,1\n"  # line 4
+            "injury,other,other,other,1,2\n"
+        )
+        with pytest.raises(sl.IngestionError) as err:
+            ingest_csv(path)
+        assert err.value.lines == (2, 3, 4)
+        assert "'nan'" in str(err.value) and "'1e400'" in str(err.value)
+        assert "weight must be finite, got inf" in str(err.value)
+
+    def test_two_bad_segment_cells_both_listed(self, tmp_path):
+        path = tmp_path / "segments.csv"
+        path.write_text(
+            "outcome,road_class,location,accident_type,x\n"
+            "injury,freeway,suburban,other,1\n"
+        )
+        with pytest.raises(sl.IngestionError) as err:
+            ingest_csv(path)
+        assert err.value.lines == (2, 2)
+        assert "unknown road_class 'freeway'" in str(err.value)
+        assert "unknown location 'suburban'" in str(err.value)
+
+    def test_ragged_and_blank_rows(self, tmp_path):
+        path = tmp_path / "ragged.csv"
+        path.write_text(
+            "outcome,road_class,location,accident_type,x\n"
+            "injury,other,other,other,1\n"
+            "\n"
+            ",,,,\n"
+            "injury,other,other,other\n"  # line 5: zip would drop this row's missing cell
+            "injury,other,other,other,1,9\n"  # line 6
+        )
+        with pytest.raises(sl.IngestionError) as err:
+            ingest_csv(path)
+        assert err.value.lines == (5, 6)
+        assert "expected 5 cells, got 4" in str(err.value)
+
+    def test_bounded_memory(self, speed_model, speed_theta, tmp_path):
+        # peak allocation while ingesting stays within a small multiple of the columns' bytes
+        covs = {"speed_limit": sl.UniformDist(25, 70), "curve": sl.IndicatorDist(0.3)}
+        years = [
+            sl.simulate(sl.GeneratorConfig(speed_model, speed_theta, 50_000, covs, seed=seed))
+            .with_period(year)
+            for seed, year in ((5, "2004"), (6, "2006"))
+        ]
+        path = tmp_path / "large.csv"
+        write_csv(sl.concatenate(years), path)
+        tracemalloc.start()
+        try:
+            ds = ingest_csv(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ds.n_obs == 100_000 and ds.period_labels == ("2004", "2006")
+        numeric = sum(column.nbytes for column in ds.columns.values())
+        assert peak <= 10 * numeric, f"peak {peak / numeric:.1f}x the numeric bytes"
+
     def test_custom_outcome_set(self, tmp_path):
         path = tmp_path / "two.csv"
         path.write_text(
@@ -124,6 +187,16 @@ class TestWriteCSV:
         path = tmp_path / "pw.csv"
         write_csv(ds, path)
         assert ingest_csv(path) == ds
+
+
+    def test_quoted_period_labels_round_trip(self, speed_dataset, tmp_path):
+        ds = sl.concatenate(
+            [speed_dataset.with_period("2004, Q1"), speed_dataset.with_period('Q2 "late"')]
+        )
+        path = tmp_path / "quoted.csv"
+        write_csv(ds, path)
+        assert ingest_csv(path) == ds
+        assert '"2004, Q1"' in path.read_text()
 
 
 class TestAtomicWrite:
