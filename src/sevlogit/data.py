@@ -312,10 +312,11 @@ def partition(dataset: Dataset, dims: Sequence[str]) -> dict[tuple, Dataset]:
         raise ValueError(f"unknown partition dims {bad}; expected subset of {PARTITION_DIMS}")
     dims = tuple(d for d in PARTITION_DIMS if d in dims)
 
-    found, cell = np.unique(
-        np.column_stack([dataset.columns[d] for d in dims]), axis=0, return_inverse=True
-    )
-    keys = [tuple(dataset.levels(d)[c] for d, c in zip(dims, row)) for row in found.tolist()]
+    key = np.zeros(dataset.n_obs, dtype=np.int64)  # mixed radix; period + 1 keeps -1 apart
+    for d in dims:
+        key = key * len(dataset.levels(d)) + dataset.columns[d] + (d == "period")
+    _, first, cell = np.unique(key, return_index=True, return_inverse=True)
+    keys = [tuple(dataset.levels(d)[dataset.columns[d][i]] for d in dims) for i in first.tolist()]
     order = sorted(
         range(len(keys)), key=lambda i: tuple("" if v is None else str(v) for v in keys[i])
     )

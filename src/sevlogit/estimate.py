@@ -80,14 +80,9 @@ class FitStatistics:
 
 def null_log_likelihood(dataset: Dataset) -> float:
     """Saturated constants-only LL: sum over outcomes of W_i * ln(W_i / W)."""
-    weights = dataset.weights
-    total = float(weights.sum())
-    value = 0.0
-    for i in range(dataset.outcome_set.n_outcomes):
-        w_i = float(weights[dataset.outcome_indices == i].sum())
-        if w_i > 0.0:
-            value += w_i * math.log(w_i / total)
-    return value
+    by_outcome = np.bincount(dataset.outcome_indices, weights=dataset.weights).tolist()
+    total = float(dataset.weights.sum())
+    return sum(w_i * math.log(w_i / total) for w_i in by_outcome if w_i > 0.0)
 
 
 def _deficient_slots(eigvals: np.ndarray, eigvecs: np.ndarray) -> list[int]:

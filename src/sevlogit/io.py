@@ -14,7 +14,6 @@ import json
 import math
 import os
 import tempfile
-from io import StringIO
 from itertools import compress, islice, repeat
 from pathlib import Path
 from typing import Optional
@@ -35,7 +34,7 @@ from .simulate import (
 
 REQUIRED_COLUMNS = ("outcome", "road_class", "location", "accident_type")
 OPTIONAL_COLUMNS = ("period", "weight")
-BLOCK_ROWS = 8192  # rows converted at once; bounds ingest memory to one block of cells
+BLOCK_ROWS = 8192  # rows converted or formatted at once; bounds memory to one block of cells
 
 
 def ingest_csv(path, outcome_set: Optional[OutcomeSet] = None) -> Dataset:
@@ -178,28 +177,38 @@ def _format_column(values: np.ndarray) -> np.ndarray:
     return cells
 
 
+def _quoted(field: str) -> str:
+    """A label as a CSV field, quoted if it holds a comma, a quote, LF or a bare CR."""
+    if any(ch in field for ch in ',"\r\n'):
+        return '"' + field.replace('"', '""') + '"'
+    return field
+
+
 def write_csv(dataset: Dataset, path, note: Optional[str] = None) -> None:
     """Emit a dataset in the ingestion schema; `note` becomes a '#' metadata line."""
     c = dataset.columns
     header = list(REQUIRED_COLUMNS)
-    cells = [np.asarray(dataset.outcome_set.labels, dtype=object)[c["y"]]]
-    cells.extend(np.asarray(levels, dtype=object)[c[dim]] for dim, levels in SEGMENT_LEVELS.items())
+    labels = [(dataset.outcome_set.labels, c["y"])]
+    labels.extend((levels, c[dim]) for dim, levels in SEGMENT_LEVELS.items())
     if (c["period"] >= 0).any():
         header.append("period")
-        cells.append(np.asarray(dataset.period_labels + ("",), dtype=object)[c["period"]])
+        labels.append((dataset.period_labels + ("",), c["period"]))
+    numeric = [c["X"][:, j] for j in range(len(dataset.variable_names))]
     if (c["w"] != 1.0).any():
         header.append("weight")
-        cells.append(_format_column(c["w"]))
+        numeric.insert(0, c["w"])
     header.extend(dataset.variable_names)
-    cells.extend(_format_column(c["X"][:, j]) for j in range(len(dataset.variable_names)))
 
-    text = StringIO()
-    if note:
-        text.write(f"# {note}\n")
-    writer = csv.writer(text, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(zip(*cells))
-    write_text_atomic(path, text.getvalue())
+    # blocks bound the cells held at once; csv.writer would leave a bare CR unquoted
+    parts = [f"# {note}\n"] if note else []
+    parts.append(",".join(map(_quoted, header)) + "\n")
+    labels = [(np.asarray(list(map(_quoted, table)), dtype=object), codes) for table, codes in labels]
+    for start in range(0, dataset.n_obs, BLOCK_ROWS):
+        rows = slice(start, start + BLOCK_ROWS)
+        cells = [table[codes[rows]] for table, codes in labels]
+        cells.extend(_format_column(values[rows]) for values in numeric)
+        parts.append("\n".join(map(",".join, zip(*cells))) + "\n")
+    write_text_atomic(path, "".join(parts))
 
 
 def write_text_atomic(path, text: str) -> None:

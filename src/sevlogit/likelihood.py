@@ -62,12 +62,8 @@ def probabilities_for_matrix(
     """
     design, values = _bound_theta(model, variable_names, theta)
     p = _kernels.prob_matrix(
-        augmented_matrix(matrix),
-        design.entry_slot,
-        design.entry_outcome,
-        design.entry_col,
-        values,
-        design.n_outcomes,
+        augmented_matrix(matrix), design.entry_slot, design.entry_outcome, design.entry_col,
+        values, design.n_outcomes,
     )
     if not np.isfinite(p).all():
         raise NumericError("non-finite utility while computing probabilities")
@@ -102,10 +98,6 @@ def gradient_hessian(model: ModelSpec, theta: ThetaLike, dataset: Dataset) -> Li
 def _design_inputs(design: Design, dataset: Dataset):
     """Kernel argument tuple for repeated evaluations against one dataset."""
     return (
-        augmented_matrix(dataset.covariate_matrix),
-        dataset.outcome_indices,
-        dataset.weights,
-        design.entry_slot,
-        design.entry_outcome,
-        design.entry_col,
+        augmented_matrix(dataset.covariate_matrix), dataset.outcome_indices, dataset.weights,
+        design.entry_slot, design.entry_outcome, design.entry_col,
     )

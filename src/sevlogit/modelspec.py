@@ -279,8 +279,8 @@ def bind_design(model: ModelSpec, variable_names: tuple[str, ...]) -> Design:
 
 
 def augmented_matrix(x: np.ndarray) -> np.ndarray:
-    """Covariate matrix with a trailing constant-1 column, as the kernels expect."""
-    out = np.empty((x.shape[0], x.shape[1] + 1))
+    """Column-major covariate matrix with a trailing constant-1 column, as the kernels expect."""
+    out = np.empty((x.shape[0], x.shape[1] + 1), order="F")
     out[:, :-1] = x
     out[:, -1] = 1.0
     return out

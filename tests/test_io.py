@@ -1,8 +1,10 @@
 """CSV ingestion/emission, spec files, generator configs, atomic writes."""
 
+import csv
 import json
 import os
 import tracemalloc
+from io import StringIO
 
 import pytest
 
@@ -196,7 +198,25 @@ class TestWriteCSV:
         path = tmp_path / "quoted.csv"
         write_csv(ds, path)
         assert ingest_csv(path) == ds
-        assert '"2004, Q1"' in path.read_text()
+        text = path.read_text()
+        assert '"2004, Q1"' in text
+        # the writer quotes exactly as csv.writer does wherever no bare CR is involved
+        expected = StringIO()
+        csv.writer(expected, lineterminator="\n").writerows(csv.reader(StringIO(text)))
+        assert text == expected.getvalue()
+
+    def test_carriage_returns_in_labels_round_trip(self, tmp_path):
+        obs = (
+            sl.Observation({"x": 1.5}, 1, period="a\rb"),
+            sl.Observation({"x": 2.0}, 0, period="c\r\nd"),
+        )
+        for rows in (obs[:1], obs):
+            ds = sl.Dataset(sl.OutcomeSet(), rows, ("x",))
+            path = tmp_path / "cr.csv"
+            write_csv(ds, path)
+            assert ingest_csv(path) == ds
+            with path.open(newline="", encoding="utf-8") as handle:
+                assert '"a\rb"' in handle.read()
 
 
 class TestAtomicWrite:
