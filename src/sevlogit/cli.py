@@ -109,13 +109,6 @@ def _options(args) -> EstimateOptions:
     return EstimateOptions(gradient_tol=args.tol, max_iterations=args.max_iter)
 
 
-def _emit(args, text: str) -> None:
-    if args.out:
-        write_text_atomic(args.out, text)
-    else:
-        sys.stdout.write(text)
-
-
 def _config_dict(args, command: str, **extra) -> dict:
     resolved = {
         "version": __version__,
@@ -130,29 +123,36 @@ def _config_dict(args, command: str, **extra) -> dict:
     return report.run_config_record(command, {k: v for k, v in resolved.items() if v is not None})
 
 
-def _config_header(record: dict) -> str:
-    pairs = [f"{k}={record[k]}" for k in sorted(record) if k != "record"]
-    return "# " + " ".join(pairs) + "\n\n"
-
-
-def _cmd_estimate(args) -> int:
-    _check_inputs(args.data, args.model)
-    model = load_model_spec(args.model)
-    dataset = ingest_csv(args.data, model.outcome_set)
-    result = estimate(model, dataset, _options(args))
-    config = _config_dict(args, "estimate")
+def _report(args, config: dict, records: list) -> int:
+    """Write the run config and result records as JSON lines, or as the config header
+    plus the table of the last record, to --out or stdout."""
     if args.format == "records":
-        text = report.records_to_text([config, report.estimation_record(result)])
+        text = report.records_to_text([config, *records])
     else:
-        text = _config_header(config) + report.render_estimation(result)
-    _emit(args, text)
+        pairs = " ".join(f"{k}={config[k]}" for k in sorted(config) if k != "record")
+        text = f"# {pairs}\n\n" + report.render(records[-1])
+    if args.out:
+        write_text_atomic(args.out, text)
+    else:
+        sys.stdout.write(text)
     return 0
 
 
-def _cmd_elasticities(args) -> int:
+def _load(args):
+    """The model spec and the dataset of a fitting command."""
     _check_inputs(args.data, args.model)
     model = load_model_spec(args.model)
-    dataset = ingest_csv(args.data, model.outcome_set)
+    return model, ingest_csv(args.data, model.outcome_set)
+
+
+def _cmd_estimate(args) -> int:
+    model, dataset = _load(args)
+    result = estimate(model, dataset, _options(args))
+    return _report(args, _config_dict(args, "estimate"), [report.estimation_record(result)])
+
+
+def _cmd_elasticities(args) -> int:
+    model, dataset = _load(args)
     result = estimate(model, dataset, _options(args))
     rep = elasticity_report(
         model, result, dataset, threshold=args.sig_threshold, aggregation=args.aggregation
@@ -160,14 +160,7 @@ def _cmd_elasticities(args) -> int:
     config = _config_dict(
         args, "elasticities", sig_threshold=args.sig_threshold, aggregation=args.aggregation
     )
-    if args.format == "records":
-        text = report.records_to_text(
-            [config, report.estimation_record(result), report.elasticity_record(rep)]
-        )
-    else:
-        text = _config_header(config) + report.render_elasticity(rep)
-    _emit(args, text)
-    return 0
+    return _report(args, config, [report.estimation_record(result), report.elasticity_record(rep)])
 
 
 def _parse_dims(raw: str) -> tuple[str, ...]:
@@ -189,28 +182,19 @@ def _fit_cells(args, model, dataset, dims) -> PartitionReport:
 
 
 def _cmd_split_test(args) -> int:
-    _check_inputs(args.data, args.model)
-    model = load_model_spec(args.model)
-    dataset = ingest_csv(args.data, model.outcome_set)
+    model, dataset = _load(args)
     dims = _parse_dims(args.by)
     rep = _fit_cells(args, model, dataset, dims)
     records = [report.estimation_record(rep.pooled, label="pooled")]
     for cell in rep.cells:
         label = ", ".join(str(v) for v in cell.key)
         records.append(report.estimation_record(cell.result, label=label))
-    config = _config_dict(args, "split-test", by=",".join(dims))
-    if args.format == "records":
-        text = report.records_to_text([config, *records, report.lr_record(rep.test, "split")])
-    else:
-        text = _config_header(config) + report.render_lr(rep.test, "split")
-    _emit(args, text)
-    return 0
+    records.append(report.lr_record(rep.test, "split"))
+    return _report(args, _config_dict(args, "split-test", by=",".join(dims)), records)
 
 
 def _cmd_temporal_test(args) -> int:
-    _check_inputs(args.data, args.model)
-    model = load_model_spec(args.model)
-    dataset = ingest_csv(args.data, model.outcome_set)
+    model, dataset = _load(args)
 
     periods = list(dataset.period_labels)
     label_a, label_b = args.period_a, args.period_b
@@ -240,27 +224,18 @@ def _cmd_temporal_test(args) -> int:
         fit_a.n_params,
         fit_b.n_params,
     )
+    records = [
+        report.estimation_record(fit_all, label="combined"),
+        report.estimation_record(fit_a, label=label_a),
+        report.estimation_record(fit_b, label=label_b),
+        report.lr_record(test, "temporal"),
+    ]
     config = _config_dict(args, "temporal-test", period_a=label_a, period_b=label_b)
-    if args.format == "records":
-        text = report.records_to_text(
-            [
-                config,
-                report.estimation_record(fit_all, label="combined"),
-                report.estimation_record(fit_a, label=label_a),
-                report.estimation_record(fit_b, label=label_b),
-                report.lr_record(test, "temporal"),
-            ]
-        )
-    else:
-        text = _config_header(config) + report.render_lr(test, "temporal")
-    _emit(args, text)
-    return 0
+    return _report(args, config, records)
 
 
 def _cmd_partition(args) -> int:
-    _check_inputs(args.data, args.model)
-    model = load_model_spec(args.model)
-    dataset = ingest_csv(args.data, model.outcome_set)
+    model, dataset = _load(args)
     dims = _parse_dims(args.by)
     rep = evaluate_partition(
         model, dataset, dims, options=_options(args), min_cell_size=args.min_cell_size
@@ -272,12 +247,7 @@ def _cmd_partition(args) -> int:
         min_cell_size=rep.min_cell_size,
         confidence=args.confidence,
     )
-    if args.format == "records":
-        text = report.records_to_text([config, report.partition_record(rep, args.confidence)])
-    else:
-        text = _config_header(config) + report.render_partition(rep, args.confidence)
-    _emit(args, text)
-    return 0
+    return _report(args, config, [report.partition_record(rep, args.confidence)])
 
 
 def _cmd_simulate(args) -> int:
@@ -319,15 +289,8 @@ def _cmd_summarize(args) -> int:
     except ValueError:
         raise ConfigError(f"--bins must be a comma list of numbers, got {args.bins!r}") from None
     table = summarize(dataset, bins, variable=args.speed_var)
-    config = _config_dict(
-        args, "summarize", bins=args.bins, speed_var=args.speed_var
-    )
-    if args.format == "records":
-        text = report.records_to_text([config, report.summary_record(table)])
-    else:
-        text = _config_header(config) + report.render_summary(table)
-    _emit(args, text)
-    return 0
+    config = _config_dict(args, "summarize", bins=args.bins, speed_var=args.speed_var)
+    return _report(args, config, [report.summary_record(table)])
 
 
 def main(argv=None) -> int:

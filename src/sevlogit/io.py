@@ -1,9 +1,9 @@
 """File formats: accident CSV, model-spec JSON, generator-config JSON, atomic report writes.
 
-CSV schema: UTF-8, comma-separated, one header row. Required columns are
-outcome, road_class, location, accident_type; period and weight are optional;
-every remaining column is a numeric covariate. Outcome cells hold the outcome
-label, case-sensitively. Lines starting with '#' before the header are
+CSV schema: UTF-8 (a leading byte-order mark is skipped), comma-separated, one
+header row. Required columns are outcome, road_class, location, accident_type;
+period and weight are optional; every remaining column is a numeric covariate.
+Outcome cells hold the outcome label, case-sensitively. Lines starting with '#' before the header are
 metadata comments (emitted datasets record their RNG there) and are skipped.
 """
 
@@ -14,13 +14,15 @@ import json
 import math
 import os
 import tempfile
+from functools import partial
 from itertools import compress, islice, repeat
+from operator import itemgetter
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .data import SEGMENT_LEVELS, Dataset, OutcomeSet, SegmentKey, concatenate, unknown_level
+from .data import COLUMNS, SEGMENT_LEVELS, Dataset, OutcomeSet, SegmentKey, unknown_level
 from .errors import ConfigError, IngestionError, ModelSpecError, SchemaError
 from .modelspec import ModelSpec, TermSpec, build_layout
 from .simulate import (
@@ -40,13 +42,14 @@ BLOCK_ROWS = 8192  # rows converted or formatted at once; bounds memory to one b
 def ingest_csv(path, outcome_set: Optional[OutcomeSet] = None) -> Dataset:
     """Read an accident CSV into a Dataset, reporting every malformed line at once.
 
-    Rows stream through csv.reader and are converted BLOCK_ROWS at a time, a whole
-    column at once. Only a block that fails to convert is checked row by row, which
-    names every bad line.
+    Rows stream through csv.reader and are converted and checked in one pass,
+    BLOCK_ROWS at a time and a whole column at once: an unknown label codes -1 and a
+    number that does not parse reads nan, so every bad cell is named from those masks,
+    with the physical line its row starts on.
     """
     outcome_set = outcome_set or OutcomeSet()
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as handle:
+    with path.open(newline="", encoding="utf-8-sig") as handle:
         header_line = 0
         line = handle.readline()
         while line.startswith("#"):
@@ -65,32 +68,31 @@ def ingest_csv(path, outcome_set: Optional[OutcomeSet] = None) -> Dataset:
         )
 
         reader = csv.reader(handle)
-        blocks, problems = [], []
-        first_line = header_line + 2  # 1-based physical line of the first data row
+        blocks, problems, periods = [], [], []
+        line = header_line + 2  # physical line the next row starts on
         while True:
-            rows = list(islice(reader, BLOCK_ROWS))
-            try:
-                blocks.append(_convert_block(rows, header, covariate_names, outcome_set))
-            except ValueError:
-                found = [
-                    (first_line + i, msg)
-                    for i, row in enumerate(rows)
-                    for msg in _row_problems(row, header, covariate_names, outcome_set)
-                ]
-                if not found:
-                    raise  # never drop a block the row checks cannot explain
-                problems.extend(found)
-            first_line += len(rows)
+            rows, starts = [], []
+            for row in islice(reader, BLOCK_ROWS):
+                rows.append(row)
+                starts.append(line)
+                line = header_line + 2 + reader.line_num  # a quoted field may span lines
+            blocks.append(
+                _convert_block(rows, starts, header, covariate_names, outcome_set, periods, problems)
+            )
+            if problems:
+                blocks.clear()  # the file will not load: keep no columns while the rest is checked
             if len(rows) < BLOCK_ROWS:
                 break
 
     if problems:
+        problems.sort(key=itemgetter(0))  # stable: a line keeps its problems in check order
         listing = "\n".join(f"  line {n}: {msg}" for n, msg in problems)
         raise IngestionError(
             f"{path}: {len(problems)} problem(s) while ingesting:\n{listing}",
             lines=[n for n, _ in problems],
         )
-    return concatenate(blocks)
+    columns = {key: np.concatenate([block[key] for block in blocks]) for key in COLUMNS}
+    return Dataset.from_columns(outcome_set, covariate_names, columns, periods)
 
 
 def _codes(cells, labels) -> np.ndarray:
@@ -99,72 +101,82 @@ def _codes(cells, labels) -> np.ndarray:
     return np.fromiter(map(index.get, cells, repeat(-1)), dtype=np.int64, count=len(cells))
 
 
+def _number(cell: str) -> Optional[float]:
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
 def _floats(cells) -> np.ndarray:
-    return np.fromiter(map(float, cells), dtype=np.float64, count=len(cells))
+    """Cells as float64; a cell that does not parse reads nan."""
+    try:
+        return np.fromiter(map(float, cells), dtype=np.float64, count=len(cells))
+    except ValueError:  # only a column holding a bad cell is parsed one guarded cell at a time
+        return np.array([math.nan if v is None else v for v in map(_number, cells)], dtype=float)
 
 
-def _convert_block(rows, header, covariate_names, outcome_set) -> Dataset:
-    """One block of CSV rows as a Dataset, converted a column at a time; blank rows skipped.
+def _weight_problem(cell: str) -> str:
+    value = _number(cell)
+    if value is None:
+        return f"non-numeric weight {cell!r}"
+    return f"weight must be {'finite' if value == math.inf else 'positive'}, got {cell}"
 
-    Raises ValueError if any cell fails to convert or validate.
+
+def _covariate_problem(name: str, cell: str) -> str:
+    if cell == "":
+        return f"missing value for covariate {name!r}"
+    if _number(cell) is None:
+        return f"non-numeric value {cell!r} for covariate {name!r}"
+    return f"non-finite value {cell!r} for covariate {name!r}"
+
+
+def _convert_block(rows, starts, header, covariate_names, outcome_set, periods, problems) -> dict:
+    """One block of CSV rows as columns, blank rows skipped; appends (line, message) per bad cell.
+
+    `starts` holds the physical line each row starts on. `periods` is the file-wide list
+    of period labels the codes index; it grows as blocks bring new labels.
     """
-    rows = list(filter(any, rows))
-    if set(map(len, rows)) - {len(header)}:
-        raise ValueError("ragged rows")  # checked here: zip would silently truncate them
+    kept = np.fromiter(map(any, rows), dtype=bool, count=len(rows))
+    ragged = kept & (np.fromiter(map(len, rows), dtype=np.int64, count=len(rows)) != len(header))
+    problems.extend(
+        (starts[i], f"expected {len(header)} cells, got {len(rows[i])}")
+        for i in np.flatnonzero(ragged).tolist()
+    )
+    kept &= ~ragged  # left out before the transpose, which would truncate them
+    rows, starts = list(compress(rows, kept)), list(compress(starts, kept))
+    n = len(rows)
     cells = dict(zip(header, zip(*rows))) or dict.fromkeys(header, ())
     columns = {dim: _codes(cells[dim], levels) for dim, levels in SEGMENT_LEVELS.items()}
     columns["y"] = _codes(cells["outcome"], outcome_set.labels)
-    period = cells.get("period", ("",) * len(rows))
-    labels = sorted(set(period) - {""})
-    columns["period"] = _codes(period, labels)
-    columns["w"] = np.ones(len(rows))
-    if "weight" in cells:
-        given = np.fromiter(map(bool, cells["weight"]), dtype=bool, count=len(rows))
-        columns["w"][given] = _floats(list(compress(cells["weight"], given)))
-    columns["X"] = np.empty((len(rows), len(covariate_names)))
+    period = cells.get("period", ("",) * n)
+    periods.extend(sorted(set(period) - set(periods) - {""}))
+    columns["period"] = _codes(period, periods)
+    weight = cells.get("weight", ("",) * n)
+    given = np.fromiter(map(bool, weight), dtype=bool, count=n)
+    columns["w"] = np.ones(n)
+    columns["w"][given] = _floats(list(compress(weight, given)))
+    columns["X"] = np.empty((n, len(covariate_names)))
     for j, name in enumerate(covariate_names):
         columns["X"][:, j] = _floats(cells[name])
-    return Dataset.from_columns(outcome_set, covariate_names, columns, labels)
 
-
-def _row_problems(row, header, covariate_names, outcome_set) -> list[str]:
-    """Every problem of one CSV row, for the report of a block that failed to convert."""
-    if not any(row):
-        return []
-    if len(row) != len(header):
-        return [f"expected {len(header)} cells, got {len(row)}"]
-    cell = dict(zip(header, row))
-    problems = []
-    if cell["outcome"] not in outcome_set.labels:
-        problems.append(
-            f"unknown outcome label {cell['outcome']!r} (expected one of {outcome_set.labels})"
-        )
-    problems.extend(
-        unknown_level(dim, cell[dim])
-        for dim, levels in SEGMENT_LEVELS.items()
-        if cell[dim] not in levels
-    )
-    weight = cell.get("weight", "")
-    if weight:
-        try:
-            value = float(weight)
-            if not value > 0:
-                problems.append(f"weight must be positive, got {weight}")
-            elif value == math.inf:
-                problems.append(f"weight must be finite, got {weight}")
-        except ValueError:
-            problems.append(f"non-numeric weight {weight!r}")
-    for name in covariate_names:
-        value = cell[name]
-        if value == "":
-            problems.append(f"missing value for covariate {name!r}")
-            continue
-        try:
-            if not math.isfinite(float(value)):
-                problems.append(f"non-finite value {value!r} for covariate {name!r}")
-        except ValueError:
-            problems.append(f"non-numeric value {value!r} for covariate {name!r}")
-    return problems
+    # (bad-cell mask, cells, message for a bad cell) in the order a line lists its problems
+    checks = [
+        (
+            columns["y"] < 0,
+            cells["outcome"],
+            lambda cell: f"unknown outcome label {cell!r} (expected one of {outcome_set.labels})",
+        ),
+        *((columns[dim] < 0, cells[dim], partial(unknown_level, dim)) for dim in SEGMENT_LEVELS),
+        (~((columns["w"] > 0) & np.isfinite(columns["w"])), weight, _weight_problem),
+        *(
+            (~np.isfinite(columns["X"][:, j]), cells[name], partial(_covariate_problem, name))
+            for j, name in enumerate(covariate_names)
+        ),
+    ]
+    for bad, column, message in checks:
+        problems.extend((starts[i], message(column[i])) for i in np.flatnonzero(bad).tolist())
+    return columns
 
 
 def _format_column(values: np.ndarray) -> np.ndarray:

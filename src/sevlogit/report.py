@@ -1,7 +1,9 @@
-"""Human-readable text tables and machine-readable JSON-lines records.
+"""Machine-readable JSON-lines records and the human-readable text tables drawn from them.
 
-Both formats are deterministic: records use sorted keys and canonical float
-repr, tables use fixed formats, so identical runs produce identical bytes.
+Each result becomes one record (`*_record`); every table is rendered from a record
+(`render`), so the two formats cannot disagree. Both are deterministic: records use
+sorted keys and canonical float repr, tables use fixed formats, so identical runs
+produce identical bytes.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ import json
 from typing import Optional, Sequence
 
 from .data import SummaryTable
-from .estimate import EstimationResult, FitStatistics, fit_statistics
+from .estimate import EstimationResult, fit_statistics
 from .inference import ElasticityReport, LRTestResult, PartitionReport
 
 
@@ -61,32 +63,29 @@ def _table(rows: list[list[str]], align_right: Sequence[bool]) -> str:
     return "\n".join(lines)
 
 
-def render_estimation(result: EstimationResult, label: Optional[str] = None) -> str:
+def render_estimation(rec: dict) -> str:
     rows = [["Slot", "Estimate", "Std. error", "t-ratio"]]
-    for name, est, se, t in zip(
-        result.slot_names(), result.theta_hat.values, result.std_errors, result.t_ratios
-    ):
+    for name, est, se, t in zip(rec["slots"], rec["estimates"], rec["std_errors"], rec["t_ratios"]):
         rows.append([name, f"{est:.6g}", f"{se:.6g}", f"{t:.2f}"])
     lines = []
-    if label:
-        lines.append(f"Model: {label}")
+    if rec.get("label"):
+        lines.append(f"Model: {rec['label']}")
     lines.append(_table(rows, [False, True, True, True]))
     lines.append("")
-    lines.append(f"Observations: {result.n_obs}    Parameters: {result.n_params}")
+    lines.append(f"Observations: {rec['n_obs']}    Parameters: {len(rec['slots'])}")
     lines.append(
-        f"Log-likelihood: {result.ll_converged:.6f}  (constants-only {result.ll_null:.6f}, "
-        f"at zero {result.ll_zero:.6f})"
+        f"Log-likelihood: {rec['ll_converged']:.6f}  (constants-only {rec['ll_null']:.6f}, "
+        f"at zero {rec['ll_zero']:.6f})"
     )
-    if result.converged and result.ll_zero != 0.0:
-        stats: FitStatistics = fit_statistics(result)
+    if "rho_squared" in rec:
         lines.append(
-            f"rho-squared: {stats.rho_squared:.4f}    adjusted: {stats.rho_squared_adj:.4f}"
+            f"rho-squared: {rec['rho_squared']:.4f}    adjusted: {rec['rho_squared_adj']:.4f}"
         )
     lines.append(
-        f"Iterations: {result.iterations}    Converged: {'yes' if result.converged else 'no'}"
-        f"    max |gradient|: {result.gradient_max:.3e}"
+        f"Iterations: {rec['iterations']}    Converged: {'yes' if rec['converged'] else 'no'}"
+        f"    max |gradient|: {rec['gradient_max']:.3e}"
     )
-    for note in result.diagnostics:
+    for note in rec["diagnostics"]:
         lines.append(f"Note: {note}")
     return "\n".join(lines) + "\n"
 
@@ -118,42 +117,42 @@ def elasticity_record(report: ElasticityReport) -> dict:
     }
 
 
-def render_elasticity(report: ElasticityReport) -> str:
-    outs = _severity_order(len(report.outcome_labels))
-    labels = [report.outcome_labels[i] for i in outs]
-    header1 = ["Variable"] + ["Parameter estimate (t-ratio)"] + [""] * (len(outs) - 1)
-    header1 += ["Elasticity"] + [""] * (len(outs) - 1)
+def render_elasticity(rec: dict) -> str:
+    labels = [rec["outcomes"][i] for i in _severity_order(len(rec["outcomes"]))]
+    header1 = ["Variable"] + ["Parameter estimate (t-ratio)"] + [""] * (len(labels) - 1)
+    header1 += ["Elasticity"] + [""] * (len(labels) - 1)
     header2 = [""] + labels + labels
 
     variables = []
-    for cell in report.cells:
-        if cell.variable not in variables:
-            variables.append(cell.variable)
+    for cell in rec["cells"]:
+        if cell["variable"] not in variables:
+            variables.append(cell["variable"])
 
     any_pseudo = False
     rows = [header1, header2]
     for var in variables:
         row = [var]
-        cells = {c.outcome: c for c in report.cells if c.variable == var}
-        for i in outs:
-            c = cells.get(i)
-            row.append("" if c is None else f"{c.estimate:.4g}({c.t_ratio:.2f})")
-        for i in outs:
-            c = cells.get(i)
-            if c is None or c.elasticity is None:
+        cells = {c["outcome"]: c for c in rec["cells"] if c["variable"] == var}
+        for label in labels:
+            c = cells.get(label)
+            row.append("" if c is None else f"{c['estimate']:.4g}({c['t_ratio']:.2f})")
+        for label in labels:
+            c = cells.get(label)
+            if c is None or c["elasticity"] is None:
                 row.append("")
             else:
-                mark = "*" if c.method == "pseudo-elasticity" else ""
+                mark = "*" if c["method"] == "pseudo-elasticity" else ""
                 any_pseudo = any_pseudo or bool(mark)
-                row.append(f"{c.elasticity:.2f}{mark}")
+                row.append(f"{c['elasticity']:.2f}{mark}")
         rows.append(row)
 
-    n_cols = 1 + 2 * len(outs)
+    n_cols = 1 + 2 * len(labels)
     text = _table(rows, [False] + [True] * (n_cols - 1))
     lines = [text]
     lines.append("")
     lines.append(
-        f"Elasticities shown for |t| > {report.threshold:g} only; aggregation: {report.aggregation}."
+        f"Elasticities shown for |t| > {rec['significance_threshold']:g} only; "
+        f"aggregation: {rec['aggregation']}."
     )
     if any_pseudo:
         lines.append("* pseudo-elasticity: relative probability change flipping the indicator 0 -> 1.")
@@ -174,17 +173,17 @@ def lr_record(test: LRTestResult, kind: str) -> dict:
     }
 
 
-def render_lr(test: LRTestResult, kind: str) -> str:
+def render_lr(rec: dict) -> str:
     lines = [
-        f"Likelihood-ratio {kind} test",
-        f"statistic: {test.statistic:.6f}    df: {test.df}    p-value: {test.p_value:.6g}",
+        f"Likelihood-ratio {rec['kind']} test",
+        f"statistic: {rec['statistic']:.6f}    df: {rec['df']}    p-value: {rec['p_value']:.6g}",
     ]
     decisions = "    ".join(
-        f"{level:.0%}: {'reject' if flag else 'retain'}"
-        for level, flag in sorted(test.reject_at.items())
+        f"{float(level):.0%}: {'reject' if flag else 'retain'}"
+        for level, flag in rec["reject_at"].items()
     )
     lines.append(f"Homogeneity decision by confidence level -> {decisions}")
-    comps = ", ".join(f"{k}={v:.6f}" for k, v in sorted(test.component_lls.items()))
+    comps = ", ".join(f"{k}={v:.6f}" for k, v in rec["component_lls"].items())
     lines.append(f"Component log-likelihoods: {comps}")
     return "\n".join(lines) + "\n"
 
@@ -219,23 +218,25 @@ def partition_record(report: PartitionReport, confidence: float) -> dict:
     return rec
 
 
-def render_partition(report: PartitionReport, confidence: float) -> str:
-    lines = [f"Partition by: {', '.join(report.dims)} (minimum cell size {report.min_cell_size})", ""]
-    lines.append(render_estimation(report.pooled, label="pooled"))
-    for cell in report.cells:
-        if cell.status == "ok":
-            lines.append(render_estimation(cell.result, label=f"{cell.label} (n={cell.n_obs})"))
+def render_partition(rec: dict) -> str:
+    dims = ", ".join(rec["dims"])
+    lines = [f"Partition by: {dims} (minimum cell size {rec['min_cell_size']})", ""]
+    lines.append(render_estimation(rec["pooled"]))
+    for cell in rec["cells"]:
+        label = f"{cell['label']} (n={cell['n_obs']})"
+        if cell["status"] == "ok":
+            lines.append(render_estimation({**cell["result"], "label": label}))
         else:
-            lines.append(f"Model: {cell.label} (n={cell.n_obs})  [{cell.status}: {cell.reason}]\n")
-    if report.test is not None:
-        lines.append(render_lr(report.test, "split"))
-        decision = report.split_recommended(confidence)
+            lines.append(f"Model: {label}  [{cell['status']}: {cell['reason']}]\n")
+    if rec["test"] is not None:
+        lines.append(render_lr(rec["test"]))
         lines.append(
-            f"Splitting by {{{', '.join(report.dims)}}} is "
-            f"{'recommended' if decision else 'not recommended'} at {confidence:.0%} confidence.\n"
+            f"Splitting by {{{dims}}} is "
+            f"{'recommended' if rec['split_recommended'] else 'not recommended'} "
+            f"at {rec['confidence']:.0%} confidence.\n"
         )
     else:
-        lines.append(f"Split test unavailable: {report.test_unavailable_reason}\n")
+        lines.append(f"Split test unavailable: {rec['test_unavailable_reason']}\n")
     return "\n".join(lines)
 
 
@@ -257,12 +258,28 @@ def summary_record(table: SummaryTable) -> dict:
     }
 
 
-def render_summary(table: SummaryTable) -> str:
-    rows = [[table.variable.replace("_", " ").capitalize(), *table.outcome_labels]]
-    for b in table.bins:
-        if b.shares is None:
-            rows.append([b.label, *["-" for _ in table.outcome_labels]])
+def render_summary(rec: dict) -> str:
+    outcomes = rec["outcomes"]
+    rows = [[rec["variable"].replace("_", " ").capitalize(), *outcomes]]
+    for b in rec["bins"]:
+        if b["shares"] is None:
+            rows.append([b["band"], *["-" for _ in outcomes]])
         else:
-            rows.append([b.label, *[f"{100 * s:.1f}%" for s in b.shares]])
-    text = _table(rows, [False] + [True] * len(table.outcome_labels))
-    return text + f"\n\nObservations: {table.total}\n"
+            rows.append([b["band"], *[f"{100 * s:.1f}%" for s in b["shares"]]])
+    text = _table(rows, [False] + [True] * len(outcomes))
+    total = sum(sum(b["counts"]) for b in rec["bins"])
+    return text + f"\n\nObservations: {total}\n"
+
+
+_RENDERERS = {
+    "estimation_result": render_estimation,
+    "elasticity_report": render_elasticity,
+    "lr_test": render_lr,
+    "partition_report": render_partition,
+    "summary_table": render_summary,
+}
+
+
+def render(record: dict) -> str:
+    """The text table of a result record."""
+    return _RENDERERS[record["record"]](record)

@@ -124,29 +124,28 @@ def simulate(config: GeneratorConfig) -> Dataset:
     columns = {name: _draw_column(config.covariates[name], n, rng) for name in names}
     matrix = np.column_stack([columns[name] for name in names]) if names else np.empty((n, 0))
 
-    if config.segments:
-        weights = np.array([c.weight for c in config.segments])
-        component = rng.choice(len(config.segments), size=n, p=weights / weights.sum())
-    else:
-        component = np.zeros(n, dtype=np.int64)
-    keys = [c.segment for c in config.segments] or [SegmentKey()]
+    # no segments means one default component, which takes every row without a draw
+    components = config.segments or (SegmentComponent(SegmentKey(), 1.0),)
+    weights = np.array([c.weight for c in components])
+    component = (
+        rng.choice(len(components), size=n, p=weights / weights.sum())
+        if config.segments
+        else np.zeros(n, dtype=np.int64)
+    )
     segment_codes = {
-        dim: np.array([levels.index(getattr(k, dim)) for k in keys], dtype=np.int8)[component]
+        dim: np.array([levels.index(getattr(c.segment, dim)) for c in components])[component]
         for dim, levels in SEGMENT_LEVELS.items()
     }
 
     uniforms = rng.random(n)
 
     prob = np.empty((n, config.model.outcome_set.n_outcomes))
-    if config.segments:
-        for idx, comp in enumerate(config.segments):
-            rows = np.flatnonzero(component == idx)
-            if rows.size == 0:
-                continue
-            comp_theta = theta if comp.theta is None else _theta_values(comp.theta, layout)
-            prob[rows] = probabilities_for_matrix(config.model, comp_theta, names, matrix[rows])
-    else:
-        prob[:] = probabilities_for_matrix(config.model, theta, names, matrix)
+    for idx, comp in enumerate(components):
+        rows = np.flatnonzero(component == idx)
+        if rows.size == 0:
+            continue
+        comp_theta = theta if comp.theta is None else _theta_values(comp.theta, layout)
+        prob[rows] = probabilities_for_matrix(config.model, comp_theta, names, matrix[rows])
 
     cumulative = np.cumsum(prob, axis=1)
     outcome = np.minimum(

@@ -18,7 +18,7 @@ from sevlogit.cli import main as cli_main
 from sevlogit.estimate import EstimateOptions
 from sevlogit.io import model_spec_to_dict
 from sevlogit.likelihood import gradient_hessian, log_likelihood
-from sevlogit.report import render_elasticity, render_summary
+from sevlogit.report import elasticity_record, render_elasticity, render_summary, summary_record
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -393,7 +393,7 @@ def test_criterion_09_report_shapes():
     )
     data = sl.Dataset(outs, obs, ("speed_limit", "curve"))
     report = sl.elasticity_report(model, result, data)
-    rendered = render_elasticity(report)
+    rendered = render_elasticity(elasticity_record(report))
     assert rendered == (GOLDEN / "elasticity_table.txt").read_text()
     # structural assertions on top of the golden bytes
     assert rendered.count("0.0396(5.48)") == 2  # shared slot prints in both outcome columns
@@ -413,7 +413,7 @@ def test_criterion_09_report_shapes():
         rows += [sl.Observation({"speed_limit": speed}, 2)] * fat
     summary_data = sl.Dataset(sl.OutcomeSet(), tuple(rows), ("speed_limit",))
     summary = sl.summarize(summary_data, bins=[30, 50, 60])
-    rendered_summary = render_summary(summary)
+    rendered_summary = render_summary(summary_record(summary))
     assert rendered_summary == (GOLDEN / "summary_table.txt").read_text()
     for band in ("<= 30", "(30, 50]", "(50, 60]", "> 60"):
         assert band in rendered_summary

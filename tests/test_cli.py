@@ -7,6 +7,7 @@ import pytest
 import sevlogit as sl
 from sevlogit.cli import main
 from sevlogit.io import model_spec_to_dict, write_csv
+from sevlogit.report import render
 
 
 @pytest.fixture
@@ -390,3 +391,49 @@ class TestOneTestPath:
         code = run(command, "--data", data, "--model", workdir / "spec.json", "--by", "road_class")
         assert code == 2
         assert "empty" in capsys.readouterr().err
+
+
+class TestOutputContract:
+    """A table is the run-config header plus the rendering of the last record."""
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory, speed_model, speed_theta):
+        work = tmp_path_factory.mktemp("contract")
+        (work / "spec.json").write_text(json.dumps(model_spec_to_dict(speed_model)))
+        covs = {"speed_limit": sl.UniformDist(25, 70), "curve": sl.IndicatorDist(0.3)}
+        segments = (
+            sl.SegmentComponent(sl.SegmentKey(road_class="interstate"), 0.5),
+            sl.SegmentComponent(sl.SegmentKey(road_class="county-road"), 0.5),
+        )
+        years = [
+            sl.simulate(
+                sl.GeneratorConfig(speed_model, speed_theta, 1500, covs, segments, seed=seed)
+            ).with_period(year)
+            for seed, year in ((11, "2004"), (12, "2006"))
+        ]
+        write_csv(sl.concatenate(years), work / "data.csv")
+        return work
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("estimate",),
+            ("elasticities",),
+            ("split-test", "--by", "road_class"),
+            ("partition", "--by", "road_class,period"),
+            ("temporal-test",),
+            ("summarize", "--bins", "35,45,55"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_table_renders_the_last_record(self, files, argv, capsys):
+        common = ("--data", files / "data.csv")
+        if argv[0] != "summarize":
+            common += ("--model", files / "spec.json")
+        assert run(*argv, *common, "--format", "records") == 0
+        records = _records_of(capsys)
+        assert run(*argv, *common) == 0
+        table = capsys.readouterr().out
+        config = {**records[0], "format": "table"}
+        header = "# " + " ".join(f"{k}={config[k]}" for k in sorted(config) if k != "record")
+        assert table == header + "\n\n" + render(records[-1])

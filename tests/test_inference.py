@@ -5,7 +5,7 @@ import pytest
 
 import sevlogit as sl
 from sevlogit.inference import lr_split_test, lr_temporal_test
-from sevlogit.report import render_partition
+from sevlogit.report import partition_record, render_partition
 
 
 class TestElasticityPoint:
@@ -344,7 +344,7 @@ class TestEvaluatePartition:
         assert "ok" in statuses.values()
         assert report.test is None
         assert "not all cells estimated" in report.test_unavailable_reason
-        rendered = render_partition(report, 0.95)
+        rendered = render_partition(partition_record(report, 0.95))
         assert "Split test unavailable: not all cells estimated: road_class=" in rendered
 
     def test_failed_cell_carries_its_error(self, dark_gap_model, dark_gap_dataset):

@@ -162,6 +162,66 @@ class TestIngestCSV:
         numeric = sum(column.nbytes for column in ds.columns.values())
         assert peak <= 10 * numeric, f"peak {peak / numeric:.1f}x the numeric bytes"
 
+    def test_byte_order_mark_accepted(self, csv_fixture, tmp_path):
+        # spreadsheet "CSV UTF-8" exports start with a BOM
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + csv_fixture.read_bytes())
+        assert ingest_csv(path) == ingest_csv(csv_fixture)
+
+    def test_lines_count_physical_lines_across_blocks(self, tmp_path, monkeypatch):
+        path = tmp_path / "blocks.csv"
+        path.write_text(
+            "outcome,road_class,location,accident_type,period,x\n"
+            "injury,other,other,other,2004,1\n"  # block 1
+            'injury,other,other,other,"a\nb",2\n'  # lines 3-4
+            "Injury,other,other,other,2004,3\n"  # line 5
+            "injury,other,other,other,2004\n"  # block 2 starts with a ragged row
+            "injury,freeway,other,other,2004,x5\n"  # line 7: two problems
+            "\n"  # block 2 ends with a blank row
+            "injury,other,other,other,2001,7\n"  # block 3
+            "fatality,other,other,other,2001,\n"  # line 10
+            "injury,other,other,other,2001,1,2\n"  # block 3 ends with a ragged row
+            "injury,other,other,other,2004,nan\n",  # block 4, line 12
+            encoding="utf-8",
+        )
+        monkeypatch.setattr(sl.io, "BLOCK_ROWS", 3)
+        with pytest.raises(sl.IngestionError) as err:
+            ingest_csv(path)
+        assert err.value.lines == (5, 6, 7, 7, 10, 11, 12)
+        assert str(err.value).splitlines()[1:] == [
+            "  line 5: unknown outcome label 'Injury' "
+            "(expected one of ('property-damage-only', 'injury', 'fatality'))",
+            "  line 6: expected 6 cells, got 5",
+            "  line 7: " + sl.data.unknown_level("road_class", "freeway"),
+            "  line 7: non-numeric value 'x5' for covariate 'x'",
+            "  line 10: missing value for covariate 'x'",
+            "  line 11: expected 6 cells, got 7",
+            "  line 12: non-finite value 'nan' for covariate 'x'",
+        ]
+
+    def test_blocks_join_into_one_dataset(self, tmp_path, monkeypatch):
+        path = tmp_path / "clean.csv"
+        path.write_text(
+            "outcome,road_class,location,accident_type,period,weight,x\n"
+            "injury,interstate,rural,one-vehicle,2004,,1.5\n"
+            'fatality,other,other,other,"a\nb",2,2\n'
+            "property-damage-only,other,urban,C+C,2004,,3\n"
+            "\n"
+            "injury,other,other,other,,,4\n"
+            "injury,county-road,other,other,2006,0.5,5\n"
+            "fatality,other,other,other,2001,,6\n",  # a label first seen in block 3
+            encoding="utf-8",
+        )
+        whole = ingest_csv(path)
+        monkeypatch.setattr(sl.io, "BLOCK_ROWS", 3)
+        blocked = ingest_csv(path)
+        assert blocked == whole
+        assert blocked.period_labels == ("2001", "2004", "2006", "a\nb")
+        assert [o.period for o in blocked.observations] == [
+            "2004", "a\nb", "2004", None, "2006", "2001"
+        ]
+        assert blocked.weights.tolist() == [1.0, 2.0, 1.0, 1.0, 0.5, 1.0]
+
     def test_custom_outcome_set(self, tmp_path):
         path = tmp_path / "two.csv"
         path.write_text(
