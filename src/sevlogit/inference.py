@@ -104,14 +104,10 @@ def elasticity_report(
         values = x[:, col]
         indicator = _is_indicator(values)
         if indicator:
-            prob_off, prob_on = _flipped_probabilities(model, result.theta_hat, dataset, col)
-        pairs = sorted(
-            {(t_idx, out) for t_idx, term in enumerate(model.terms) if term.variable == variable
-             for out in term.outcomes},
-            key=lambda p: p[1],
-        )
-        for t_idx, out in pairs:
-            slot = layout.slot_of[(t_idx, out)]
+            prob_off = _probabilities_with(model, result.theta_hat, dataset, col, 0.0)
+            prob_on = _probabilities_with(model, result.theta_hat, dataset, col, 1.0)
+        for out in sorted(o for v, o in layout.slot_of if v == variable):
+            slot = layout.slot_of[(variable, out)]
             t_ratio = float(result.t_ratios[slot])
             significant = abs(t_ratio) > threshold
             per_obs = None
@@ -137,13 +133,11 @@ def elasticity_report(
     return ElasticityReport(model.outcome_set.labels, tuple(cells), aggregation, threshold)
 
 
-def _flipped_probabilities(model, theta, dataset, col):
-    base = dataset.covariate_matrix.copy()
-    base[:, col] = 0.0
-    off = probabilities_for_matrix(model, theta, dataset.variable_names, base)
-    base[:, col] = 1.0
-    on = probabilities_for_matrix(model, theta, dataset.variable_names, base)
-    return off, on
+def _probabilities_with(model, theta, dataset, col, values) -> np.ndarray:
+    """Outcome probabilities of the dataset with covariate column `col` replaced by `values`."""
+    x = dataset.covariate_matrix.copy()
+    x[:, col] = values
+    return probabilities_for_matrix(model, theta, dataset.variable_names, x)
 
 
 def finite_difference_elasticity(
@@ -160,18 +154,11 @@ def finite_difference_elasticity(
     to differencing error for any coefficient structure.
     """
     col = dataset.variable_names.index(variable)
-    x = dataset.covariate_matrix
-    values = x[:, col]
+    values = dataset.covariate_matrix[:, col]
     step = rel_step * np.maximum(np.abs(values), 1.0)
-
-    plus = x.copy()
-    plus[:, col] = values + step
-    minus = x.copy()
-    minus[:, col] = values - step
-    names = dataset.variable_names
-    p_plus = probabilities_for_matrix(model, theta, names, plus)[:, outcome]
-    p_minus = probabilities_for_matrix(model, theta, names, minus)[:, outcome]
-    p_base = probabilities_for_matrix(model, theta, names, x)[:, outcome]
+    p_plus = _probabilities_with(model, theta, dataset, col, values + step)[:, outcome]
+    p_minus = _probabilities_with(model, theta, dataset, col, values - step)[:, outcome]
+    p_base = probability_matrix(model, theta, dataset)[:, outcome]
     derivative = (p_plus - p_minus) / (2.0 * step)
     return derivative * values / p_base
 

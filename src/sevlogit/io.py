@@ -24,7 +24,7 @@ import numpy as np
 
 from .data import COLUMNS, SEGMENT_LEVELS, Dataset, OutcomeSet, SegmentKey, unknown_level
 from .errors import ConfigError, IngestionError, ModelSpecError, SchemaError
-from .modelspec import ModelSpec, TermSpec, build_layout
+from .modelspec import ModelSpec, ParameterVector, TermSpec, build_layout
 from .simulate import (
     CategoricalDist,
     ConstantDist,
@@ -312,21 +312,14 @@ def _parse_distribution(name: str, raw: dict):
 
 
 def _parse_theta(raw, model: ModelSpec) -> np.ndarray:
+    """A {slot name: value} mapping or a list of values in slot order."""
     layout = build_layout(model)
-    if isinstance(raw, dict):
-        names = layout.slot_names()
-        missing = [n for n in names if n not in raw]
-        unknown = [n for n in raw if n not in names]
-        if missing or unknown:
-            raise ConfigError(f"theta mapping mismatch (missing {missing}, unknown {unknown})")
-        return np.array([float(raw[n]) for n in names])
-    values = np.asarray([float(v) for v in raw], dtype=np.float64)
-    if values.shape != (layout.n_params,):
-        raise ConfigError(
-            f"theta needs {layout.n_params} values (slot order {list(layout.slot_names())}), "
-            f"got {values.shape[0]}"
-        )
-    return values
+    try:
+        if isinstance(raw, dict):
+            return ParameterVector.from_dict(layout, {k: float(v) for k, v in raw.items()}).values
+        return ParameterVector([float(v) for v in raw], layout).values
+    except ValueError as exc:
+        raise ConfigError(f"theta: {exc} (slot order {list(layout.slot_names())})") from None
 
 
 def load_generator_config(path) -> tuple[GeneratorConfig, Optional[str]]:

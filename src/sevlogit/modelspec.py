@@ -100,11 +100,11 @@ class Slot:
 
 @dataclass(frozen=True)
 class ParameterLayout:
-    """Bijection between (term, outcome) pairs and flat slot indices 0..n_params-1."""
+    """Flat slot indices 0..n_params-1, with the slot of every (variable, outcome) pair."""
 
     outcome_set: OutcomeSet
     slots: tuple[Slot, ...]
-    slot_of: Mapping[tuple[int, int], int] = field(repr=False)  # (term index, outcome) -> slot
+    slot_of: Mapping[tuple[str, int], int] = field(repr=False)  # (variable, outcome) -> slot
 
     @property
     def n_params(self) -> int:
@@ -114,37 +114,28 @@ class ParameterLayout:
         return tuple(s.name(self.outcome_set) for s in self.slots)
 
     def slot_index(self, variable: str, outcome: int) -> int:
-        for i, slot in enumerate(self.slots):
-            if slot.variable == variable and outcome in slot.outcomes:
-                return i
-        raise KeyError(f"no slot for variable {variable!r} on outcome {outcome}")
+        try:
+            return self.slot_of[(variable, outcome)]
+        except KeyError:
+            raise KeyError(f"no slot for variable {variable!r} on outcome {outcome}") from None
 
 
 def build_layout(model: ModelSpec) -> ParameterLayout:
     """Derive the flat parameter layout for a model spec.
 
-    Slot order is content-addressed: keys (variable, outcome tuple) are sorted,
+    Slot order is content-addressed: slots are sorted by (variable, outcome tuple),
     so two specs with the same terms in any order get identical layouts.
     """
-    keyed: dict[tuple[str, tuple[int, ...]], Slot] = {}
-    owners: dict[tuple[str, tuple[int, ...]], list[tuple[int, int]]] = {}
-    for t_idx, term in enumerate(model.terms):
-        if term.shared:
-            key = (term.variable, term.outcomes)
-            keyed[key] = Slot(term.variable, term.outcomes, True)
-            owners.setdefault(key, []).extend((t_idx, out) for out in term.outcomes)
-        else:
-            for out in term.outcomes:
-                key = (term.variable, (out,))
-                keyed[key] = Slot(term.variable, (out,), False)
-                owners.setdefault(key, []).append((t_idx, out))
-
-    ordered_keys = sorted(keyed)
-    slots = tuple(keyed[k] for k in ordered_keys)
-    slot_of = {
-        pair: idx for idx, key in enumerate(ordered_keys) for pair in owners[key]
-    }
-    return ParameterLayout(model.outcome_set, slots, slot_of)
+    slots = sorted(
+        (
+            Slot(term.variable, outcomes, term.shared)
+            for term in model.terms
+            for outcomes in ((term.outcomes,) if term.shared else ((o,) for o in term.outcomes))
+        ),
+        key=lambda s: (s.variable, s.outcomes),
+    )
+    slot_of = {(s.variable, out): idx for idx, s in enumerate(slots) for out in s.outcomes}
+    return ParameterLayout(model.outcome_set, tuple(slots), slot_of)
 
 
 @dataclass(frozen=True)
@@ -191,39 +182,19 @@ def _theta_values(theta: ThetaLike, layout: ParameterLayout) -> np.ndarray:
     return values
 
 
-def utility(
-    model: ModelSpec,
-    theta: ThetaLike,
-    obs: Observation,
-    outcome: int,
-    layout: ParameterLayout | None = None,
-) -> float:
+def utility(model: ModelSpec, theta: ThetaLike, obs: Observation, outcome: int) -> float:
     """Deterministic utility of one outcome for one observation.
 
-    The base outcome returns exactly 0. Other outcomes sum coefficient x value
-    over the terms touching them; the constant contributes its coefficient.
+    Sums coefficient x value over the bound design's entries on that outcome, the
+    constant's value being 1; the base outcome has no entries and returns exactly 0.
     """
     if outcome >= model.outcome_set.n_outcomes:
         raise ValueError(f"outcome index {outcome} out of range")
-    if outcome == BASE_OUTCOME:
-        return 0.0
-    layout = layout or build_layout(model)
-    values = _theta_values(theta, layout)
-    total = 0.0
-    for t_idx, term in enumerate(model.terms):
-        if outcome not in term.outcomes:
-            continue
-        if term.variable == CONSTANT:
-            x = 1.0
-        else:
-            try:
-                x = obs.covariates[term.variable]
-            except KeyError:
-                raise SchemaError(
-                    f"observation is missing covariate {term.variable!r}"
-                ) from None
-        total += values[layout.slot_of[(t_idx, outcome)]] * x
-    return total
+    design = bind_design(model, tuple(obs.covariates))
+    values = _theta_values(theta, design.layout)
+    x = np.array([*obs.covariates.values(), 1.0])
+    on = design.entry_outcome == outcome
+    return float(values[design.entry_slot[on]] @ x[design.entry_col[on]])
 
 
 @dataclass(frozen=True)
@@ -250,26 +221,21 @@ class Design:
 
 
 def bind_design(model: ModelSpec, variable_names: tuple[str, ...]) -> Design:
-    """Resolve a model's terms against a dataset's variable columns."""
+    """Resolve a model's terms against a dataset's variable columns, in term order."""
     layout = build_layout(model)
     col_of = {name: i for i, name in enumerate(variable_names)}
-    const_col = len(variable_names)
+    col_of[CONSTANT] = len(variable_names)
     slots, outs, cols = [], [], []
-    for t_idx, term in enumerate(model.terms):
-        if term.variable == CONSTANT:
-            col = const_col
-        else:
-            try:
-                col = col_of[term.variable]
-            except KeyError:
-                raise SchemaError(
-                    f"model variable {term.variable!r} is not in the dataset "
-                    f"(available: {sorted(variable_names)})"
-                ) from None
+    for term in model.terms:
+        if term.variable not in col_of:
+            raise SchemaError(
+                f"model variable {term.variable!r} is not in the dataset "
+                f"(available: {sorted(variable_names)})"
+            )
         for out in term.outcomes:
-            slots.append(layout.slot_of[(t_idx, out)])
+            slots.append(layout.slot_of[(term.variable, out)])
             outs.append(out)
-            cols.append(col)
+            cols.append(col_of[term.variable])
     return Design(
         layout,
         np.asarray(slots, dtype=np.int64),

@@ -58,13 +58,13 @@ class TestLayout:
         )
         layout = sl.build_layout(model)
         assert layout.n_params == 1
-        assert layout.slot_of[(0, 1)] == layout.slot_of[(0, 2)] == 0
+        assert layout.slot_of[("speed_limit", 1)] == layout.slot_of[("speed_limit", 2)] == 0
         assert layout.slots[0] == Slot("speed_limit", (1, 2), True)
 
     def test_unshared_term_maps_to_distinct_slots(self, three_outcomes):
         model = sl.ModelSpec(three_outcomes, (sl.TermSpec("speed_limit", (1, 2)),))
         layout = sl.build_layout(model)
-        assert layout.slot_of[(0, 1)] != layout.slot_of[(0, 2)]
+        assert layout.slot_of[("speed_limit", 1)] != layout.slot_of[("speed_limit", 2)]
 
     def test_bijection_onto_range(self, speed_model):
         layout = sl.build_layout(speed_model)
@@ -136,9 +136,9 @@ class TestUtility:
                 {"speed_limit": float(rng.uniform(20, 70)), "curve": float(rng.integers(2))}, 0
             )
             for i in range(3):
-                left = sl.utility(speed_model, a * t1 + b * t2, obs, i, layout)
-                right = a * sl.utility(speed_model, t1, obs, i, layout) + b * sl.utility(
-                    speed_model, t2, obs, i, layout
+                left = sl.utility(speed_model, a * t1 + b * t2, obs, i)
+                right = a * sl.utility(speed_model, t1, obs, i) + b * sl.utility(
+                    speed_model, t2, obs, i
                 )
                 assert left == pytest.approx(right, abs=1e-12)
 
