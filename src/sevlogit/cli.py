@@ -46,8 +46,10 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--model", required=True, help="model-spec JSON file")
         p.add_argument("--out", help="output path (default: stdout)")
         p.add_argument("--format", choices=("table", "records"), default="table")
-        p.add_argument("--tol", type=float, default=1e-6, help="gradient max-norm tolerance")
-        p.add_argument("--max-iter", type=int, default=200, help="Newton iteration cap")
+        p.add_argument("--tol", type=float, default=EstimateOptions.gradient_tol,
+                       help="gradient max-norm tolerance")
+        p.add_argument("--max-iter", type=int, default=EstimateOptions.max_iterations,
+                       help="Newton iteration cap")
 
     p = sub.add_parser("estimate", help="fit one model on one dataset")
     common(p)
@@ -235,6 +237,8 @@ def _cmd_temporal_test(args) -> int:
 
 
 def _cmd_partition(args) -> int:
+    if not 0.0 < args.confidence < 1.0:
+        raise ConfigError(f"--confidence must be in (0, 1), got {args.confidence}")
     model, dataset = _load(args)
     dims = _parse_dims(args.by)
     rep = evaluate_partition(

@@ -377,6 +377,8 @@ def summarize(dataset: Dataset, bins: Sequence[float], variable: str = "speed_li
     edges = [float(b) for b in bins]
     if not edges:
         raise ValueError("bins must be non-empty")
+    if not all(map(math.isfinite, edges)):
+        raise ValueError(f"bin edges must be finite, got {edges}")
     if any(b >= c for b, c in zip(edges, edges[1:])):
         raise ValueError(f"bin edges must be strictly increasing, got {edges}")
 

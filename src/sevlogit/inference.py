@@ -24,9 +24,9 @@ DEFAULT_SIGNIFICANCE_T = 1.96
 def elasticity_point(probability: float, coefficient: float, value: float) -> float:
     """Percent response of an outcome probability to a 1% change in a covariate.
 
-    Closed MNL form: (1 - P) * coefficient * value. Exact for coefficients
-    specific to the outcome; the conventional approximation for shared ones.
-    Applies elementwise to arrays of probabilities and values.
+    (1 - P) * coefficient * value: the MNL elasticity x * (beta_i - sum_j P_j beta_j)
+    when the covariate enters only this outcome's utility. Applies elementwise to
+    arrays of probabilities and values.
     """
     return (1.0 - probability) * coefficient * value
 
@@ -83,10 +83,12 @@ def elasticity_report(
 ) -> ElasticityReport:
     """Per-(variable, outcome) elasticities averaged over the dataset.
 
-    Every non-constant slot gets a cell carrying its estimate and t-ratio;
-    the elasticity value is filled only where |t| exceeds the threshold.
-    Indicator (0/1) variables get a pseudo-elasticity: the relative
-    probability change from flipping the indicator 0 -> 1.
+    Every (variable, outcome) pair with a slot gets a cell carrying its estimate
+    and t-ratio; the elasticity value is filled only where |t| exceeds the
+    threshold. A continuous variable's elasticity is the exact MNL form
+    x * (beta_i - sum_j P_j beta_j), with beta_j = 0 on outcomes the variable
+    does not enter. Indicator (0/1) variables get a pseudo-elasticity: the
+    relative probability change from flipping the indicator 0 -> 1.
     """
     if not result.converged:
         raise ValueError("elasticity report requires a converged result")
@@ -96,28 +98,26 @@ def elasticity_report(
     layout = result.theta_hat.layout
     theta = result.theta_hat.values
     prob = probability_matrix(model, result.theta_hat, dataset)
-    x = dataset.covariate_matrix
 
     cells: list[ElasticityCell] = []
     for variable in model.variables():
         col = dataset.variable_names.index(variable)
-        values = x[:, col]
+        values = dataset.covariate_matrix[:, col]
+        outcomes = sorted(o for v, o in layout.slot_of if v == variable)
+        slots = [layout.slot_of[(variable, o)] for o in outcomes]
         indicator = _is_indicator(values)
         if indicator:
-            prob_off = _probabilities_with(model, result.theta_hat, dataset, col, 0.0)
-            prob_on = _probabilities_with(model, result.theta_hat, dataset, col, 1.0)
-        for out in sorted(o for v, o in layout.slot_of if v == variable):
-            slot = layout.slot_of[(variable, out)]
+            off = _probabilities_with(model, result.theta_hat, dataset, col, 0.0)
+            on = _probabilities_with(model, result.theta_hat, dataset, col, 1.0)
+            per_outcome = (on - off) / off
+        else:
+            beta = np.zeros(model.outcome_set.n_outcomes)
+            beta[outcomes] = theta[slots]
+            per_outcome = values[:, None] * (beta - (prob @ beta)[:, None])
+        for out, slot in zip(outcomes, slots):
             t_ratio = float(result.t_ratios[slot])
-            significant = abs(t_ratio) > threshold
-            per_obs = None
-            value = None
-            if significant:
-                if indicator:
-                    per_obs = (prob_on[:, out] - prob_off[:, out]) / prob_off[:, out]
-                else:
-                    per_obs = elasticity_point(prob[:, out], theta[slot], values)
-                value = _aggregate(per_obs, prob[:, out], aggregation)
+            per_obs = per_outcome[:, out] if abs(t_ratio) > threshold else None
+            value = None if per_obs is None else _aggregate(per_obs, prob[:, out], aggregation)
             cells.append(
                 ElasticityCell(
                     variable=variable,
@@ -273,7 +273,6 @@ def evaluate_partition(
     dims: Sequence[str],
     options: EstimateOptions | None = None,
     min_cell_size: int | None = None,
-    levels: Sequence[float] = SPLIT_CONFIDENCE_LEVELS,
 ) -> PartitionReport:
     """Estimate pooled and per-cell models over a partition and run the split test.
 
@@ -282,11 +281,12 @@ def evaluate_partition(
     `error`. If any cell is skipped or failed, the split test is marked
     unavailable instead of being computed over a subset.
     """
+    if min_cell_size is None:
+        min_cell_size = 30 * model.n_params
+    if min_cell_size < 1:
+        raise ValueError(f"minimum cell size must be >= 1, got {min_cell_size}")
     cells = partition(dataset, dims)
     dims = tuple(d for d in PARTITION_DIMS if d in dims)
-    n_params = model.n_params
-    if min_cell_size is None:
-        min_cell_size = 30 * n_params
 
     # no cells means no rows; the pooled fit below rejects an empty dataset
     if cells and all(ds.n_obs < min_cell_size for ds in cells.values()):
@@ -332,7 +332,6 @@ def evaluate_partition(
             pooled.ll_converged,
             pooled.n_params,
             [(r.result.ll_converged, r.result.n_params) for r in reports],
-            levels=levels,
         )
         unavailable = None
 

@@ -37,6 +37,7 @@ from .simulate import (
 REQUIRED_COLUMNS = ("outcome", "road_class", "location", "accident_type")
 OPTIONAL_COLUMNS = ("period", "weight")
 BLOCK_ROWS = 8192  # rows converted or formatted at once; bounds memory to one block of cells
+LISTED_PROBLEMS = 100  # problems an ingest error spells out; the rest are counted
 
 
 def ingest_csv(path, outcome_set: Optional[OutcomeSet] = None) -> Dataset:
@@ -45,7 +46,9 @@ def ingest_csv(path, outcome_set: Optional[OutcomeSet] = None) -> Dataset:
     Rows stream through csv.reader and are converted and checked in one pass,
     BLOCK_ROWS at a time and a whole column at once: an unknown label codes -1 and a
     number that does not parse reads nan, so every bad cell is named from those masks,
-    with the physical line its row starts on.
+    with the physical line its row starts on. The error's message spells out the
+    first LISTED_PROBLEMS problems in line order and counts the rest; its `lines`
+    holds the line of every problem.
     """
     outcome_set = outcome_set or OutcomeSet()
     path = Path(path)
@@ -68,7 +71,7 @@ def ingest_csv(path, outcome_set: Optional[OutcomeSet] = None) -> Dataset:
         )
 
         reader = csv.reader(handle)
-        blocks, problems, periods = [], [], []
+        blocks, periods, listed, bad_lines = [], [], [], []
         line = header_line + 2  # physical line the next row starts on
         while True:
             rows, starts = [], []
@@ -76,20 +79,25 @@ def ingest_csv(path, outcome_set: Optional[OutcomeSet] = None) -> Dataset:
                 rows.append(row)
                 starts.append(line)
                 line = header_line + 2 + reader.line_num  # a quoted field may span lines
+            problems = []
             blocks.append(
                 _convert_block(rows, starts, header, covariate_names, outcome_set, periods, problems)
             )
-            if problems:
+            problems.sort(key=itemgetter(0))  # stable: a line keeps its problems in check order
+            bad_lines.extend(n for n, _ in problems)
+            listed.extend(problems[: LISTED_PROBLEMS - len(listed)])
+            if bad_lines:
                 blocks.clear()  # the file will not load: keep no columns while the rest is checked
             if len(rows) < BLOCK_ROWS:
                 break
 
-    if problems:
-        problems.sort(key=itemgetter(0))  # stable: a line keeps its problems in check order
-        listing = "\n".join(f"  line {n}: {msg}" for n, msg in problems)
+    if bad_lines:
+        listing = [f"  line {n}: {msg}" for n, msg in listed]
+        if len(bad_lines) > len(listed):
+            listing.append(f"  … and {len(bad_lines) - len(listed)} more problem(s)")
         raise IngestionError(
-            f"{path}: {len(problems)} problem(s) while ingesting:\n{listing}",
-            lines=[n for n, _ in problems],
+            f"{path}: {len(bad_lines)} problem(s) while ingesting:\n" + "\n".join(listing),
+            lines=bad_lines,
         )
     columns = {key: np.concatenate([block[key] for block in blocks]) for key in COLUMNS}
     return Dataset.from_columns(outcome_set, covariate_names, columns, periods)

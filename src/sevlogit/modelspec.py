@@ -176,10 +176,7 @@ def _theta_values(theta: ThetaLike, layout: ParameterLayout) -> np.ndarray:
         if theta.layout.slots != layout.slots:
             raise ValueError("parameter vector layout does not match this model")
         return theta.values
-    values = np.asarray(theta, dtype=np.float64)
-    if values.shape != (layout.n_params,):
-        raise ValueError(f"expected {layout.n_params} parameter values, got shape {values.shape}")
-    return values
+    return ParameterVector(theta, layout).values
 
 
 def utility(model: ModelSpec, theta: ThetaLike, obs: Observation, outcome: int) -> float:

@@ -142,6 +142,24 @@ class TestExitCodes:
     def test_usage_error_exits_2(self):
         assert run("estimate", "--data") == 2
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("partition", "--by", "road_class", "--confidence", "1.5"), "--confidence"),
+            (("partition", "--by", "road_class", "--min-cell-size", "-5"), "minimum cell size"),
+            (("summarize", "--bins", "30,nan"), "finite"),
+            (("summarize", "--bins", "30,inf"), "finite"),
+        ],
+        ids=["confidence", "min-cell-size", "bins-nan", "bins-inf"],
+    )
+    def test_out_of_range_value_exits_2(self, workdir, capsys, argv, message):
+        model = () if argv[0] == "summarize" else ("--model", workdir / "spec.json")
+        code = run(*argv, "--data", workdir / "data.csv", *model)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert message in captured.err
+        assert captured.out == ""
+
 
 class TestOtherCommands:
     def test_elasticities(self, workdir, capsys):

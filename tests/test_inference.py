@@ -114,6 +114,55 @@ class TestElasticityReport:
         fatality_closed = ((1.0 - prob[:, 2]) * beta * x).mean()
         assert fatality_closed > 1.5 * exact.mean()
 
+    def test_report_matches_finite_difference_for_every_slot_kind(self, three_outcomes):
+        # shared (speed_limit), specific to one outcome (dark) and one slot per
+        # outcome (width): the report's exact form must agree with the oracle
+        model = sl.ModelSpec(
+            three_outcomes,
+            (
+                sl.TermSpec("constant", (1, 2)),
+                sl.TermSpec("speed_limit", (1, 2), shared=True),
+                sl.TermSpec("dark", (2,)),
+                sl.TermSpec("width", (1, 2)),
+            ),
+        )
+        layout = sl.build_layout(model)
+        theta = sl.ParameterVector.from_dict(
+            layout,
+            {
+                "constant:injury": -1.5,
+                "constant:fatality": -4.0,
+                "speed_limit:injury+fatality": 0.03,
+                "dark:fatality": 0.6,
+                "width:injury": -0.2,
+                "width:fatality": 0.15,
+            },
+        )
+        covariates = {
+            "speed_limit": sl.UniformDist(25, 70),
+            "dark": sl.UniformDist(0.1, 2.0),
+            "width": sl.UniformDist(2.5, 4.5),
+        }
+        ds = sl.simulate(sl.GeneratorConfig(model, theta, 500, covariates, seed=9))
+        result = sl.EstimationResult(
+            theta_hat=theta,
+            covariance=np.eye(layout.n_params),
+            t_ratios=np.full(layout.n_params, 10.0),
+            ll_converged=-1.0,
+            ll_null=-1.0,
+            ll_zero=-2.0,
+            iterations=1,
+            converged=True,
+            gradient_max=0.0,
+            n_obs=ds.n_obs,
+        )
+        report = sl.elasticity_report(model, result, ds, keep_per_observation=True)
+        assert len(report.cells) == 5
+        for cell in report.cells:
+            fd = sl.finite_difference_elasticity(model, theta, ds, cell.variable, cell.outcome)
+            rel = np.abs(cell.per_observation - fd) / np.abs(fd)
+            assert rel.max() < 1e-6, (cell.variable, cell.outcome, rel.max())
+
     def test_significance_gating(self, alt_specific_setup):
         model, theta, ds = alt_specific_setup
         layout = sl.build_layout(model)

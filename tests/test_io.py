@@ -168,6 +168,23 @@ class TestIngestCSV:
         path.write_bytes(b"\xef\xbb\xbf" + csv_fixture.read_bytes())
         assert ingest_csv(path) == ingest_csv(csv_fixture)
 
+    def test_listing_is_capped_but_lines_complete(self, tmp_path, monkeypatch):
+        path = tmp_path / "miscased.csv"
+        rows = ["outcome,road_class,location,accident_type,x"]
+        rows += [f"Injury,other,other,other,{i}" for i in range(6)]  # lines 2-7
+        rows[4] = "Injury,freeway,other,other,3"  # line 5: two problems
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        monkeypatch.setattr(sl.io, "BLOCK_ROWS", 2)
+        monkeypatch.setattr(sl.io, "LISTED_PROBLEMS", 4)
+        with pytest.raises(sl.IngestionError) as err:
+            ingest_csv(path)
+        assert err.value.lines == (2, 3, 4, 5, 5, 6, 7)
+        message = str(err.value).splitlines()
+        assert message[0].endswith("7 problem(s) while ingesting:")
+        assert [m.split(":")[0] for m in message[1:5]] == [f"  line {n}" for n in (2, 3, 4, 5)]
+        assert "'Injury'" in message[4]
+        assert message[5:] == ["  … and 3 more problem(s)"]
+
     def test_lines_count_physical_lines_across_blocks(self, tmp_path, monkeypatch):
         path = tmp_path / "blocks.csv"
         path.write_text(

@@ -84,6 +84,32 @@ class TestLayout:
         assert names[0] == names[1] == names[2]
         assert layouts[0].slots == layouts[1].slots == layouts[2].slots
 
+    def test_permutation_keeps_slot_of(self, three_outcomes):
+        terms = (
+            sl.TermSpec("constant", (1, 2)),
+            sl.TermSpec("speed_limit", (1, 2), shared=True),
+            sl.TermSpec("curve", (2,)),
+        )
+        first, *others = (
+            sl.build_layout(sl.ModelSpec(three_outcomes, perm)).slot_of
+            for perm in (terms, terms[::-1], (terms[1], terms[2], terms[0]))
+        )
+        assert all(other == first for other in others)
+        assert first == {
+            ("constant", 1): 0,
+            ("constant", 2): 1,
+            ("curve", 2): 2,
+            ("speed_limit", 1): 3,
+            ("speed_limit", 2): 3,
+        }
+
+    def test_slot_index_unknown_pair_is_key_error(self, speed_model):
+        layout = sl.build_layout(speed_model)
+        assert layout.slot_index("curve", 2) == 2
+        for variable, outcome in (("curve", 1), ("nope", 1), ("speed_limit", 0)):
+            with pytest.raises(KeyError, match=f"no slot for variable '{variable}'"):
+                layout.slot_index(variable, outcome)
+
     def test_slot_names(self, speed_model):
         layout = sl.build_layout(speed_model)
         assert layout.slot_names() == (
@@ -141,6 +167,19 @@ class TestUtility:
                     speed_model, t2, obs, i
                 )
                 assert left == pytest.approx(right, abs=1e-12)
+
+    def test_softmax_of_utilities_is_probabilities(self, speed_model):
+        rng = np.random.default_rng(8)
+        for _ in range(25):
+            theta = rng.normal(size=speed_model.n_params)
+            obs = sl.Observation(
+                {"speed_limit": float(rng.uniform(20, 70)), "curve": float(rng.integers(2))}, 0
+            )
+            u = np.array([sl.utility(speed_model, theta, obs, i) for i in range(3)])
+            softmax = np.exp(u - u.max()) / np.exp(u - u.max()).sum()
+            np.testing.assert_allclose(
+                softmax, sl.probabilities(speed_model, theta, obs), rtol=0, atol=1e-15
+            )
 
     def test_missing_covariate_is_schema_error(self, speed_model, speed_theta):
         obs = sl.Observation({"speed_limit": 55.0}, 0)
