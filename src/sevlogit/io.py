@@ -326,7 +326,7 @@ def _parse_theta(raw, model: ModelSpec) -> np.ndarray:
         if isinstance(raw, dict):
             return ParameterVector.from_dict(layout, {k: float(v) for k, v in raw.items()}).values
         return ParameterVector([float(v) for v in raw], layout).values
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"theta: {exc} (slot order {list(layout.slot_names())})") from None
 
 

@@ -422,6 +422,20 @@ class TestGeneratorConfigFile:
         with pytest.raises(sl.ConfigError, match="slot order"):
             load_generator_config(self._write(tmp_path, doc))
 
+    @pytest.mark.parametrize("theta", [{"constant:b": None}, 0.5, ["x"]])
+    def test_theta_of_wrong_type_is_config_error(self, tmp_path, theta):
+        doc = {
+            "model": {
+                "outcomes": ["a", "b"],
+                "terms": [{"variable": "constant", "outcomes": ["b"]}],
+            },
+            "theta": theta,
+            "n": 5,
+            "covariates": {},
+        }
+        with pytest.raises(sl.ConfigError, match="slot order"):
+            load_generator_config(self._write(tmp_path, doc))
+
     def test_unknown_distribution(self, tmp_path):
         doc = {
             "model": {
