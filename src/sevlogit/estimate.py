@@ -125,15 +125,13 @@ def estimate(
     inputs = _design_inputs(design, dataset)
     n_outcomes = design.n_outcomes
 
-    diagnostics: list[str] = []
-    referenced = sorted({int(o) for o in design.entry_outcome})
     counts = dataset.outcome_counts()
-    for out in referenced:
-        if counts[out] == 0:
-            diagnostics.append(
-                f"outcome {model.outcome_set.labels[out]!r} appears in the model "
-                "but never in the data; its coefficients are not identified"
-            )
+    diagnostics = [
+        f"outcome {model.outcome_set.labels[out]!r} appears in the model "
+        "but never in the data; its coefficients are not identified"
+        for out in sorted({int(o) for o in design.entry_outcome})
+        if counts[out] == 0
+    ]
     max_floored = 0
 
     def evaluate(values: np.ndarray):
@@ -147,10 +145,9 @@ def estimate(
     if not math.isfinite(ll):
         raise NumericError("log-likelihood is not finite")
     ll_zero = ll
-    line_search_failed = False
     ll_stalls = 0  # consecutive sub-threshold LL gains
     iterations = 0
-    converged = False
+    failure = None  # why the loop stopped short of an optimum
 
     while True:
         # the log-likelihood is concave, so -Hessian singular past the limit at
@@ -172,8 +169,8 @@ def estimate(
                 f"unidentified slots: {names}",
                 slots=slots,
             )
-        if float(np.abs(grad).max()) < options.gradient_tol:
-            converged = True
+        gradient_max = float(np.abs(grad).max())
+        if gradient_max < options.gradient_tol:
             break
         if ll_stalls >= 3:
             # LL-change criterion: the objective has stopped moving. Requiring
@@ -181,11 +178,11 @@ def estimate(
             # gradient under its own tolerance first in well-posed problems.
             diagnostics.append(
                 "converged on log-likelihood stall with gradient max-norm "
-                f"{float(np.abs(grad).max()):.3e} above {options.gradient_tol:g}"
+                f"{gradient_max:.3e} above {options.gradient_tol:g}"
             )
-            converged = True
             break
         if iterations >= options.max_iterations:
+            failure = f"no convergence after {iterations} iterations"
             break
 
         direction = np.linalg.solve(neg_hess, grad)
@@ -204,14 +201,12 @@ def estimate(
 
         iterations += 1
         if not (math.isfinite(new_ll) and new_ll >= ll - slack):
-            line_search_failed = True
+            failure = f"line search stalled after {MAX_HALVINGS} halvings"
             break
 
-        prev_ll = ll
+        stalled = abs(new_ll - ll) < LL_REL_TOL * (abs(new_ll) + 1.0)
+        ll_stalls = ll_stalls + 1 if stalled else 0
         theta, ll, grad, hess = new_theta, new_ll, new_grad, new_hess
-        ll_stalls = ll_stalls + 1 if _ll_converged(ll, prev_ll, LL_REL_TOL) else 0
-
-    gradient_max = float(np.abs(grad).max())
 
     if max_floored > 0:
         diagnostics.append(
@@ -219,63 +214,41 @@ def estimate(
             "during optimization (possible quasi-separation)"
         )
 
-    result_stub = ParameterVector(theta.copy(), layout)
-    if not converged:
-        partial = _build_result(
-            result_stub, np.full((n_params, n_params), np.nan), np.full(n_params, np.nan),
-            ll, dataset, ll_zero, iterations, False, gradient_max, diagnostics, options,
-        )
-        reason = (
-            f"line search stalled after {MAX_HALVINGS} halvings"
-            if line_search_failed
-            else f"no convergence after {iterations} iterations"
-        )
-        raise NonConvergenceError(
-            f"{reason} (gradient max-norm {gradient_max:.3e} >= {options.gradient_tol:g})",
-            last_result=partial,
-        )
+    if failure is None:
+        condition = max_eig / min_eig
+        if condition > 0.01 * CONDITION_LIMIT:
+            diagnostics.append(
+                f"information matrix is ill-conditioned (condition {condition:.2e}); "
+                "standard errors for weakly identified slots are unreliable"
+            )
+        # the eigh check proved -Hessian positive definite, so every variance is > 0
+        covariance = np.linalg.inv(neg_hess)
+        covariance = 0.5 * (covariance + covariance.T)
+        t_ratios = theta / np.sqrt(np.diag(covariance))
+    else:
+        covariance = np.full((n_params, n_params), np.nan)
+        t_ratios = np.full(n_params, np.nan)
 
-    condition = max_eig / min_eig
-    if condition > 0.01 * CONDITION_LIMIT:
-        diagnostics.append(
-            f"information matrix is ill-conditioned (condition {condition:.2e}); "
-            "standard errors for weakly identified slots are unreliable"
-        )
-
-    covariance = np.linalg.inv(neg_hess)
-    covariance = 0.5 * (covariance + covariance.T)
-    std = np.sqrt(np.maximum(np.diag(covariance), 0.0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_ratios = np.where(std > 0.0, theta / std, 0.0)
-
-    return _build_result(
-        result_stub, covariance, t_ratios, ll, dataset, ll_zero,
-        iterations, True, gradient_max, diagnostics, options,
-    )
-
-
-def _ll_converged(new_ll: float, old_ll: float, rel_tol: float) -> bool:
-    return abs(new_ll - old_ll) < rel_tol * (abs(new_ll) + 1.0)
-
-
-def _build_result(
-    theta_hat, covariance, t_ratios, ll, dataset, ll_zero,
-    iterations, converged, gradient_max, diagnostics, options,
-) -> EstimationResult:
-    return EstimationResult(
-        theta_hat=theta_hat,
+    result = EstimationResult(
+        theta_hat=ParameterVector(theta.copy(), layout),
         covariance=covariance,
-        t_ratios=np.asarray(t_ratios, dtype=np.float64),
+        t_ratios=t_ratios,
         ll_converged=float(ll),
         ll_null=null_log_likelihood(dataset),
         ll_zero=float(ll_zero),
         iterations=iterations,
-        converged=converged,
+        converged=failure is None,
         gradient_max=gradient_max,
         n_obs=dataset.n_obs,
         diagnostics=tuple(diagnostics),
         options=options,
     )
+    if failure is not None:
+        raise NonConvergenceError(
+            f"{failure} (gradient max-norm {gradient_max:.3e} >= {options.gradient_tol:g})",
+            last_result=result,
+        )
+    return result
 
 
 def fit_statistics(result: EstimationResult) -> FitStatistics:

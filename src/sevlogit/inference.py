@@ -296,44 +296,35 @@ def evaluate_partition(
 
     pooled = estimate(model, dataset, options)
 
-    if len(cells) == 1:
-        return PartitionReport(
-            dims=dims,
-            pooled=pooled,
-            cells=(),
-            test=None,
-            test_unavailable_reason="single-cell partition; nothing to compare",
-            min_cell_size=min_cell_size,
+    # a single cell is the pooled data again: there is nothing to fit or compare
+    reports: list[CellReport] = []
+    for key, cell_data in cells.items() if len(cells) > 1 else ():
+        status, reason, result, error = "ok", None, None, None
+        if cell_data.n_obs < min_cell_size:
+            status, reason = "skipped", f"cell size {cell_data.n_obs} below minimum {min_cell_size}"
+        else:
+            try:
+                result = estimate(model, cell_data, options)
+            except SevlogitError as exc:
+                status, reason, error = "failed", str(exc), exc
+        reports.append(
+            CellReport(key, _cell_label(dims, key), cell_data.n_obs, status, reason, result, error)
         )
 
-    reports: list[CellReport] = []
-    for key, cell_data in cells.items():
-        label = _cell_label(dims, key)
-        if cell_data.n_obs < min_cell_size:
-            reports.append(
-                CellReport(key, label, cell_data.n_obs, "skipped",
-                           f"cell size {cell_data.n_obs} below minimum {min_cell_size}", None)
-            )
-            continue
-        try:
-            cell_result = estimate(model, cell_data, options)
-        except SevlogitError as exc:
-            reports.append(CellReport(key, label, cell_data.n_obs, "failed", str(exc), None, exc))
-            continue
-        reports.append(CellReport(key, label, cell_data.n_obs, "ok", None, cell_result))
-
     not_ok = [r for r in reports if r.status != "ok"]
-    if not_ok:
-        reason = "; ".join(f"{r.label}: {r.status} ({r.reason})" for r in not_ok)
-        test = None
-        unavailable = f"not all cells estimated: {reason}"
+    test, unavailable = None, None
+    if len(cells) == 1:
+        unavailable = "single-cell partition; nothing to compare"
+    elif not_ok:
+        unavailable = "not all cells estimated: " + "; ".join(
+            f"{r.label}: {r.status} ({r.reason})" for r in not_ok
+        )
     else:
         test = lr_split_test(
             pooled.ll_converged,
             pooled.n_params,
             [(r.result.ll_converged, r.result.n_params) for r in reports],
         )
-        unavailable = None
 
     return PartitionReport(
         dims=dims,
