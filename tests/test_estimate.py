@@ -133,6 +133,8 @@ class TestEstimate:
         assert partial is not None
         assert not partial.converged
         assert partial.iterations == 1
+        assert np.isnan(partial.covariance).all()
+        assert np.isnan(partial.t_ratios).all()
 
 
 def _count_full_passes(monkeypatch):
@@ -178,6 +180,39 @@ class TestNewtonLoop:
         assert result.converged
         assert calls[0] >= result.iterations + 2  # at least one halving
         assert np.abs(result.theta_hat.values - expected).max() < 1e-8
+
+    def test_ll_stall_converges_with_note(self, speed_model, speed_dataset):
+        # no iterate can meet this gradient tolerance, so only the LL stall ends the loop
+        result = sl.estimate(speed_model, speed_dataset, EstimateOptions(gradient_tol=1e-300))
+        assert result.converged
+        assert result.iterations >= 3  # three consecutive stalls are required
+        notes = [d for d in result.diagnostics if d.startswith("converged on log-likelihood stall")]
+        assert notes == [
+            f"converged on log-likelihood stall with gradient max-norm "
+            f"{result.gradient_max:.3e} above 1e-300"
+        ]
+        assert np.isfinite(result.covariance).all()
+
+    def test_line_search_stall_raises_with_start(self, speed_model, speed_dataset, monkeypatch):
+        real = _kernels.loglik_grad_hess
+        calls = [0]
+
+        def nan_after_start(*args):
+            calls[0] += 1
+            ll, grad, hess, n_floored = real(*args)
+            return (ll if calls[0] == 1 else math.nan), grad, hess, n_floored
+
+        monkeypatch.setattr(_kernels, "loglik_grad_hess", nan_after_start)
+        with pytest.raises(sl.NonConvergenceError) as err:
+            sl.estimate(speed_model, speed_dataset)
+        assert str(err.value).startswith("line search stalled after 30 halvings (gradient max-norm")
+        assert calls[0] == 1 + 1 + 30  # theta = 0, the full step, then every halving
+        partial = err.value.last_result
+        assert not partial.converged
+        assert partial.iterations == 1
+        assert np.array_equal(partial.theta_hat.values, np.zeros(partial.n_params))
+        assert np.isnan(partial.covariance).all()
+        assert np.isnan(partial.t_ratios).all()
 
     def test_nonfinite_ll_at_zero_raises(self, speed_model, speed_dataset, monkeypatch):
         real = _kernels.loglik_grad_hess
