@@ -21,6 +21,7 @@ from .data import partition, summarize  # noqa: F401
 from .errors import ConfigError, SevlogitError
 from .estimate import EstimateOptions, estimate
 from .inference import (
+    AGGREGATIONS,
     DEFAULT_SIGNIFICANCE_T,
     PartitionReport,
     elasticity_report,
@@ -57,8 +58,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("elasticities", help="fit a model and report elasticities")
     common(p)
-    p.add_argument("--sig-threshold", type=float, default=DEFAULT_SIGNIFICANCE_T)
-    p.add_argument("--aggregation", choices=("mean", "prob-weighted"), default="mean")
+    p.add_argument("--sig-threshold", type=float, default=DEFAULT_SIGNIFICANCE_T,
+                   help="|t| above which a cell's elasticity is shown (finite, >= 0)")
+    p.add_argument("--aggregation", choices=AGGREGATIONS, default="mean")
     p.set_defaults(handler=_cmd_elasticities)
 
     p = sub.add_parser("split-test", help="likelihood-ratio test for splitting by segment")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -19,6 +20,7 @@ SPLIT_CONFIDENCE_LEVELS = (0.90, 0.95, 0.99)
 TEMPORAL_CONFIDENCE_LEVELS = (0.70, 0.90, 0.95, 0.99)
 
 DEFAULT_SIGNIFICANCE_T = 1.96
+AGGREGATIONS = ("mean", "prob-weighted")
 
 
 def elasticity_point(probability: float, coefficient: float, value: float) -> float:
@@ -68,9 +70,7 @@ def _is_indicator(values: np.ndarray) -> bool:
 def _aggregate(per_obs: np.ndarray, prob: np.ndarray, aggregation: str) -> float:
     if aggregation == "mean":
         return float(per_obs.mean())
-    if aggregation == "prob-weighted":
-        return float((prob * per_obs).sum() / prob.sum())
-    raise ValueError(f"unknown aggregation {aggregation!r}; expected 'mean' or 'prob-weighted'")
+    return float((prob * per_obs).sum() / prob.sum())  # "prob-weighted"
 
 
 def elasticity_report(
@@ -90,6 +90,10 @@ def elasticity_report(
     does not enter. Indicator (0/1) variables get a pseudo-elasticity: the
     relative probability change from flipping the indicator 0 -> 1.
     """
+    if not (math.isfinite(threshold) and threshold >= 0.0):
+        raise ValueError(f"significance threshold must be finite and >= 0, got {threshold!r}")
+    if aggregation not in AGGREGATIONS:
+        raise ValueError(f"unknown aggregation {aggregation!r}; expected 'mean' or 'prob-weighted'")
     if not result.converged:
         raise ValueError("elasticity report requires a converged result")
     if dataset.n_obs == 0:

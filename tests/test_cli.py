@@ -149,8 +149,12 @@ class TestExitCodes:
             (("partition", "--by", "road_class", "--min-cell-size", "-5"), "minimum cell size"),
             (("summarize", "--bins", "30,nan"), "finite"),
             (("summarize", "--bins", "30,inf"), "finite"),
+            (("elasticities", "--sig-threshold", "nan"), "significance threshold"),
+            (("elasticities", "--sig-threshold", "inf"), "significance threshold"),
+            (("elasticities", "--sig-threshold", "-1"), "significance threshold"),
         ],
-        ids=["confidence", "min-cell-size", "bins-nan", "bins-inf"],
+        ids=["confidence", "min-cell-size", "bins-nan", "bins-inf",
+             "sig-threshold-nan", "sig-threshold-inf", "sig-threshold-negative"],
     )
     def test_out_of_range_value_exits_2(self, workdir, capsys, argv, message):
         model = () if argv[0] == "summarize" else ("--model", workdir / "spec.json")

@@ -227,6 +227,17 @@ class TestElasticityReport:
         with pytest.raises(ValueError, match="aggregation"):
             sl.elasticity_report(speed_model, result, speed_dataset, aggregation="median")
 
+    def test_unknown_aggregation_rejected_with_no_significant_cell(
+        self, speed_model, speed_dataset
+    ):
+        # with no cell above the threshold no value is aggregated, so only the
+        # up-front check can reject the name
+        result = sl.estimate(speed_model, speed_dataset)
+        with pytest.raises(ValueError, match="unknown aggregation 'bogus'"):
+            sl.elasticity_report(
+                speed_model, result, speed_dataset, threshold=1e300, aggregation="bogus"
+            )
+
     def test_per_observation_vector_optional(self, speed_model, speed_dataset):
         result = sl.estimate(speed_model, speed_dataset)
         rep = sl.elasticity_report(
