@@ -81,10 +81,9 @@ def render_estimation(rec: dict) -> str:
         lines.append(
             f"rho-squared: {rec['rho_squared']:.4f}    adjusted: {rec['rho_squared_adj']:.4f}"
         )
-    lines.append(
-        f"Iterations: {rec['iterations']}    Converged: {'yes' if rec['converged'] else 'no'}"
-        f"    max |gradient|: {rec['gradient_max']:.3e}"
-    )
+    # at an optimum the gradient is rounding noise; only a failed fit shows it
+    status = "yes" if rec["converged"] else f"no    max |gradient|: {rec['gradient_max']:.3e}"
+    lines.append(f"Iterations: {rec['iterations']}    Converged: {status}")
     for note in rec["diagnostics"]:
         lines.append(f"Note: {note}")
     return "\n".join(lines) + "\n"

@@ -7,7 +7,7 @@ import pytest
 import sevlogit as sl
 from sevlogit.cli import main
 from sevlogit.io import model_spec_to_dict, write_csv
-from sevlogit.report import render
+from sevlogit.report import estimation_record, render
 
 
 @pytest.fixture
@@ -32,6 +32,28 @@ class TestEstimateCommand:
         assert "t-ratio" in out
         assert "rho-squared" in out
         assert "command=estimate" in out
+
+    def test_converged_table_omits_gradient_noise(self, workdir, capsys):
+        code = run(
+            "estimate", "--data", workdir / "data.csv", "--model", workdir / "spec.json",
+            "--format", "records",
+        )
+        assert code == 0
+        iterations = _records_of(capsys)[1]["iterations"]
+        run("estimate", "--data", workdir / "data.csv", "--model", workdir / "spec.json")
+        out = capsys.readouterr().out
+        assert f"Iterations: {iterations}    Converged: yes\n" in out
+        assert "max |gradient|" not in out
+
+    def test_unconverged_table_shows_gradient(self, speed_model, speed_dataset):
+        with pytest.raises(sl.NonConvergenceError) as err:
+            sl.estimate(speed_model, speed_dataset, sl.EstimateOptions(max_iterations=1))
+        partial = err.value.last_result
+        table = render(estimation_record(partial))
+        assert (
+            f"Iterations: 1    Converged: no    max |gradient|: {partial.gradient_max:.3e}\n"
+            in table
+        )
 
     def test_output_file_written(self, workdir):
         out_path = workdir / "report.txt"
