@@ -189,18 +189,13 @@ def estimate(
         # accept within summation-noise slack: near the optimum the true Newton
         # gain sinks below the evaluation noise of a several-thousand-unit LL
         slack = 1e-12 * (abs(ll) + 1.0)
-        step = 1.0
-        new_theta = theta + direction
-        new_ll, new_grad, new_hess = evaluate(new_theta)
-        halvings = 0
-        while not (math.isfinite(new_ll) and new_ll >= ll - slack) and halvings < MAX_HALVINGS:
-            step *= 0.5
-            halvings += 1
-            new_theta = theta + step * direction
-            new_ll, new_grad, new_hess = evaluate(new_theta)
-
         iterations += 1
-        if not (math.isfinite(new_ll) and new_ll >= ll - slack):
+        for halvings in range(MAX_HALVINGS + 1):
+            new_theta = theta + 0.5**halvings * direction
+            new_ll, new_grad, new_hess = evaluate(new_theta)
+            if math.isfinite(new_ll) and new_ll >= ll - slack:
+                break
+        else:  # no step length was accepted
             failure = f"line search stalled after {MAX_HALVINGS} halvings"
             break
 

@@ -324,17 +324,6 @@ def evaluate_partition(
             f"{r.label}: {r.status} ({r.reason})" for r in not_ok
         )
     else:
-        test = lr_split_test(
-            pooled.ll_converged,
-            pooled.n_params,
-            [(r.result.ll_converged, r.result.n_params) for r in reports],
-        )
-
-    return PartitionReport(
-        dims=dims,
-        pooled=pooled,
-        cells=tuple(reports),
-        test=test,
-        test_unavailable_reason=unavailable,
-        min_cell_size=min_cell_size,
-    )
+        subsets = [(r.result.ll_converged, r.result.n_params) for r in reports]
+        test = lr_split_test(pooled.ll_converged, pooled.n_params, subsets)
+    return PartitionReport(dims, pooled, tuple(reports), test, unavailable, min_cell_size)
