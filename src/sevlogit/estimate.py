@@ -105,7 +105,8 @@ def estimate(
     ------
     NonConvergenceError
         Iteration cap exceeded or the line search stalled away from an
-        optimum; the exception carries the last iterate.
+        optimum; the exception carries the last iterate, with NaN covariance
+        and t-ratios.
     NonIdentificationError
         The information matrix at some iterate, the optimum included, is
         singular past the condition limit; raised at that iterate, before a
