@@ -12,17 +12,20 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__, report
 from ._kernels import active_backend
 # partition is not called here, but perfbench/tracing.py patches it in this namespace
-from .data import partition, summarize  # noqa: F401
+from .data import OutcomeSet, bin_edges, partition, partition_dims, summarize  # noqa: F401
 from .errors import ConfigError, SevlogitError
 from .estimate import EstimateOptions, estimate
 from .inference import (
     AGGREGATIONS,
     DEFAULT_SIGNIFICANCE_T,
+    ElasticityOptions,
+    PartitionOptions,
     PartitionReport,
     elasticity_report,
     evaluate_partition,
@@ -102,8 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _check_inputs(*paths) -> None:
     for path in paths:
-        if path is None:
-            continue
         p = Path(path)
         if not p.is_file():
             raise ConfigError(f"input file not found: {p}")
@@ -150,33 +151,33 @@ def _load(args):
 
 
 def _cmd_estimate(args) -> int:
+    options = _options(args)
     model, dataset = _load(args)
-    result = estimate(model, dataset, _options(args))
+    result = estimate(model, dataset, options)
     return _report(args, _config_dict(args, "estimate"), [report.estimation_record(result)])
 
 
 def _cmd_elasticities(args) -> int:
+    options = _options(args)
+    settings = ElasticityOptions(args.sig_threshold, args.aggregation)
     model, dataset = _load(args)
-    result = estimate(model, dataset, _options(args))
+    result = estimate(model, dataset, options)
     rep = elasticity_report(
-        model, result, dataset, threshold=args.sig_threshold, aggregation=args.aggregation
+        model, result, dataset, threshold=settings.threshold, aggregation=settings.aggregation
     )
     config = _config_dict(
-        args, "elasticities", sig_threshold=args.sig_threshold, aggregation=args.aggregation
+        args, "elasticities", sig_threshold=settings.threshold, aggregation=settings.aggregation
     )
     return _report(args, config, [report.estimation_record(result), report.elasticity_record(rep)])
 
 
 def _parse_dims(raw: str) -> tuple[str, ...]:
-    dims = tuple(d.strip() for d in raw.split(",") if d.strip())
-    if not dims:
-        raise ConfigError("--by must name at least one dimension")
-    return dims
+    return tuple(d.strip() for d in raw.split(",") if d.strip())
 
 
-def _fit_cells(args, model, dataset, dims) -> PartitionReport:
+def _fit_cells(model, dataset, dims, options: EstimateOptions) -> PartitionReport:
     """Pooled and per-cell fits over every non-empty cell; a failed fit raises its own error."""
-    rep = evaluate_partition(model, dataset, dims, _options(args), min_cell_size=1)
+    rep = evaluate_partition(model, dataset, dims, options, min_cell_size=1)
     if not rep.cells:
         raise ConfigError(f"splitting by {{{', '.join(dims)}}} produces 1 cell(s); need at least 2")
     for cell in rep.cells:
@@ -186,9 +187,10 @@ def _fit_cells(args, model, dataset, dims) -> PartitionReport:
 
 
 def _cmd_split_test(args) -> int:
+    options, dims = _options(args), _parse_dims(args.by)
+    partition_dims(dims)  # the dims rule, checked before any file is read
     model, dataset = _load(args)
-    dims = _parse_dims(args.by)
-    rep = _fit_cells(args, model, dataset, dims)
+    rep = _fit_cells(model, dataset, dims, options)
     records = [report.estimation_record(rep.pooled, label="pooled")]
     for cell in rep.cells:
         label = ", ".join(str(v) for v in cell.key)
@@ -198,26 +200,26 @@ def _cmd_split_test(args) -> int:
 
 
 def _cmd_temporal_test(args) -> int:
+    options, label_a, label_b = _options(args), args.period_a, args.period_b
+    if (label_a is None) != (label_b is None):
+        raise ConfigError("give both --period-a and --period-b, or neither")
     model, dataset = _load(args)
 
     periods = list(dataset.period_labels)
-    label_a, label_b = args.period_a, args.period_b
-    if label_a is None and label_b is None:
+    if label_a is None:
         if len(periods) != 2:
             raise ConfigError(
                 f"temporal test needs exactly two periods in the data, found {periods}; "
                 "use --period-a/--period-b to select"
             )
         label_a, label_b = periods
-    elif label_a is None or label_b is None:
-        raise ConfigError("give both --period-a and --period-b, or neither")
     for label in (label_a, label_b):
         if label not in periods:
             raise ConfigError(f"period {label!r} not present in the data (found {periods})")
 
     code = dataset.columns["period"]
     both = dataset.take((code == periods.index(label_a)) | (code == periods.index(label_b)))
-    rep = _fit_cells(args, model, both, ("period",))
+    rep = _fit_cells(model, both, ("period",), options)
     fits = {cell.key: cell.result for cell in rep.cells}
     fit_all, fit_a, fit_b = rep.pooled, fits[(label_a,)], fits[(label_b,)]
     test = lr_temporal_test(
@@ -239,29 +241,26 @@ def _cmd_temporal_test(args) -> int:
 
 
 def _cmd_partition(args) -> int:
-    if not 0.0 < args.confidence < 1.0:
-        raise ConfigError(f"--confidence must be in (0, 1), got {args.confidence}")
+    options, dims = _options(args), _parse_dims(args.by)
+    settings = PartitionOptions(dims, args.min_cell_size, args.confidence)
     model, dataset = _load(args)
-    dims = _parse_dims(args.by)
     rep = evaluate_partition(
-        model, dataset, dims, options=_options(args), min_cell_size=args.min_cell_size
+        model, dataset, settings.dims, options=options, min_cell_size=settings.min_cell_size
     )
     config = _config_dict(
         args,
         "partition",
         by=",".join(dims),
         min_cell_size=rep.min_cell_size,
-        confidence=args.confidence,
+        confidence=settings.confidence,
     )
-    return _report(args, config, [report.partition_record(rep, args.confidence)])
+    return _report(args, config, [report.partition_record(rep, settings.confidence)])
 
 
 def _cmd_simulate(args) -> int:
     _check_inputs(args.config)
     config, period = load_generator_config(args.config)
     if args.seed is not None:
-        from dataclasses import replace
-
         config = replace(config, seed=args.seed)
     if args.period is not None:
         period = args.period
@@ -283,17 +282,16 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_summarize(args) -> int:
-    _check_inputs(args.data)
-    outcome_set = None
-    if args.outcomes:
-        from .data import OutcomeSet
-
-        outcome_set = OutcomeSet(tuple(s.strip() for s in args.outcomes.split(",")))
-    dataset = ingest_csv(args.data, outcome_set)
     try:
         bins = [float(b) for b in args.bins.split(",") if b.strip()]
     except ValueError:
         raise ConfigError(f"--bins must be a comma list of numbers, got {args.bins!r}") from None
+    bins = bin_edges(bins)
+    outcome_set = None
+    if args.outcomes:
+        outcome_set = OutcomeSet(tuple(s.strip() for s in args.outcomes.split(",")))
+    _check_inputs(args.data)
+    dataset = ingest_csv(args.data, outcome_set)
     table = summarize(dataset, bins, variable=args.speed_var)
     config = _config_dict(args, "summarize", bins=args.bins, speed_var=args.speed_var)
     return _report(args, config, [report.summary_record(table)])

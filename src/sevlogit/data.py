@@ -288,6 +288,17 @@ def concatenate(datasets: Sequence[Dataset]) -> Dataset:
     return Dataset.from_columns(first.outcome_set, first.variable_names, columns, labels)
 
 
+def partition_dims(dims: Sequence[str]) -> tuple[str, ...]:
+    """The dims rule: a non-empty subset of PARTITION_DIMS, returned in canonical order."""
+    dims = tuple(dims)
+    if not dims:
+        raise ValueError("partition dims must be non-empty; name at least one dimension")
+    bad = [d for d in dims if d not in PARTITION_DIMS]
+    if bad:
+        raise ValueError(f"unknown partition dims {bad}; expected subset of {PARTITION_DIMS}")
+    return tuple(d for d in PARTITION_DIMS if d in dims)
+
+
 def partition(dataset: Dataset, dims: Sequence[str]) -> dict[tuple, Dataset]:
     """Split a dataset by segment/period dimensions.
 
@@ -304,14 +315,7 @@ def partition(dataset: Dataset, dims: Sequence[str]) -> dict[tuple, Dataset]:
     variable list. Keys are sorted by their label strings (a missing period, None,
     first) for deterministic iteration.
     """
-    dims = tuple(dims)
-    if not dims:
-        raise ValueError("dims must be non-empty")
-    bad = [d for d in dims if d not in PARTITION_DIMS]
-    if bad:
-        raise ValueError(f"unknown partition dims {bad}; expected subset of {PARTITION_DIMS}")
-    dims = tuple(d for d in PARTITION_DIMS if d in dims)
-
+    dims = partition_dims(dims)
     key = np.zeros(dataset.n_obs, dtype=np.int64)  # mixed radix; period + 1 keeps -1 apart
     for d in dims:
         key = key * len(dataset.levels(d)) + dataset.columns[d] + (d == "period")
@@ -357,6 +361,18 @@ class SummaryTable:
         return sum(b.total for b in self.bins)
 
 
+def bin_edges(bins: Sequence[float]) -> list[float]:
+    """The bins rule: non-empty, finite and strictly increasing interior edges."""
+    edges = [float(b) for b in bins]
+    if not edges:
+        raise ValueError("bins must be non-empty")
+    if not all(map(math.isfinite, edges)):
+        raise ValueError(f"bin edges must be finite, got {edges}")
+    if any(b >= c for b, c in zip(edges, edges[1:])):
+        raise ValueError(f"bin edges must be strictly increasing, got {edges}")
+    return edges
+
+
 def _band_label(lower: float, upper: float) -> str:
     if lower == -math.inf:
         return f"<= {upper:g}"
@@ -372,15 +388,9 @@ def summarize(dataset: Dataset, bins: Sequence[float], variable: str = "speed_li
     m + 1 bands: (-inf, b0], (b0, b1], ..., (b_{m-1}, +inf), so every
     observation lands in exactly one band and band counts sum to the dataset size.
     """
+    edges = bin_edges(bins)
     if variable not in dataset.variable_names:
         raise SchemaError(f"dataset has no {variable!r} variable")
-    edges = [float(b) for b in bins]
-    if not edges:
-        raise ValueError("bins must be non-empty")
-    if not all(map(math.isfinite, edges)):
-        raise ValueError(f"bin edges must be finite, got {edges}")
-    if any(b >= c for b, c in zip(edges, edges[1:])):
-        raise ValueError(f"bin edges must be strictly increasing, got {edges}")
 
     n_out = dataset.outcome_set.n_outcomes
     bounds = [-math.inf, *edges, math.inf]

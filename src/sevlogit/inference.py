@@ -9,7 +9,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .chi2 import chi_square_sf
-from .data import PARTITION_DIMS, Dataset, partition
+from .data import Dataset, partition, partition_dims
 from .errors import EmptyPartitionError, InconsistencyError, SevlogitError
 from .estimate import EstimateOptions, EstimationResult, estimate
 from .likelihood import probabilities_for_matrix, probability_matrix
@@ -21,6 +21,37 @@ TEMPORAL_CONFIDENCE_LEVELS = (0.70, 0.90, 0.95, 0.99)
 
 DEFAULT_SIGNIFICANCE_T = 1.96
 AGGREGATIONS = ("mean", "prob-weighted")
+
+
+@dataclass(frozen=True)
+class ElasticityOptions:
+    """Elasticity report settings: the |t| gate of a cell and how observations are averaged."""
+
+    threshold: float = DEFAULT_SIGNIFICANCE_T
+    aggregation: str = "mean"
+
+    def __post_init__(self):
+        threshold, aggregation = self.threshold, self.aggregation
+        if not (math.isfinite(threshold) and threshold >= 0.0):
+            raise ValueError(f"significance threshold must be finite and >= 0, got {threshold!r}")
+        if aggregation not in AGGREGATIONS:
+            raise ValueError(f"unknown aggregation {aggregation!r}; expected 'mean' or 'prob-weighted'")
+
+
+@dataclass(frozen=True)
+class PartitionOptions:
+    """Partition dims (kept in canonical order), minimum cell size and headline confidence."""
+
+    dims: tuple[str, ...]
+    min_cell_size: Optional[int] = None
+    confidence: float = 0.95
+
+    def __post_init__(self):
+        object.__setattr__(self, "dims", partition_dims(self.dims))
+        if self.min_cell_size is not None and self.min_cell_size < 1:
+            raise ValueError(f"minimum cell size must be >= 1, got {self.min_cell_size}")
+        if not 0.0 < self.confidence < 1.0:
+            raise ValueError(f"--confidence must be in (0, 1), got {self.confidence}")
 
 
 def elasticity_point(probability: float, coefficient: float, value: float) -> float:
@@ -90,10 +121,7 @@ def elasticity_report(
     does not enter. Indicator (0/1) variables get a pseudo-elasticity: the
     relative probability change from flipping the indicator 0 -> 1.
     """
-    if not (math.isfinite(threshold) and threshold >= 0.0):
-        raise ValueError(f"significance threshold must be finite and >= 0, got {threshold!r}")
-    if aggregation not in AGGREGATIONS:
-        raise ValueError(f"unknown aggregation {aggregation!r}; expected 'mean' or 'prob-weighted'")
+    ElasticityOptions(threshold, aggregation)  # raises on a bad value
     if not result.converged:
         raise ValueError("elasticity report requires a converged result")
     if dataset.n_obs == 0:
@@ -285,12 +313,9 @@ def evaluate_partition(
     `error`. If any cell is skipped or failed, the split test is marked
     unavailable instead of being computed over a subset.
     """
-    if min_cell_size is None:
-        min_cell_size = 30 * model.n_params
-    if min_cell_size < 1:
-        raise ValueError(f"minimum cell size must be >= 1, got {min_cell_size}")
+    dims = PartitionOptions(dims, min_cell_size).dims
+    min_cell_size = min_cell_size or 30 * model.n_params  # None or >= 1 by now
     cells = partition(dataset, dims)
-    dims = tuple(d for d in PARTITION_DIMS if d in dims)
 
     # no cells means no rows; the pooled fit below rejects an empty dataset
     if cells and all(ds.n_obs < min_cell_size for ds in cells.values()):
