@@ -51,9 +51,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output path (default: stdout)")
         p.add_argument("--format", choices=("table", "records"), default="table")
         p.add_argument("--tol", type=float, default=EstimateOptions.gradient_tol,
-                       help="gradient max-norm tolerance")
+                       help="gradient max-norm tolerance (> 0)")
         p.add_argument("--max-iter", type=int, default=EstimateOptions.max_iterations,
-                       help="Newton iteration cap")
+                       help="Newton iteration cap (>= 1)")
 
     p = sub.add_parser("estimate", help="fit one model on one dataset")
     common(p)
@@ -80,8 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("partition", help="estimate pooled and per-cell models, test the split")
     common(p)
     p.add_argument("--by", required=True, help="comma list of partition dimensions")
-    p.add_argument("--min-cell-size", type=int, help="minimum observations per cell (default 30*K)")
-    p.add_argument("--confidence", type=float, default=0.95, help="headline decision level")
+    p.add_argument("--min-cell-size", type=int, help="minimum cell size, >= 1 (default 30*K)")
+    p.add_argument("--confidence", type=float, default=0.95, help="headline decision level in (0, 1)")
     p.set_defaults(handler=_cmd_partition)
 
     p = sub.add_parser("simulate", help="draw a synthetic dataset from a generator config")
@@ -93,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("summarize", help="severity distribution by speed-limit band")
     p.add_argument("--data", required=True, help="input CSV file")
-    p.add_argument("--bins", required=True, help="comma list of increasing interior band edges")
+    p.add_argument("--bins", required=True, help="comma list of finite, increasing interior edges")
     p.add_argument("--speed-var", default="speed_limit", help="speed-limit column name")
     p.add_argument("--outcomes", help="comma list of outcome labels, base first")
     p.add_argument("--out", help="output path (default: stdout)")
@@ -104,10 +104,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_inputs(*paths) -> None:
-    for path in paths:
-        p = Path(path)
-        if not p.is_file():
-            raise ConfigError(f"input file not found: {p}")
+    for path in map(Path, paths):
+        if not path.is_file():
+            raise ConfigError(f"input file not found: {path}")
 
 
 def _options(args) -> EstimateOptions:
@@ -123,8 +122,8 @@ def _config_dict(args, command: str, **extra) -> dict:
         "format": getattr(args, "format", None),
         "gradient_tol": getattr(args, "tol", None),
         "max_iterations": getattr(args, "max_iter", None),
+        **extra,
     }
-    resolved.update(extra)
     return report.run_config_record(command, {k: v for k, v in resolved.items() if v is not None})
 
 
@@ -158,8 +157,7 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_elasticities(args) -> int:
-    options = _options(args)
-    settings = ElasticityOptions(args.sig_threshold, args.aggregation)
+    options, settings = _options(args), ElasticityOptions(args.sig_threshold, args.aggregation)
     model, dataset = _load(args)
     result = estimate(model, dataset, options)
     rep = elasticity_report(
@@ -203,6 +201,8 @@ def _cmd_temporal_test(args) -> int:
     options, label_a, label_b = _options(args), args.period_a, args.period_b
     if (label_a is None) != (label_b is None):
         raise ConfigError("give both --period-a and --period-b, or neither")
+    if label_a is not None and label_a == label_b:
+        raise ConfigError(f"--period-a and --period-b must differ, both are {label_a!r}")
     model, dataset = _load(args)
 
     periods = list(dataset.period_labels)
@@ -305,12 +305,9 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.handler(args)
-    except SevlogitError as exc:
+    except (SevlogitError, ValueError) as exc:  # a ValueError is a bad value: exit 2
         print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return getattr(exc, "exit_code", 2)
 
 
 if __name__ == "__main__":

@@ -63,5 +63,5 @@ class UndefinedStatisticError(SevlogitError):
     """A fit statistic is undefined for the given inputs (e.g. zero baseline LL)."""
 
 
-class EmptyPartitionError(SevlogitError):
-    """Every partition cell was skipped; nothing to evaluate."""
+class EmptyPartitionError(ConfigError):
+    """Every partition cell is below the minimum cell size; nothing to evaluate."""

@@ -232,18 +232,19 @@ def write_csv(dataset: Dataset, path, note: Optional[str] = None) -> None:
 
 
 def write_text_atomic(path, text: str) -> None:
-    """Write via a temp file in the target directory plus rename."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    """Write via a temp file in the target directory plus rename; OSError becomes ConfigError."""
+    path, tmp = Path(path), None
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path} ({exc})") from None
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def load_model_spec(path) -> ModelSpec:

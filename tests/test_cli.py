@@ -1,11 +1,12 @@
 """CLI end-to-end: subcommands, formats, and exit codes."""
 
+import argparse
 import json
 
 import pytest
 
 import sevlogit as sl
-from sevlogit.cli import main
+from sevlogit.cli import build_parser, main
 from sevlogit.io import model_spec_to_dict, write_csv
 from sevlogit.report import estimation_record, render
 
@@ -174,9 +175,12 @@ class TestExitCodes:
             (("elasticities", "--sig-threshold", "nan"), "significance threshold"),
             (("elasticities", "--sig-threshold", "inf"), "significance threshold"),
             (("elasticities", "--sig-threshold", "-1"), "significance threshold"),
+            (("partition", "--by", "road_class", "--min-cell-size", "10000000"),
+             "every cell is below the minimum size 10000000"),
         ],
         ids=["confidence", "min-cell-size", "bins-nan", "bins-inf",
-             "sig-threshold-nan", "sig-threshold-inf", "sig-threshold-negative"],
+             "sig-threshold-nan", "sig-threshold-inf", "sig-threshold-negative",
+             "min-cell-size-above-every-cell"],
     )
     def test_out_of_range_value_exits_2(self, workdir, capsys, argv, message):
         model = () if argv[0] == "summarize" else ("--model", workdir / "spec.json")
@@ -185,6 +189,88 @@ class TestExitCodes:
         assert code == 2
         assert message in captured.err
         assert captured.out == ""
+
+
+    @pytest.mark.parametrize("command", ["estimate", "simulate"])
+    def test_unwritable_out_exits_2(self, workdir, tmp_path, capsys, command):
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "out.txt"
+        if command == "estimate":
+            argv = ("--data", workdir / "data.csv", "--model", workdir / "spec.json")
+        else:
+            gen = tmp_path / "gen.json"
+            model = {"outcomes": ["a", "b"], "terms": [{"variable": "constant", "outcomes": ["b"]}]}
+            gen.write_text(json.dumps({"model": model, "theta": [0.3], "n": 10, "covariates": {}}))
+            argv = ("--config", gen)
+        code = run(command, *argv, "--out", out)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: cannot write {out} (")
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "file").is_dir()
+
+
+# Fitting commands and the arguments each needs besides --data and --model.
+FITTING = {
+    "estimate": (),
+    "elasticities": (),
+    "split-test": ("--by", "road_class"),
+    "temporal-test": (),
+    "partition": ("--by", "road_class"),
+}
+# A bad value of each option, and the message that names it.
+BAD_VALUES = [
+    *[((cmd, *req, "--max-iter", "0"), "max_iterations must be >= 1, got 0")
+      for cmd, req in FITTING.items()],
+    *[((cmd, *req, "--tol", "nan"), "gradient_tol must be finite and > 0, got nan")
+      for cmd, req in FITTING.items()],
+    (("elasticities", "--sig-threshold", "nan"),
+     "significance threshold must be finite and >= 0, got nan"),
+    (("elasticities", "--sig-threshold", "-1"),
+     "significance threshold must be finite and >= 0, got -1.0"),
+    (("partition", "--by", "bogus"), "unknown partition dims ['bogus']"),
+    (("partition", "--by", ""), "partition dims must be non-empty"),
+    (("partition", "--by", "road_class", "--min-cell-size", "-5"),
+     "minimum cell size must be >= 1, got -5"),
+    (("partition", "--by", "road_class", "--confidence", "1.5"),
+     "--confidence must be in (0, 1), got 1.5"),
+    (("split-test", "--by", "bogus"), "unknown partition dims ['bogus']"),
+    (("split-test", "--by", ""), "partition dims must be non-empty"),
+    (("temporal-test", "--period-a", "2004"), "give both --period-a and --period-b"),
+    (("temporal-test", "--period-a", "2004", "--period-b", "2004"),
+     "--period-a and --period-b must differ, both are '2004'"),
+    (("summarize", "--bins", "30,nan"), "bin edges must be finite, got [30.0, nan]"),
+    (("summarize", "--bins", "30,abc"), "--bins must be a comma list of numbers, got '30,abc'"),
+    (("summarize", "--bins", "50,30"), "bin edges must be strictly increasing, got [50.0, 30.0]"),
+]
+
+
+class TestArgumentsBeforeData:
+    """Every option value is checked before an input file is opened."""
+
+    @pytest.mark.parametrize(
+        "argv, message", BAD_VALUES, ids=[" ".join(a or "''" for a in v) for v, _ in BAD_VALUES]
+    )
+    def test_bad_value_exits_2_before_any_read(self, tmp_path, capsys, argv, message):
+        files = ("--data", tmp_path / "missing.csv")
+        if argv[0] != "summarize":
+            files += ("--model", tmp_path / "missing.json")
+        code = run(*argv, *files)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert message in captured.err
+        assert "not found" not in captured.err
+        assert captured.out == ""
+
+    def test_every_numeric_option_has_a_case(self):
+        commands = next(
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        ).choices
+        covered = {(argv[0], arg) for argv, _ in BAD_VALUES for arg in argv[1:]}
+        for command in (*FITTING, "summarize"):
+            for action in commands[command]._actions:
+                if action.type in (int, float):
+                    assert (command, action.option_strings[0]) in covered, (command, action.dest)
 
 
 class TestOtherCommands:
@@ -457,6 +543,19 @@ class TestOutputContract:
         ]
         write_csv(sl.concatenate(years), work / "data.csv")
         return work
+
+    def test_config_echo(self, files, speed_model, capsys):
+        common = ("--data", files / "data.csv", "--model", files / "spec.json")
+        common += ("--format", "records")
+        assert run("partition", *common, "--by", "location,road_class") == 0
+        config = _records_of(capsys)[0]
+        assert config["by"] == "location,road_class"
+        assert config["min_cell_size"] == 30 * speed_model.n_params
+        assert config["confidence"] == 0.95
+        argv = ("--sig-threshold", "0", "--aggregation", "prob-weighted")
+        assert run("elasticities", *common, *argv) == 0
+        config = _records_of(capsys)[0]
+        assert (config["sig_threshold"], config["aggregation"]) == (0.0, "prob-weighted")
 
     @pytest.mark.parametrize(
         "argv",

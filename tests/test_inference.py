@@ -350,6 +350,32 @@ def _mixture_dataset(speed_model, speed_theta, covs, seg_a, seg_b, theta_b=None,
     return sl.simulate(config)
 
 
+class TestOptionTypes:
+    def test_partition_options_keep_dims_in_canonical_order(self):
+        assert sl.PartitionOptions(["period", "road_class"]).dims == ("road_class", "period")
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"dims": ()}, "non-empty"),
+            ({"dims": ("bogus",)}, "unknown partition dims"),
+            ({"dims": ("period",), "min_cell_size": 0}, "minimum cell size"),
+            ({"dims": ("period",), "confidence": 1.0}, "--confidence"),
+        ],
+    )
+    def test_partition_options_reject(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            sl.PartitionOptions(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [({"threshold": -0.5}, "significance threshold"), ({"aggregation": "median"}, "aggregation")],
+    )
+    def test_elasticity_options_reject(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            sl.ElasticityOptions(**kwargs)
+
+
 class TestEvaluatePartition:
     def test_single_cell_reports_pooled_only(self, speed_model, speed_theta):
         config = sl.GeneratorConfig(

@@ -310,6 +310,18 @@ class TestAtomicWrite:
         write_text_atomic(target, "new")
         assert target.read_text() == "new"
 
+    @pytest.mark.parametrize("kind", ["parent-is-file", "target-is-dir"])
+    def test_unwritable_path_is_config_error(self, tmp_path, kind):
+        if kind == "parent-is-file":
+            (tmp_path / "file").write_text("")
+            target = tmp_path / "file" / "out.txt"
+        else:
+            target = tmp_path / "dir"
+            target.mkdir()
+        with pytest.raises(sl.ConfigError, match="cannot write"):
+            write_text_atomic(target, "text")
+        assert [p for p in os.listdir(tmp_path) if p.endswith(".tmp")] == []
+
 
 class TestModelSpecFile:
     def test_parse_with_labels(self, tmp_path):
