@@ -207,7 +207,6 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith(f"error: cannot write {out} (")
         assert len(err.splitlines()) == 1
-        assert not (tmp_path / "file").is_dir()
 
 
 # Fitting commands and the arguments each needs besides --data and --model.
