@@ -43,21 +43,22 @@ LISTED_PROBLEMS = 100  # problems an ingest error spells out; the rest are count
 def ingest_csv(path, outcome_set: Optional[OutcomeSet] = None) -> Dataset:
     """Read an accident CSV into a Dataset, reporting every malformed line at once.
 
-    Rows stream through csv.reader and are converted and checked in one pass,
-    BLOCK_ROWS at a time and a whole column at once: an unknown label codes -1 and a
-    number that does not parse reads nan, so every bad cell is named from those masks,
-    with the physical line its row starts on. The error's message spells out the
-    first LISTED_PROBLEMS problems in line order and counts the rest; its `lines`
-    holds the line of every problem.
+    Rows are tokenised, converted and checked in one pass, BLOCK_ROWS at a time and a
+    whole column at once. A file whose data section holds no '"' is split with str
+    methods, with no object per row; a file with quotes goes through csv.reader, since
+    a quoted cell may hold a comma or span lines. An unknown label codes -1 and a number
+    that does not parse reads nan, so every bad cell is named from those masks, with
+    the physical line its row starts on. The error's message spells out the first
+    LISTED_PROBLEMS problems in line order and counts the rest; its `lines` holds the
+    line of every problem.
     """
     outcome_set = outcome_set or OutcomeSet()
     path = Path(path)
     with path.open(newline="", encoding="utf-8-sig") as handle:
-        header_line = 0
-        line = handle.readline()
-        while line.startswith("#"):
-            header_line += 1
-            line = handle.readline()
+        head = [handle.readline()]  # comment lines, then the header
+        while head[-1].startswith("#"):
+            head.append(handle.readline())
+        line, header_line = head[-1], len(head) - 1
         if not line:
             raise SchemaError(f"{path}: no header row found")
         header = next(csv.reader([line]))
@@ -70,26 +71,22 @@ def ingest_csv(path, outcome_set: Optional[OutcomeSet] = None) -> Dataset:
             name for name in header if name not in REQUIRED_COLUMNS and name not in OPTIONAL_COLUMNS
         )
 
-        reader = csv.reader(handle)
+        first = header_line + 2  # physical line of the first row
+        if _quote_bytes(path) == "".join(head).count('"'):
+            tokenised = _split_blocks(path, first, len(header))
+        else:
+            tokenised = _csv_blocks(handle, first, len(header))
         blocks, periods, listed, bad_lines = [], [], [], []
-        line = header_line + 2  # physical line the next row starts on
-        while True:
-            rows, starts = [], []
-            for row in islice(reader, BLOCK_ROWS):
-                rows.append(row)
-                starts.append(line)
-                line = header_line + 2 + reader.line_num  # a quoted field may span lines
+        for block in tokenised:
             problems = []
             blocks.append(
-                _convert_block(rows, starts, header, covariate_names, outcome_set, periods, problems)
+                _convert_block(*block, header, covariate_names, outcome_set, periods, problems)
             )
             problems.sort(key=itemgetter(0))  # stable: a line keeps its problems in check order
             bad_lines.extend(n for n, _ in problems)
             listed.extend(problems[: LISTED_PROBLEMS - len(listed)])
             if bad_lines:
                 blocks.clear()  # the file will not load: keep no columns while the rest is checked
-            if len(rows) < BLOCK_ROWS:
-                break
 
     if bad_lines:
         listing = [f"  line {n}: {msg}" for n, msg in listed]
@@ -101,6 +98,54 @@ def ingest_csv(path, outcome_set: Optional[OutcomeSet] = None) -> Dataset:
         )
     columns = {key: np.concatenate([block[key] for block in blocks]) for key in COLUMNS}
     return Dataset.from_columns(outcome_set, covariate_names, columns, periods)
+
+
+def _quote_bytes(path) -> int:
+    """Number of '"' bytes in a file, read in binary chunks ('"' is one byte in UTF-8)."""
+    with open(path, "rb") as raw:
+        return sum(chunk.count(b'"') for chunk in iter(partial(raw.read, 1 << 20), b""))
+
+
+# Both tokenisers yield, per block of rows: the physical line each row starts on, a mask
+# of blank rows (no cell holds anything), each row's cell count, and the cells of each
+# column over the rows that are neither blank nor ragged. They end with a short block.
+
+def _split_blocks(path, first: int, width: int):
+    """Blocks of a quote-free file, split with str methods: one join and split per block."""
+    # universal newlines: CRLF and a lone CR each end one line, as csv.reader counts them
+    with path.open(encoding="utf-8-sig") as handle:
+        lines = islice(handle, first - 1, None)
+        while True:
+            block = list(islice(lines, BLOCK_ROWS))
+            if block and not block[-1].endswith("\n"):
+                block[-1] += "\n"
+            counts = 1 + np.fromiter(map(str.count, block, repeat(",")), np.int64, len(block))
+            blank = counts == np.fromiter(map(len, block), np.int64, len(block))  # commas only
+            kept = "".join(compress(block, ~blank & (counts == width)))
+            flat = kept.replace("\n", ",").split(",")
+            flat.pop()  # the empty cell after the last newline
+            columns = [flat[j::width] for j in range(width)]
+            yield range(first, first + len(block)), blank, counts, columns
+            first += len(block)
+            if len(block) < BLOCK_ROWS:
+                return
+
+
+def _csv_blocks(handle, first: int, width: int):
+    """Blocks of csv.reader rows."""
+    reader, line = csv.reader(handle), first
+    while True:
+        rows, starts = [], []
+        for row in islice(reader, BLOCK_ROWS):
+            rows.append(row)
+            starts.append(line)
+            line = first + reader.line_num  # a quoted field may span lines
+        counts = np.fromiter(map(len, rows), np.int64, len(rows))
+        blank = ~np.fromiter(map(any, rows), bool, len(rows))
+        columns = list(zip(*compress(rows, ~blank & (counts == width)))) or [()] * width
+        yield starts, blank, counts, columns
+        if len(rows) < BLOCK_ROWS:
+            return
 
 
 def _codes(cells, labels) -> np.ndarray:
@@ -139,22 +184,23 @@ def _covariate_problem(name: str, cell: str) -> str:
     return f"non-finite value {cell!r} for covariate {name!r}"
 
 
-def _convert_block(rows, starts, header, covariate_names, outcome_set, periods, problems) -> dict:
-    """One block of CSV rows as columns, blank rows skipped; appends (line, message) per bad cell.
+def _convert_block(
+    starts, blank, counts, columns, header, covariate_names, outcome_set, periods, problems
+) -> dict:
+    """One tokenised block as Dataset columns; appends (line, message) per bad cell.
 
-    `starts` holds the physical line each row starts on. `periods` is the file-wide list
-    of period labels the codes index; it grows as blocks bring new labels.
+    The first four arguments are one block of a tokeniser (see _split_blocks). `periods`
+    is the file-wide list of period labels the codes index; it grows as blocks bring new
+    labels.
     """
-    kept = np.fromiter(map(any, rows), dtype=bool, count=len(rows))
-    ragged = kept & (np.fromiter(map(len, rows), dtype=np.int64, count=len(rows)) != len(header))
+    ragged = ~blank & (counts != len(header))
     problems.extend(
-        (starts[i], f"expected {len(header)} cells, got {len(rows[i])}")
+        (starts[i], f"expected {len(header)} cells, got {counts[i]}")
         for i in np.flatnonzero(ragged).tolist()
     )
-    kept &= ~ragged  # left out before the transpose, which would truncate them
-    rows, starts = list(compress(rows, kept)), list(compress(starts, kept))
-    n = len(rows)
-    cells = dict(zip(header, zip(*rows))) or dict.fromkeys(header, ())
+    starts = list(compress(starts, ~blank & ~ragged))
+    n = len(starts)
+    cells = dict(zip(header, columns))
     columns = {dim: _codes(cells[dim], levels) for dim, levels in SEGMENT_LEVELS.items()}
     columns["y"] = _codes(cells["outcome"], outcome_set.labels)
     period = cells.get("period", ("",) * n)

@@ -248,6 +248,73 @@ class TestIngestCSV:
         assert list(ds.outcome_indices) == [0, 1]
 
 
+GOOD_ROWS = [
+    "injury,interstate,rural,one-vehicle,2004,,1.5",
+    "fatality,other,other,other,2006,2,2",
+    "property-damage-only,other,urban,C+C,,,3",
+    "injury,county-road,other,other,2006,0.5,4e-3",
+    "injury,other,other,other,2001,,-6",
+]
+# with BLOCK_ROWS = 3, blank and all-comma rows open and close blocks
+CLEAN_ROWS = ["", GOOD_ROWS[0], ",,,,,,", ",,", *GOOD_ROWS[1:3], "", ",", *GOOD_ROWS[3:]]
+BAD_ROWS = [
+    ",,,,,,",
+    "Injury,other,other,other,2004,,1",  # unknown outcome label
+    "injury,freeway,other,other,2004,,1",  # unknown level
+    "",
+    "injury,other,other,other,2004,,x5",  # non-numeric
+    "injury,other,other,other,2004,,nan",  # non-finite
+    GOOD_ROWS[0],
+    "injury,other,other,other,2004,inf,1e400",  # non-finite weight and covariate
+    "injury,other,other,other,2004,1",  # ragged: one cell short
+    "",
+    "injury,other,other,other,2004,,1,9",  # ragged: one cell over
+    " ",  # one cell
+    "injury,other,other,other,2004,,",  # missing covariate
+]
+
+
+class TestTokeniserEquivalence:
+    """On quote-free files the str-split tokeniser gives what csv.reader gives."""
+
+    @pytest.mark.parametrize("final", [True, False], ids=["final-newline", "no-final-newline"])
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize("prefix", ["", '\ufeff# note "quoted"\n# seed=7\n'], ids=["bare", "bom"])
+    @pytest.mark.parametrize("rows", [CLEAN_ROWS, BAD_ROWS], ids=["clean", "bad"])
+    def test_split_path_matches_csv_reader(self, tmp_path, monkeypatch, rows, prefix, newline, final):
+        path = tmp_path / "data.csv"
+        lines = [*prefix.splitlines(), "outcome,road_class,location,accident_type,period,weight,x"]
+        text = newline.join(lines + rows) + (newline if final else "")
+        path.write_bytes(text.encode("utf-8"))
+        monkeypatch.setattr(sl.io, "BLOCK_ROWS", 3)
+
+        def outcome():
+            try:
+                return ingest_csv(path)
+            except sl.IngestionError as err:
+                return str(err), err.lines
+
+        with monkeypatch.context() as patched:
+            patched.setattr(sl.io, "_csv_blocks", None)  # the split path must not need it
+            split = outcome()
+        with monkeypatch.context() as patched:
+            patched.setattr(sl.io, "_split_blocks", None)
+            patched.setattr(sl.io, "_quote_bytes", lambda path: -1)  # as if the data held a quote
+            oracle = outcome()
+        assert split == oracle
+        if rows is CLEAN_ROWS:
+            assert split.n_obs == len(GOOD_ROWS)
+            assert all(split.columns[k].dtype == oracle.columns[k].dtype for k in split.columns)
+        else:
+            assert len(split[1]) == 10
+
+    def test_quoted_data_takes_csv_reader(self, tmp_path, monkeypatch):
+        path = tmp_path / "quoted.csv"
+        path.write_text('outcome,road_class,location,accident_type\n"injury",other,other,other\n')
+        monkeypatch.setattr(sl.io, "_split_blocks", None)
+        assert ingest_csv(path).n_obs == 1
+
+
 class TestWriteCSV:
     def test_emit_ingest_identity(self, speed_dataset, tmp_path):
         path = tmp_path / "round.csv"

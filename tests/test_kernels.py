@@ -128,6 +128,14 @@ def test_agrees_with_per_entry_oracle(name, order):
     assert np.abs(prob - prob_o).max() <= 1e-13
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_agrees_with_per_entry_oracle_across_blocks(name, order, monkeypatch):
+    # n = 2000 runs as three blocks of 512 rows and a ragged fourth of 464
+    monkeypatch.setattr(_kernels, "ROWS", 512)
+    test_agrees_with_per_entry_oracle(name, order)
+
+
 def test_augmented_matrix_is_column_major():
     xa = augmented_matrix(np.arange(6.0).reshape(3, 2))
     assert xa.flags.f_contiguous
