@@ -43,7 +43,8 @@ def _floored_loglik(util, lse, y, w):
     observed = y * util.shape[1] + np.arange(util.shape[1])
     logp = np.take(util, observed) - lse
     n_floored = int((logp < _LOG_FLOOR).sum())
-    return float(w @ np.maximum(logp, _LOG_FLOOR)), n_floored, observed
+    # numpy's pairwise sum, not a BLAS dot, whose order changes with the thread count
+    return float(np.sum(w * np.maximum(logp, _LOG_FLOOR))), n_floored, observed
 
 
 def _row_blocks(x, y, w):

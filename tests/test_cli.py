@@ -2,6 +2,10 @@
 
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -579,3 +583,32 @@ class TestOutputContract:
         config = {**records[0], "format": "table"}
         header = "# " + " ".join(f"{k}={config[k]}" for k in sorted(config) if k != "record")
         assert table == header + "\n\n" + render(records[-1])
+
+
+def test_records_do_not_depend_on_blas_threads(tmp_path, speed_model, speed_theta):
+    # a BLAS dot over more than 10,000 rows splits its sum across threads; the LL sum
+    # must not go through one, so 10,001 rows is the smallest file that shows it
+    config = sl.GeneratorConfig(
+        speed_model,
+        speed_theta,
+        10_001,
+        {"speed_limit": sl.UniformDist(25, 70), "curve": sl.IndicatorDist(0.3)},
+        segments=tuple(sl.SegmentComponent(sl.SegmentKey(road_class=r), 0.5)
+                       for r in ("interstate", "county-road")),
+        seed=5,
+    )
+    write_csv(sl.simulate(config), tmp_path / "data.csv")
+    (tmp_path / "spec.json").write_text(json.dumps(model_spec_to_dict(speed_model)))
+    src = str(Path(sl.__file__).resolve().parents[1])
+    outputs = {}
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+        for argv in (("estimate",), ("partition", "--by", "road_class")):
+            proc = subprocess.run(
+                [sys.executable, "-m", "sevlogit", *argv, "--data", "data.csv",
+                 "--model", "spec.json", "--format", "records"],
+                cwd=tmp_path, env=env, capture_output=True, check=True,
+            )
+            outputs.setdefault(argv[0], set()).add(proc.stdout)
+    assert all(len(out) == 1 for out in outputs.values())
