@@ -11,8 +11,9 @@ Exit codes: 0 success, 2 config error, 3 ingestion error, 4 non-convergence,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import __version__, report
@@ -109,19 +110,26 @@ def _check_inputs(*paths) -> None:
             raise ConfigError(f"input file not found: {path}")
 
 
+def _check_out(out) -> None:
+    """Refuse an --out whose nearest existing ancestor is not a writable directory."""
+    ancestor = next(parent for parent in Path(out).absolute().parents if parent.exists())
+    if not (ancestor.is_dir() and os.access(ancestor, os.W_OK)):
+        raise ConfigError(f"cannot write {out} ({ancestor} is not a writable directory)")
+
+
 def _options(args) -> EstimateOptions:
     return EstimateOptions(gradient_tol=args.tol, max_iterations=args.max_iter)
 
 
-def _config_dict(args, command: str, **extra) -> dict:
+def _config_dict(args, command: str, options=None, **extra) -> dict:
+    """The run_config record: inputs and format from `args`, fit settings from `options`."""
     resolved = {
         "version": __version__,
         "backend": active_backend(),
-        "data": getattr(args, "data", None),
+        "data": args.data,
         "model": getattr(args, "model", None),
-        "format": getattr(args, "format", None),
-        "gradient_tol": getattr(args, "tol", None),
-        "max_iterations": getattr(args, "max_iter", None),
+        "format": args.format,
+        **(asdict(options) if options else {}),
         **extra,
     }
     return report.run_config_record(command, {k: v for k, v in resolved.items() if v is not None})
@@ -153,7 +161,8 @@ def _cmd_estimate(args) -> int:
     options = _options(args)
     model, dataset = _load(args)
     result = estimate(model, dataset, options)
-    return _report(args, _config_dict(args, "estimate"), [report.estimation_record(result)])
+    config = _config_dict(args, "estimate", options)
+    return _report(args, config, [report.estimation_record(result)])
 
 
 def _cmd_elasticities(args) -> int:
@@ -164,7 +173,8 @@ def _cmd_elasticities(args) -> int:
         model, result, dataset, threshold=settings.threshold, aggregation=settings.aggregation
     )
     config = _config_dict(
-        args, "elasticities", sig_threshold=settings.threshold, aggregation=settings.aggregation
+        args, "elasticities", options,
+        sig_threshold=settings.threshold, aggregation=settings.aggregation,
     )
     return _report(args, config, [report.estimation_record(result), report.elasticity_record(rep)])
 
@@ -194,7 +204,7 @@ def _cmd_split_test(args) -> int:
         label = ", ".join(str(v) for v in cell.key)
         records.append(report.estimation_record(cell.result, label=label))
     records.append(report.lr_record(rep.test, "split"))
-    return _report(args, _config_dict(args, "split-test", by=",".join(dims)), records)
+    return _report(args, _config_dict(args, "split-test", options, by=",".join(dims)), records)
 
 
 def _cmd_temporal_test(args) -> int:
@@ -236,7 +246,7 @@ def _cmd_temporal_test(args) -> int:
         report.estimation_record(fit_b, label=label_b),
         report.lr_record(test, "temporal"),
     ]
-    config = _config_dict(args, "temporal-test", period_a=label_a, period_b=label_b)
+    config = _config_dict(args, "temporal-test", options, period_a=label_a, period_b=label_b)
     return _report(args, config, records)
 
 
@@ -250,6 +260,7 @@ def _cmd_partition(args) -> int:
     config = _config_dict(
         args,
         "partition",
+        options,
         by=",".join(dims),
         min_cell_size=rep.min_cell_size,
         confidence=settings.confidence,
@@ -304,6 +315,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
+        if args.out:
+            _check_out(args.out)
         return args.handler(args)
     except (SevlogitError, ValueError) as exc:  # a ValueError is a bad value: exit 2
         print(f"error: {exc}", file=sys.stderr)

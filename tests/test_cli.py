@@ -265,6 +265,25 @@ class TestArgumentsBeforeData:
         assert "not found" not in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("command", [*FITTING, "summarize", "simulate"])
+    def test_unwritable_out_exits_2_before_any_read(self, tmp_path, capsys, command):
+        (tmp_path / "afile").write_text("")
+        out = tmp_path / "afile" / "out.txt"
+        if command == "simulate":
+            files = ("--config", tmp_path / "missing.json")
+        else:
+            files = ("--data", tmp_path / "missing.csv", *FITTING.get(command, ()))
+            if command != "summarize":
+                files += ("--model", tmp_path / "missing.json")
+            else:
+                files += ("--bins", "30")
+        code = run(command, *files, "--out", out)
+        captured = capsys.readouterr()
+        assert code == 2
+        reason = f"{out.parent} is not a writable directory"
+        assert captured.err == f"error: cannot write {out} ({reason})\n"
+        assert captured.out == ""
+
     def test_every_numeric_option_has_a_case(self):
         commands = next(
             a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
