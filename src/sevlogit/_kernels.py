@@ -43,15 +43,17 @@ def _floored_loglik(util, lse, y, w):
     observed = y * util.shape[1] + np.arange(util.shape[1])
     logp = np.take(util, observed) - lse
     n_floored = int((logp < _LOG_FLOOR).sum())
+    np.maximum(logp, _LOG_FLOOR, out=logp)
+    logp *= w
     # numpy's pairwise sum, not a BLAS dot, whose order changes with the thread count
-    return float(np.sum(w * np.maximum(logp, _LOG_FLOOR))), n_floored, observed
+    return float(logp.sum()), n_floored, observed
 
 
 def _row_blocks(x, y, w):
-    """(x, y, w) over consecutive blocks of ROWS rows; views, not copies."""
-    for start in range(0, max(x.shape[0], 1), ROWS):  # one block, maybe empty, at n = 0
-        rows = slice(start, start + ROWS)
-        yield x[rows], y[rows], w[rows]
+    """(x, y, w) over consecutive blocks of ROWS rows: views, or the arrays if one block."""
+    if x.shape[0] <= ROWS:
+        return [(x, y, w)]
+    return [(x[i : i + ROWS], y[i : i + ROWS], w[i : i + ROWS]) for i in range(0, len(x), ROWS)]
 
 
 def _total(parts):

@@ -43,14 +43,12 @@ LISTED_PROBLEMS = 100  # problems an ingest error spells out; the rest are count
 def ingest_csv(path, outcome_set: Optional[OutcomeSet] = None) -> Dataset:
     """Read an accident CSV into a Dataset, reporting every malformed line at once.
 
-    Rows are tokenised, converted and checked in one pass, BLOCK_ROWS at a time and a
-    whole column at once. A file whose data section holds no '"' is split with str
-    methods, with no object per row; a file with quotes goes through csv.reader, since
-    a quoted cell may hold a comma or span lines. An unknown label codes -1 and a number
-    that does not parse reads nan, so every bad cell is named from those masks, with
-    the physical line its row starts on. The error's message spells out the first
-    LISTED_PROBLEMS problems in line order and counts the rest; its `lines` holds the
-    line of every problem.
+    Rows are tokenised (by str methods if no '"' follows the header, else by csv.reader),
+    converted and checked in one pass, BLOCK_ROWS at a time and a whole column at once:
+    an unknown label codes -1 and a number that does not parse reads nan, so every bad
+    cell is named from those masks, with the physical line its row starts on. The error's
+    message spells out the first LISTED_PROBLEMS problems in line order and counts the
+    rest; its `lines` holds the line of every problem.
     """
     outcome_set = outcome_set or OutcomeSet()
     path = Path(path)
@@ -58,7 +56,7 @@ def ingest_csv(path, outcome_set: Optional[OutcomeSet] = None) -> Dataset:
         head = [handle.readline()]  # comment lines, then the header
         while head[-1].startswith("#"):
             head.append(handle.readline())
-        line, header_line = head[-1], len(head) - 1
+        line, first = head[-1], len(head) + 1  # first: the physical line of the first row
         if not line:
             raise SchemaError(f"{path}: no header row found")
         header = next(csv.reader([line]))
@@ -71,7 +69,6 @@ def ingest_csv(path, outcome_set: Optional[OutcomeSet] = None) -> Dataset:
             name for name in header if name not in REQUIRED_COLUMNS and name not in OPTIONAL_COLUMNS
         )
 
-        first = header_line + 2  # physical line of the first row
         if _quote_bytes(path) == "".join(head).count('"'):
             tokenised = _split_blocks(path, first, len(header))
         else:
@@ -106,12 +103,8 @@ def _quote_bytes(path) -> int:
         return sum(chunk.count(b'"') for chunk in iter(partial(raw.read, 1 << 20), b""))
 
 
-# Both tokenisers yield, per block of rows: the physical line each row starts on, a mask
-# of blank rows (no cell holds anything), each row's cell count, and the cells of each
-# column over the rows that are neither blank nor ragged. They end with a short block.
-
 def _split_blocks(path, first: int, width: int):
-    """Blocks of a quote-free file, split with str methods: one join and split per block."""
+    """Blocks of a quote-free file, split with str methods: no Python object per row."""
     # universal newlines: CRLF and a lone CR each end one line, as csv.reader counts them
     with path.open(encoding="utf-8-sig") as handle:
         lines = islice(handle, first - 1, None)
@@ -185,13 +178,14 @@ def _covariate_problem(name: str, cell: str) -> str:
 
 
 def _convert_block(
-    starts, blank, counts, columns, header, covariate_names, outcome_set, periods, problems
+    starts, blank, counts, column_cells, header, covariate_names, outcome_set, periods, problems
 ) -> dict:
     """One tokenised block as Dataset columns; appends (line, message) per bad cell.
 
-    The first four arguments are one block of a tokeniser (see _split_blocks). `periods`
-    is the file-wide list of period labels the codes index; it grows as blocks bring new
-    labels.
+    A block, from either tokeniser, is the physical line each row starts on, a mask of
+    blank rows (no cell holds anything), each row's cell count, and the cells of each
+    column over the rows that are neither blank nor ragged. `periods` is the file-wide
+    list of period labels the codes index; it grows as blocks bring new labels.
     """
     ragged = ~blank & (counts != len(header))
     problems.extend(
@@ -200,7 +194,7 @@ def _convert_block(
     )
     starts = list(compress(starts, ~blank & ~ragged))
     n = len(starts)
-    cells = dict(zip(header, columns))
+    cells = dict(zip(header, column_cells))
     columns = {dim: _codes(cells[dim], levels) for dim, levels in SEGMENT_LEVELS.items()}
     columns["y"] = _codes(cells["outcome"], outcome_set.labels)
     period = cells.get("period", ("",) * n)

@@ -279,9 +279,14 @@ class TestTokeniserEquivalence:
 
     @pytest.mark.parametrize("final", [True, False], ids=["final-newline", "no-final-newline"])
     @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
-    @pytest.mark.parametrize("prefix", ["", '\ufeff# note "quoted"\n# seed=7\n'], ids=["bare", "bom"])
+    # a BOM, and a quote in a comment line, which does not make the data quoted
+    @pytest.mark.parametrize(
+        "prefix", ["", '\ufeff# note "quoted"\n# seed=7\n'], ids=["bare", "bom-comments"]
+    )
     @pytest.mark.parametrize("rows", [CLEAN_ROWS, BAD_ROWS], ids=["clean", "bad"])
-    def test_split_path_matches_csv_reader(self, tmp_path, monkeypatch, rows, prefix, newline, final):
+    def test_split_path_matches_csv_reader(
+        self, tmp_path, monkeypatch, rows, prefix, newline, final
+    ):
         path = tmp_path / "data.csv"
         lines = [*prefix.splitlines(), "outcome,road_class,location,accident_type,period,weight,x"]
         text = newline.join(lines + rows) + (newline if final else "")
