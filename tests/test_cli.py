@@ -265,10 +265,11 @@ class TestArgumentsBeforeData:
         assert "not found" not in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("kind", ["under-a-file", "a-directory"])
     @pytest.mark.parametrize("command", [*FITTING, "summarize", "simulate"])
-    def test_unwritable_out_exits_2_before_any_read(self, tmp_path, capsys, command):
+    def test_unwritable_out_exits_2_before_any_read(self, tmp_path, capsys, command, kind):
         (tmp_path / "afile").write_text("")
-        out = tmp_path / "afile" / "out.txt"
+        out = tmp_path / "afile" / "out.txt" if kind == "under-a-file" else tmp_path
         if command == "simulate":
             files = ("--config", tmp_path / "missing.json")
         else:
@@ -280,7 +281,10 @@ class TestArgumentsBeforeData:
         code = run(command, *files, "--out", out)
         captured = capsys.readouterr()
         assert code == 2
-        reason = f"{out.parent} is not a writable directory"
+        reason = {
+            "under-a-file": f"{out.parent} is not a writable directory",
+            "a-directory": "it is a directory",
+        }[kind]
         assert captured.err == f"error: cannot write {out} ({reason})\n"
         assert captured.out == ""
 
