@@ -53,7 +53,7 @@ def _row_blocks(x, y, w):
     """(x, y, w) over consecutive blocks of ROWS rows: views, or the arrays if one block."""
     if x.shape[0] <= ROWS:
         return [(x, y, w)]
-    return [(x[i : i + ROWS], y[i : i + ROWS], w[i : i + ROWS]) for i in range(0, len(x), ROWS)]
+    return [(x[i : i + ROWS], y[i : i + ROWS], w[i : i + ROWS]) for i in range(0, x.shape[0], ROWS)]
 
 
 def _total(parts):

@@ -114,9 +114,9 @@ def _check_out(out) -> None:
     """Refuse an --out that is a directory or whose nearest existing ancestor is not a
     writable directory."""
     path = Path(out).absolute()
-    ancestor = next(parent for parent in path.parents if parent.exists())
     if path.is_dir():
         raise ConfigError(f"cannot write {out} (it is a directory)")
+    ancestor = next(parent for parent in path.parents if parent.exists())
     if not (ancestor.is_dir() and os.access(ancestor, os.W_OK)):
         raise ConfigError(f"cannot write {out} ({ancestor} is not a writable directory)")
 

@@ -313,12 +313,6 @@ class TestTokeniserEquivalence:
         else:
             assert len(split[1]) == 10
 
-    def test_quoted_data_takes_csv_reader(self, tmp_path, monkeypatch):
-        path = tmp_path / "quoted.csv"
-        path.write_text('outcome,road_class,location,accident_type\n"injury",other,other,other\n')
-        monkeypatch.setattr(sl.io, "_split_blocks", None)
-        assert ingest_csv(path).n_obs == 1
-
 
 class TestWriteCSV:
     def test_emit_ingest_identity(self, speed_dataset, tmp_path):
