@@ -6,15 +6,14 @@ contiguous length-n rows, not along n rows only J wide, which numpy reduces
 slowly. The score is (w·(Y − P)) @ x and each information block, one per
 referenced outcome pair, is (xᵀ·w·p_j·(δ_jk − p_k)) @ x; both are gathered to
 entries and summed into slots. x ends in the constant-1 column and is
-column-major, so xᵀ is contiguous. A pass runs over blocks of ROWS rows, whose
-(J, rows) temporaries fit in cache, and sums the blocks' LL, score and
-information pairwise before the gather; up to ROWS rows it is one block.
-Reductions run in a fixed order, so results are bit-reproducible per machine.
+column-major, so xᵀ is contiguous. Over ROWS rows, a pass splits at the largest
+power-of-two multiple of ROWS below n and adds the two sides' LL, score and
+information: blocks of ROWS rows, whose (J, rows) temporaries fit in cache, are
+summed pairwise before the gather. Reductions run in a fixed order, so results
+are bit-reproducible per machine.
 Probabilities are floored at the smallest positive normal before logs; the
 floored count flags quasi-separation.
 """
-
-from itertools import zip_longest
 
 import numpy as np
 
@@ -38,29 +37,27 @@ def _softmax(util):
     return prob, top + np.log(total)
 
 
-def _floored_loglik(util, lse, y, w):
-    """Weighted floored LL, floored count, flat indices of observed outcomes in (J, n)."""
+def _forward(coef, x, y, w):
+    """A block's (J, n) probabilities, weighted floored LL, floored count, observed flat indices."""
+    util = coef @ x.T
+    prob, lse = _softmax(util)
     observed = y * util.shape[1] + np.arange(util.shape[1])
     logp = np.take(util, observed) - lse
     n_floored = int((logp < _LOG_FLOOR).sum())
     np.maximum(logp, _LOG_FLOOR, out=logp)
     logp *= w
     # numpy's pairwise sum, not a BLAS dot, whose order changes with the thread count
-    return float(logp.sum()), n_floored, observed
+    return prob, float(logp.sum()), n_floored, observed
 
 
-def _row_blocks(x, y, w):
-    """(x, y, w) over consecutive blocks of ROWS rows: views, or the arrays if one block."""
-    if x.shape[0] <= ROWS:
-        return [(x, y, w)]
-    return [(x[i : i + ROWS], y[i : i + ROWS], w[i : i + ROWS]) for i in range(0, x.shape[0], ROWS)]
-
-
-def _total(parts):
-    """Sum of block partials, pairwise: rounding error grows with log(blocks), not blocks."""
-    while len(parts) > 1:
-        parts = [a + b for a, b in zip_longest(parts[::2], parts[1::2], fillvalue=0)]
-    return parts[0]
+def _pairwise(block, x, y, w):
+    """block(x, y, w) over ROWS-row blocks, summed pairwise: error grows with log(blocks)."""
+    n = x.shape[0]
+    if n <= ROWS:
+        return block(x, y, w)
+    half = ROWS << (((n - 1) // ROWS).bit_length() - 1)  # largest power-of-two multiple < n
+    left = _pairwise(block, x[:half], y[:half], w[:half])
+    return tuple(a + b for a, b in zip(left, _pairwise(block, x[half:], y[half:], w[half:])))
 
 
 def prob_matrix(x, entry_slot, entry_outcome, entry_col, theta, n_outcomes):
@@ -71,11 +68,7 @@ def prob_matrix(x, entry_slot, entry_outcome, entry_col, theta, n_outcomes):
 
 def loglik(x, y, w, entry_slot, entry_outcome, entry_col, theta, n_outcomes):
     coef = _coefficients(entry_slot, entry_outcome, entry_col, theta, n_outcomes, x.shape[1])
-    parts = []
-    for xb, yb, wb in _row_blocks(x, y, w):
-        util = coef @ xb.T
-        parts.append(_floored_loglik(util, _softmax(util)[1], yb, wb)[:2])
-    return tuple(map(_total, zip(*parts)))
+    return _pairwise(lambda xb, yb, wb: _forward(coef, xb, yb, wb)[1:3], x, y, w)
 
 
 def loglik_grad_hess(x, y, w, entry_slot, entry_outcome, entry_col, theta, n_outcomes):
@@ -83,20 +76,18 @@ def loglik_grad_hess(x, y, w, entry_slot, entry_outcome, entry_col, theta, n_out
     coef = _coefficients(entry_slot, entry_outcome, entry_col, theta, n_outcomes, cols)
     referenced = np.flatnonzero(np.bincount(entry_outcome, minlength=n_outcomes)).tolist()
     upper = [(j, k) for a, j in enumerate(referenced) for k in referenced[a:]]
-    parts = []
-    for xb, yb, wb in _row_blocks(x, y, w):
-        util = coef @ xb.T
-        prob, lse = _softmax(util)
-        value, n_floored, observed = _floored_loglik(util, lse, yb, wb)
+
+    def block(xb, yb, wb):
+        prob, value, n_floored, observed = _forward(coef, xb, yb, wb)
         wprob = prob * wb
         resid = -wprob  # w·(Y − P), C-ordered like prob
         resid.ravel()[observed] += wb
         blocks = np.zeros((n_outcomes, n_outcomes, cols, cols))
         for j, k in upper:
             blocks[j, k] = (xb.T * (wprob[j] * ((j == k) - prob[k]))) @ xb
-        parts.append((value, n_floored, resid @ xb, blocks))
-    value, n_floored, score, blocks = map(_total, zip(*parts))
+        return value, n_floored, resid @ xb, blocks
 
+    value, n_floored, score, blocks = _pairwise(block, x, y, w)
     gradient = np.bincount(entry_slot, weights=score[entry_outcome, entry_col], minlength=n_params)
     for j, k in upper:
         blocks[k, j] = blocks[j, k].T

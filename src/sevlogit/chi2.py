@@ -13,9 +13,7 @@ _MAX_ITER = 600
 
 
 def _lower_series(a: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(a, x) by power series; needs x < a + 1."""
-    if x <= 0.0:
-        return 0.0
+    """P(a, x) without its factor x^a e^-x / Gamma(a), by power series; needs 0 < x < a + 1."""
     term = 1.0 / a
     total = term
     rank = a
@@ -25,14 +23,11 @@ def _lower_series(a: float, x: float) -> float:
         total += term
         if abs(term) < abs(total) * _EPS:
             break
-    log_scale = a * math.log(x) - x - math.lgamma(a)
-    if log_scale < -700.0:
-        return 0.0
-    return total * math.exp(log_scale)
+    return total
 
 
 def _upper_continued_fraction(a: float, x: float) -> float:
-    """Regularized upper incomplete gamma Q(a, x) by continued fraction; needs x >= a + 1."""
+    """Q(a, x) without its factor x^a e^-x / Gamma(a), by continued fraction; needs x >= a + 1."""
     b = x + 1.0 - a
     c = 1.0 / _TINY
     d = 1.0 / b
@@ -51,10 +46,7 @@ def _upper_continued_fraction(a: float, x: float) -> float:
         h *= delta
         if abs(delta - 1.0) < _EPS:
             break
-    log_scale = a * math.log(x) - x - math.lgamma(a)
-    if log_scale < -700.0:
-        return 0.0
-    return h * math.exp(log_scale)
+    return h
 
 
 def regularized_gamma_q(a: float, x: float) -> float:
@@ -65,9 +57,11 @@ def regularized_gamma_q(a: float, x: float) -> float:
         raise ValueError(f"argument must be non-negative, got {x}")
     if x == 0.0:
         return 1.0
+    log_scale = a * math.log(x) - x - math.lgamma(a)  # of the factor x^a e^-x / Gamma(a)
+    scale = 0.0 if log_scale < -700.0 else math.exp(log_scale)
     if x < a + 1.0:
-        return min(1.0, max(0.0, 1.0 - _lower_series(a, x)))
-    return min(1.0, max(0.0, _upper_continued_fraction(a, x)))
+        return min(1.0, max(0.0, 1.0 - _lower_series(a, x) * scale))
+    return min(1.0, max(0.0, _upper_continued_fraction(a, x) * scale))
 
 
 def chi_square_sf(x: float, df: int) -> float:

@@ -33,9 +33,7 @@ def probabilities_from_utilities(utilities: np.ndarray) -> np.ndarray:
     u = np.asarray(utilities, dtype=np.float64)
     if not np.isfinite(u).all():
         raise NumericError("non-finite utility")
-    shifted = u - u.max(axis=-1, keepdims=True)
-    p = np.exp(shifted)
-    return p / p.sum(axis=-1, keepdims=True)
+    return _kernels._softmax(u.T)[0].T
 
 
 def _bound_theta(model: ModelSpec, variable_names, theta: ThetaLike):
