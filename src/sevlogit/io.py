@@ -114,13 +114,13 @@ def _split_blocks(path, first: int, width: int):
                 block[-1] += "\n"
             counts = 1 + np.fromiter(map(str.count, block, repeat(",")), np.int64, len(block))
             blank = counts == np.fromiter(map(len, block), np.int64, len(block))  # commas only
-            kept = "".join(compress(block, ~blank & (counts == width)))
-            flat = kept.replace("\n", ",").split(",")
+            flat = "".join(compress(block, ~blank & (counts == width))).replace("\n", ",").split(",")
             flat.pop()  # the empty cell after the last newline
-            columns = [flat[j::width] for j in range(width)]
-            yield range(first, first + len(block)), blank, counts, columns
-            first += len(block)
-            if len(block) < BLOCK_ROWS:
+            columns, n = [flat[j::width] for j in range(width)], len(block)
+            del block, flat  # only the columns' cells stay alive while the block is converted
+            yield range(first, first + n), blank, counts, columns
+            first += n
+            if n < BLOCK_ROWS:
                 return
 
 
