@@ -33,7 +33,7 @@ from .inference import (
     lr_temporal_test,
 )
 from .io import ingest_csv, load_generator_config, load_model_spec, write_csv, write_text_atomic
-from .simulate import RNG_ALGORITHM, simulate
+from .simulate import RNG_ALGORITHM, generator_seed, simulate
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -45,10 +45,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, model=True):
+    def common(p):
         p.add_argument("--data", required=True, help="input CSV file")
-        if model:
-            p.add_argument("--model", required=True, help="model-spec JSON file")
+        p.add_argument("--model", required=True, help="model-spec JSON file")
         p.add_argument("--out", help="output path (default: stdout)")
         p.add_argument("--format", choices=("table", "records"), default="table")
         p.add_argument("--tol", type=float, default=EstimateOptions.gradient_tol,
@@ -273,6 +272,8 @@ def _cmd_partition(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    if args.seed is not None:
+        generator_seed(args.seed)  # the seed rule, checked before the config is read
     _check_inputs(args.config)
     config, period = load_generator_config(args.config)
     if args.seed is not None:

@@ -62,6 +62,13 @@ class IndicatorDist:
 Distribution = Union[ConstantDist, UniformDist, CategoricalDist, IndicatorDist]
 
 
+def generator_seed(seed: int) -> int:
+    """The seed rule: a non-negative integer, as PCG64 seeding needs."""
+    if seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
+    return seed
+
+
 @dataclass(frozen=True)
 class SegmentComponent:
     """One mixture component: a segment key, its weight, optionally its own theta."""
@@ -91,6 +98,7 @@ class GeneratorConfig:
         object.__setattr__(self, "segments", tuple(self.segments))
         if self.n_obs < 1:
             raise ConfigError(f"n_obs must be at least 1, got {self.n_obs}")
+        generator_seed(self.seed)
         missing = [v for v in self.model.variables() if v not in self.covariates]
         if missing:
             raise ConfigError(f"no covariate distribution for model variables {missing}")

@@ -245,6 +245,7 @@ BAD_VALUES = [
     (("summarize", "--bins", "30,nan"), "bin edges must be finite, got [30.0, nan]"),
     (("summarize", "--bins", "30,abc"), "--bins must be a comma list of numbers, got '30,abc'"),
     (("summarize", "--bins", "50,30"), "bin edges must be strictly increasing, got [50.0, 30.0]"),
+    (("simulate", "--seed", "-1"), "seed must be a non-negative integer, got -1"),
 ]
 
 
@@ -256,7 +257,9 @@ class TestArgumentsBeforeData:
     )
     def test_bad_value_exits_2_before_any_read(self, tmp_path, capsys, argv, message):
         files = ("--data", tmp_path / "missing.csv")
-        if argv[0] != "summarize":
+        if argv[0] == "simulate":
+            files = ("--config", tmp_path / "missing.json", "--out", tmp_path / "out.csv")
+        elif argv[0] != "summarize":
             files += ("--model", tmp_path / "missing.json")
         code = run(*argv, *files)
         captured = capsys.readouterr()
@@ -293,7 +296,7 @@ class TestArgumentsBeforeData:
             a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
         ).choices
         covered = {(argv[0], arg) for argv, _ in BAD_VALUES for arg in argv[1:]}
-        for command in (*FITTING, "summarize"):
+        for command in (*FITTING, "summarize", "simulate"):
             for action in commands[command]._actions:
                 if action.type in (int, float):
                     assert (command, action.option_strings[0]) in covered, (command, action.dest)

@@ -166,6 +166,10 @@ class TestGeneratorConfigValidation:
         with pytest.raises(sl.ConfigError):
             sl.GeneratorConfig(constants_model, np.zeros(2), 0, {}, seed=0)
 
+    def test_seed_must_be_non_negative(self, constants_model):
+        with pytest.raises(sl.ConfigError, match="seed must be a non-negative integer, got -1"):
+            sl.GeneratorConfig(constants_model, np.zeros(2), 10, {}, seed=-1)
+
 
 class TestThetaForTargetShares:
     def test_round_trip(self, constants_model):
