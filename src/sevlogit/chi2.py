@@ -57,7 +57,7 @@ def regularized_gamma_q(a: float, x: float) -> float:
         raise ValueError(f"argument must be non-negative, got {x}")
     if x == 0.0:
         return 1.0
-    log_scale = a * math.log(x) - x - math.lgamma(a)  # of the factor x^a e^-x / Gamma(a)
+    log_scale = a * math.log(x) - x - math.lgamma(a)  # log of x^a e^-x / Gamma(a)
     scale = 0.0 if log_scale < -700.0 else math.exp(log_scale)
     if x < a + 1.0:
         return min(1.0, max(0.0, 1.0 - _lower_series(a, x) * scale))

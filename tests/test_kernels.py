@@ -140,14 +140,13 @@ def test_agrees_with_per_entry_oracle_across_blocks(name, order, monkeypatch):
 @pytest.mark.parametrize("seed", range(20))
 def test_blocks_are_summed_pairwise(seed, rows, half, monkeypatch):
     # n = 2000 in blocks of 512: the LL is (b0 + b1) + (b2 + b3), the sum of the two halves'
-    # passes bit for bit, which a sequential ((b0 + b1) + b2) + b3 is not; in blocks of 400
-    # the lone fifth block joins ((b0 + b1) + (b2 + b3)) only at the top of the tree
+    # passes bit for bit, which a sequential ((b0 + b1) + b2) + b3 misses on some seeds; in
+    # blocks of 400 the lone fifth block joins ((b0 + b1) + (b2 + b3)) only at the top
     monkeypatch.setattr(_kernels, "ROWS", rows)
     (x, y, w, *entries), theta, n_outcomes = _case("non-unit-weights", "F")
     rows_drawn = np.random.default_rng(seed).permutation(x.shape[0])
     x, y, w = np.asfortranarray(x[rows_drawn]), y[rows_drawn], w[rows_drawn]
-    args = (x, y, w, *entries)
-    ll, n_floored = _kernels.loglik(*args, theta, n_outcomes)
+    ll, n_floored = _kernels.loglik(x, y, w, *entries, theta, n_outcomes)
     ll_a, n_a = _kernels.loglik(x[:half], y[:half], w[:half], *entries, theta, n_outcomes)
     ll_b, n_b = _kernels.loglik(x[half:], y[half:], w[half:], *entries, theta, n_outcomes)
     assert ll == ll_a + ll_b
