@@ -1,7 +1,8 @@
 """Hot numeric kernels: stabilized MNL probabilities, log-likelihood, score, information.
 
-Outcome-major numpy: design entries (slot, outcome, column) fill a (J, cols)
-matrix C; utilities are C @ xᵀ, (J, n), so outcome reductions run along
+Each kernel takes the design matrix x first and the bound ``modelspec.Design``
+whole. Outcome-major numpy: the design's entries (slot, outcome, column) fill a
+(J, cols) matrix C; utilities are C @ xᵀ, (J, n), so outcome reductions run along
 contiguous length-n rows, not along n rows only J wide, which numpy reduces
 slowly. The score is (w·(Y − P)) @ x and each information block, one per
 referenced outcome pair, is (xᵀ·w·p_j·(δ_jk − p_k)) @ x; both are gathered to
@@ -21,10 +22,10 @@ _LOG_FLOOR = float(np.log(np.finfo(np.float64).tiny))
 ROWS = 16384  # rows per block of a likelihood pass: its (J, rows) temporaries stay in cache
 
 
-def _coefficients(entry_slot, entry_outcome, entry_col, theta, n_outcomes, cols):
+def _coefficients(design, theta, cols):
     """(J, cols) coefficients; the base outcome's row, never referenced, stays 0."""
-    coef = np.zeros((n_outcomes, cols))
-    coef[entry_outcome, entry_col] = theta[entry_slot]
+    coef = np.zeros((design.n_outcomes, cols))
+    coef[design.entry_outcome, design.entry_col] = theta[design.entry_slot]
     return coef
 
 
@@ -60,20 +61,20 @@ def _pairwise(block, x, y, w):
     return tuple(a + b for a, b in zip(left, _pairwise(block, x[half:], y[half:], w[half:])))
 
 
-def prob_matrix(x, entry_slot, entry_outcome, entry_col, theta, n_outcomes):
+def prob_matrix(x, design, theta):
     """(n, J) outcome probabilities, a transposed view of the (J, n) result."""
-    coef = _coefficients(entry_slot, entry_outcome, entry_col, theta, n_outcomes, x.shape[1])
-    return _softmax(coef @ x.T)[0].T
+    return _softmax(_coefficients(design, theta, x.shape[1]) @ x.T)[0].T
 
 
-def loglik(x, y, w, entry_slot, entry_outcome, entry_col, theta, n_outcomes):
-    coef = _coefficients(entry_slot, entry_outcome, entry_col, theta, n_outcomes, x.shape[1])
+def loglik(x, y, w, design, theta):
+    coef = _coefficients(design, theta, x.shape[1])
     return _pairwise(lambda xb, yb, wb: _forward(coef, xb, yb, wb)[1:3], x, y, w)
 
 
-def loglik_grad_hess(x, y, w, entry_slot, entry_outcome, entry_col, theta, n_outcomes):
-    n_params, cols = theta.shape[0], x.shape[1]
-    coef = _coefficients(entry_slot, entry_outcome, entry_col, theta, n_outcomes, cols)
+def loglik_grad_hess(x, y, w, design, theta):
+    n_params, n_outcomes, cols = theta.shape[0], design.n_outcomes, x.shape[1]
+    entry_slot, entry_outcome, entry_col = design.entry_slot, design.entry_outcome, design.entry_col
+    coef = _coefficients(design, theta, cols)
     referenced = np.flatnonzero(np.bincount(entry_outcome, minlength=n_outcomes)).tolist()
     upper = [(j, k) for a, j in enumerate(referenced) for k in referenced[a:]]
 

@@ -23,7 +23,7 @@ from .errors import (
     UndefinedStatisticError,
 )
 from .modelspec import ModelSpec, ParameterVector, bind_design
-from .likelihood import _design_inputs
+from .likelihood import _data_inputs
 
 
 LL_REL_TOL = 1e-10  # relative LL-change convergence threshold
@@ -123,8 +123,7 @@ def estimate(
     design = bind_design(model, dataset.variable_names)
     layout = design.layout
     n_params = layout.n_params
-    inputs = _design_inputs(design, dataset)
-    n_outcomes = design.n_outcomes
+    inputs = _data_inputs(dataset)
 
     counts = dataset.outcome_counts()
     diagnostics = [
@@ -137,7 +136,7 @@ def estimate(
 
     def evaluate(values: np.ndarray):
         nonlocal max_floored
-        ll, grad, hess, n_floored = _kernels.loglik_grad_hess(*inputs, values, n_outcomes)
+        ll, grad, hess, n_floored = _kernels.loglik_grad_hess(*inputs, design, values)
         max_floored = max(max_floored, n_floored)
         return ll, grad, hess
 

@@ -12,9 +12,8 @@ from .chi2 import chi_square_sf
 from .data import Dataset, partition, partition_dims
 from .errors import EmptyPartitionError, InconsistencyError, SevlogitError
 from .estimate import EstimateOptions, EstimationResult, estimate
-from .likelihood import probabilities_for_matrix, probability_matrix
-# bind_design is not called here, but perfbench/tracing.py patches it in this namespace
-from .modelspec import ModelSpec, ThetaLike, bind_design  # noqa: F401
+from .likelihood import _probabilities, probability_matrix
+from .modelspec import ModelSpec, ThetaLike, augmented_matrix, bind_design
 
 SPLIT_CONFIDENCE_LEVELS = (0.90, 0.95, 0.99)
 TEMPORAL_CONFIDENCE_LEVELS = (0.70, 0.90, 0.95, 0.99)
@@ -129,7 +128,9 @@ def elasticity_report(
 
     layout = result.theta_hat.layout
     theta = result.theta_hat.values
-    prob = probability_matrix(model, result.theta_hat, dataset)
+    design = bind_design(model, dataset.variable_names)
+    x = augmented_matrix(dataset.covariate_matrix)
+    prob = _probabilities(x, design, result.theta_hat)
 
     cells: list[ElasticityCell] = []
     for variable in model.variables():
@@ -139,9 +140,13 @@ def elasticity_report(
         slots = [layout.slot_of[(variable, o)] for o in outcomes]
         indicator = _is_indicator(values)
         if indicator:
-            off = _probabilities_with(model, result.theta_hat, dataset, col, 0.0)
-            on = _probabilities_with(model, result.theta_hat, dataset, col, 1.0)
-            per_outcome = (on - off) / off
+            off = _probabilities_with(x, design, result.theta_hat, col, 0.0)
+            on = _probabilities_with(x, design, result.theta_hat, col, 1.0)
+            x[:, col] = values
+            on -= off
+            on /= off  # (on - off) / off, in place
+            per_outcome = on
+            del off
         else:
             beta = np.zeros(model.outcome_set.n_outcomes)
             beta[outcomes] = theta[slots]
@@ -165,11 +170,10 @@ def elasticity_report(
     return ElasticityReport(model.outcome_set.labels, tuple(cells), aggregation, threshold)
 
 
-def _probabilities_with(model, theta, dataset, col, values) -> np.ndarray:
-    """Outcome probabilities of the dataset with covariate column `col` replaced by `values`."""
-    x = dataset.covariate_matrix.copy()
+def _probabilities_with(x, design, theta, col, values) -> np.ndarray:
+    """Outcome probabilities of design matrix x after writing `values` into its column `col`."""
     x[:, col] = values
-    return probabilities_for_matrix(model, theta, dataset.variable_names, x)
+    return _probabilities(x, design, theta)
 
 
 def finite_difference_elasticity(
@@ -185,11 +189,13 @@ def finite_difference_elasticity(
     Independent numerical route for cross-checking the closed form; exact up
     to differencing error for any coefficient structure.
     """
+    design = bind_design(model, dataset.variable_names)
+    x = augmented_matrix(dataset.covariate_matrix)
     col = dataset.variable_names.index(variable)
     values = dataset.covariate_matrix[:, col]
     step = rel_step * np.maximum(np.abs(values), 1.0)
-    p_plus = _probabilities_with(model, theta, dataset, col, values + step)[:, outcome]
-    p_minus = _probabilities_with(model, theta, dataset, col, values - step)[:, outcome]
+    p_plus = _probabilities_with(x, design, theta, col, values + step)[:, outcome]
+    p_minus = _probabilities_with(x, design, theta, col, values - step)[:, outcome]
     p_base = probability_matrix(model, theta, dataset)[:, outcome]
     derivative = (p_plus - p_minus) / (2.0 * step)
     return derivative * values / p_base

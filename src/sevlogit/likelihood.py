@@ -36,12 +36,25 @@ def probabilities_from_utilities(utilities: np.ndarray) -> np.ndarray:
     return _kernels._softmax(u.T)[0].T
 
 
-def _bound_theta(model: ModelSpec, variable_names, theta: ThetaLike):
-    design = bind_design(model, tuple(variable_names))
+def _finite_theta(design: Design, theta: ThetaLike) -> np.ndarray:
+    """theta's values in the design's slot layout; every one must be finite."""
     values = _theta_values(theta, design.layout)
     if not np.isfinite(values).all():
         raise NumericError("non-finite parameter value")
-    return design, values
+    return values
+
+
+def _data_inputs(dataset: Dataset):
+    """The kernels' (x, y, w) for a dataset: the design matrix, outcomes and weights."""
+    return augmented_matrix(dataset.covariate_matrix), dataset.outcome_indices, dataset.weights
+
+
+def _probabilities(x: np.ndarray, design: Design, theta: ThetaLike) -> np.ndarray:
+    """(rows, n_outcomes) outcome probabilities of a design matrix from ``augmented_matrix``."""
+    p = _kernels.prob_matrix(x, design, _finite_theta(design, theta))
+    if not np.isfinite(p).all():
+        raise NumericError("non-finite utility while computing probabilities")
+    return p
 
 
 def probabilities(model: ModelSpec, theta: ThetaLike, obs: Observation) -> np.ndarray:
@@ -50,35 +63,19 @@ def probabilities(model: ModelSpec, theta: ThetaLike, obs: Observation) -> np.nd
     return probability_matrix(model, theta, ds)[0]
 
 
-def probabilities_for_matrix(
-    model: ModelSpec, theta: ThetaLike, variable_names, matrix: np.ndarray
-) -> np.ndarray:
-    """(rows, n_outcomes) outcome probabilities of a raw covariate matrix.
-
-    ``matrix`` holds one column per name in ``variable_names``, without the
-    constant column.
-    """
-    design, values = _bound_theta(model, variable_names, theta)
-    p = _kernels.prob_matrix(
-        augmented_matrix(matrix), design.entry_slot, design.entry_outcome, design.entry_col,
-        values, design.n_outcomes,
-    )
-    if not np.isfinite(p).all():
-        raise NumericError("non-finite utility while computing probabilities")
-    return p
-
-
 def probability_matrix(model: ModelSpec, theta: ThetaLike, dataset: Dataset) -> np.ndarray:
     """(n_obs, n_outcomes) matrix of outcome probabilities."""
-    return probabilities_for_matrix(model, theta, dataset.variable_names, dataset.covariate_matrix)
+    design = bind_design(model, dataset.variable_names)
+    return _probabilities(augmented_matrix(dataset.covariate_matrix), design, theta)
 
 
 def log_likelihood(model: ModelSpec, theta: ThetaLike, dataset: Dataset) -> float:
     """Weighted sum over observations of the log observed-outcome probability."""
     if dataset.n_obs == 0:
         raise ValueError("dataset is empty")
-    design, values = _bound_theta(model, dataset.variable_names, theta)
-    value, _ = _kernels.loglik(*_design_inputs(design, dataset), values, design.n_outcomes)
+    design = bind_design(model, dataset.variable_names)
+    values = _finite_theta(design, theta)
+    value, _ = _kernels.loglik(*_data_inputs(dataset), design, values)
     return float(value)
 
 
@@ -86,16 +83,7 @@ def gradient_hessian(model: ModelSpec, theta: ThetaLike, dataset: Dataset) -> Li
     """Log-likelihood with analytic score and Hessian, aggregated through shared slots."""
     if dataset.n_obs == 0:
         raise ValueError("dataset is empty")
-    design, values = _bound_theta(model, dataset.variable_names, theta)
-    value, grad, hess, n_floored = _kernels.loglik_grad_hess(
-        *_design_inputs(design, dataset), values, design.n_outcomes
-    )
+    design = bind_design(model, dataset.variable_names)
+    values = _finite_theta(design, theta)
+    value, grad, hess, n_floored = _kernels.loglik_grad_hess(*_data_inputs(dataset), design, values)
     return LikelihoodEvaluation(float(value), grad, hess, int(n_floored))
-
-
-def _design_inputs(design: Design, dataset: Dataset):
-    """Kernel argument tuple for repeated evaluations against one dataset."""
-    return (
-        augmented_matrix(dataset.covariate_matrix), dataset.outcome_indices, dataset.weights,
-        design.entry_slot, design.entry_outcome, design.entry_col,
-    )

@@ -15,8 +15,8 @@ import numpy as np
 
 from .data import SEGMENT_LEVELS, Dataset, SegmentKey
 from .errors import ConfigError
-from .modelspec import ModelSpec, ThetaLike, _theta_values, build_layout
-from .likelihood import probabilities_for_matrix
+from .modelspec import ModelSpec, ThetaLike, _theta_values, augmented_matrix, bind_design
+from .likelihood import _probabilities
 
 RNG_ALGORITHM = "PCG64"
 
@@ -125,10 +125,10 @@ def simulate(config: GeneratorConfig) -> Dataset:
     """Draw a dataset: covariates per their distributions, outcomes from the model."""
     rng = np.random.default_rng(config.seed)
     n = config.n_obs
-    layout = build_layout(config.model)
-    theta = _theta_values(config.true_theta, layout)
-
     names = tuple(config.covariates)
+    design = bind_design(config.model, names)
+    theta = _theta_values(config.true_theta, design.layout)
+
     columns = {name: _draw_column(config.covariates[name], n, rng) for name in names}
     matrix = np.column_stack([columns[name] for name in names]) if names else np.empty((n, 0))
 
@@ -152,8 +152,8 @@ def simulate(config: GeneratorConfig) -> Dataset:
         rows = np.flatnonzero(component == idx)
         if rows.size == 0:
             continue
-        comp_theta = theta if comp.theta is None else _theta_values(comp.theta, layout)
-        prob[rows] = probabilities_for_matrix(config.model, comp_theta, names, matrix[rows])
+        comp_theta = theta if comp.theta is None else comp.theta
+        prob[rows] = _probabilities(augmented_matrix(matrix[rows]), design, comp_theta)
 
     cumulative = np.cumsum(prob, axis=1)
     outcome = np.minimum(

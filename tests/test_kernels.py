@@ -100,16 +100,19 @@ def _case(name, order):
     theta = scale * rng.normal(0.0, 0.05, design.n_params)
     xa = augmented_matrix(x)
     xa = np.asfortranarray(xa) if order == "F" else np.ascontiguousarray(xa)
-    args = (xa, y, w, design.entry_slot, design.entry_outcome, design.entry_col)
-    return args, theta, n_outcomes
+    return (xa, y, w), design, theta
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_agrees_with_per_entry_oracle(name, order):
-    args, theta, n_outcomes = _case(name, order)
-    ll, grad, hess, n_floored = _kernels.loglik_grad_hess(*args, theta, n_outcomes)
-    ll_o, grad_o, hess_o, n_floored_o = oracle_loglik_grad_hess(*args, theta, n_outcomes)
+    (x, y, w), design, theta = _case(name, order)
+    entries = (design.entry_slot, design.entry_outcome, design.entry_col)
+    n_outcomes = design.n_outcomes
+    ll, grad, hess, n_floored = _kernels.loglik_grad_hess(x, y, w, design, theta)
+    ll_o, grad_o, hess_o, n_floored_o = oracle_loglik_grad_hess(
+        x, y, w, *entries, theta, n_outcomes
+    )
     assert abs(ll - ll_o) <= 1e-13 * abs(ll_o)
     assert np.abs(grad - grad_o).max() <= 1e-10 * np.abs(grad_o).max()
     assert np.abs(hess - hess_o).max() <= 1e-13 * np.abs(hess_o).max()
@@ -117,13 +120,12 @@ def test_agrees_with_per_entry_oracle(name, order):
     assert n_floored == n_floored_o
     assert (n_floored > 0) == (name == "floored")
 
-    ll_only, n_floored_ll = _kernels.loglik(*args, theta, n_outcomes)
+    ll_only, n_floored_ll = _kernels.loglik(x, y, w, design, theta)
     assert ll_only == ll
     assert n_floored_ll == n_floored
 
-    x, _, _, entry_slot, entry_outcome, entry_col = args
-    prob = _kernels.prob_matrix(x, entry_slot, entry_outcome, entry_col, theta, n_outcomes)
-    prob_o = oracle_prob_matrix(x, entry_slot, entry_outcome, entry_col, theta, n_outcomes)
+    prob = _kernels.prob_matrix(x, design, theta)
+    prob_o = oracle_prob_matrix(x, *entries, theta, n_outcomes)
     assert prob.shape == prob_o.shape
     assert np.abs(prob - prob_o).max() <= 1e-13
 
@@ -143,12 +145,12 @@ def test_blocks_are_summed_pairwise(seed, rows, half, monkeypatch):
     # passes bit for bit, which a sequential ((b0 + b1) + b2) + b3 misses on some seeds; in
     # blocks of 400 the lone fifth block joins ((b0 + b1) + (b2 + b3)) only at the top
     monkeypatch.setattr(_kernels, "ROWS", rows)
-    (x, y, w, *entries), theta, n_outcomes = _case("non-unit-weights", "F")
+    (x, y, w), design, theta = _case("non-unit-weights", "F")
     rows_drawn = np.random.default_rng(seed).permutation(x.shape[0])
     x, y, w = np.asfortranarray(x[rows_drawn]), y[rows_drawn], w[rows_drawn]
-    ll, n_floored = _kernels.loglik(x, y, w, *entries, theta, n_outcomes)
-    ll_a, n_a = _kernels.loglik(x[:half], y[:half], w[:half], *entries, theta, n_outcomes)
-    ll_b, n_b = _kernels.loglik(x[half:], y[half:], w[half:], *entries, theta, n_outcomes)
+    ll, n_floored = _kernels.loglik(x, y, w, design, theta)
+    ll_a, n_a = _kernels.loglik(x[:half], y[:half], w[:half], design, theta)
+    ll_b, n_b = _kernels.loglik(x[half:], y[half:], w[half:], design, theta)
     assert ll == ll_a + ll_b
     assert n_floored == n_a + n_b
 
@@ -168,18 +170,11 @@ def test_flooring_counts_agree():
         ("x",),
     )
     design = bind_design(model, ds.variable_names)
-    args = (
-        augmented_matrix(ds.covariate_matrix),
-        ds.outcome_indices,
-        ds.weights,
-        design.entry_slot,
-        design.entry_outcome,
-        design.entry_col,
-    )
+    args = (augmented_matrix(ds.covariate_matrix), ds.outcome_indices, ds.weights, design)
     theta = np.array([800.0])  # first row's observed-outcome probability underflows
-    _, n_floored = _kernels.loglik(*args, theta, 2)
+    _, n_floored = _kernels.loglik(*args, theta)
     assert n_floored == 1
-    *_, n_floored_full = _kernels.loglik_grad_hess(*args, theta, 2)
+    *_, n_floored_full = _kernels.loglik_grad_hess(*args, theta)
     assert n_floored_full == 1
 
 
