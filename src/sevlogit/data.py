@@ -73,6 +73,20 @@ class SegmentKey:
                 raise ValueError(unknown_level(dim, getattr(self, dim)))
 
 
+def integral(value) -> Optional[int]:
+    """value as an int if it is an integer or an integral float (2e5 is 200000), else None.
+
+    bools, strings and fractional or non-finite numbers give None.
+    """
+    if isinstance(value, (bool, np.bool_)):
+        return None
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    return None
+
+
 def unknown_level(dim: str, value: str) -> str:
     """Error text for a segment value outside its closed enumeration."""
     return f"unknown {dim} {value!r}; expected one of {SEGMENT_LEVELS[dim]}"

@@ -300,6 +300,8 @@ def load_model_spec(path) -> ModelSpec:
 def model_spec_from_dict(doc: dict, source: str = "<inline>") -> ModelSpec:
     if not isinstance(doc, dict) or "outcomes" not in doc or "terms" not in doc:
         raise ModelSpecError(f"{source}: expected an object with 'outcomes' and 'terms'")
+    if not isinstance(doc["outcomes"], list):
+        raise ModelSpecError(f"{source}: 'outcomes' must be a list of labels, base first")
     try:
         outcome_set = OutcomeSet(tuple(str(lab) for lab in doc["outcomes"]))
     except ValueError as exc:
@@ -307,8 +309,9 @@ def model_spec_from_dict(doc: dict, source: str = "<inline>") -> ModelSpec:
 
     terms = []
     for i, raw in enumerate(doc["terms"]):
-        if not isinstance(raw, dict) or "variable" not in raw or "outcomes" not in raw:
-            raise ModelSpecError(f"{source}: term {i} needs 'variable' and 'outcomes'")
+        listed = isinstance(raw, dict) and isinstance(raw.get("outcomes"), list)
+        if not listed or "variable" not in raw:
+            raise ModelSpecError(f"{source}: term {i} needs 'variable' and a list of 'outcomes'")
         outs = []
         for item in raw["outcomes"]:
             if isinstance(item, str):
@@ -317,8 +320,8 @@ def model_spec_from_dict(doc: dict, source: str = "<inline>") -> ModelSpec:
                 except KeyError as exc:
                     raise ModelSpecError(f"{source}: term {i}: {exc}") from None
             else:
-                outs.append(int(item))
-        terms.append(TermSpec(str(raw["variable"]), tuple(outs), bool(raw.get("shared", False))))
+                outs.append(item)
+        terms.append(TermSpec(str(raw["variable"]), tuple(outs), raw.get("shared", False)))
     return ModelSpec(outcome_set, tuple(terms))
 
 
@@ -393,12 +396,17 @@ def load_generator_config(path) -> tuple[GeneratorConfig, Optional[str]]:
         if key not in doc:
             raise ConfigError(f"{path}: missing required key {key!r}")
 
+    if not isinstance(doc["covariates"], dict):
+        raise ConfigError(f"{path}: 'covariates' must be an object of name: distribution")
     covariates = {
         name: _parse_distribution(name, raw) for name, raw in doc["covariates"].items()
     }
 
+    segments_raw = doc.get("segments", [])
+    if not isinstance(segments_raw, list) or not all(isinstance(raw, dict) for raw in segments_raw):
+        raise ConfigError(f"{path}: 'segments' must be a list of objects")
     segments = []
-    for i, raw in enumerate(doc.get("segments", [])):
+    for i, raw in enumerate(segments_raw):
         try:
             key = SegmentKey(
                 road_class=raw.get("road_class", "other"),
@@ -413,10 +421,10 @@ def load_generator_config(path) -> tuple[GeneratorConfig, Optional[str]]:
     config = GeneratorConfig(
         model=model,
         true_theta=_parse_theta(doc["theta"], model),
-        n_obs=int(doc["n"]),
+        n_obs=doc["n"],
         covariates=covariates,
         segments=tuple(segments),
-        seed=int(doc.get("seed", 0)),
+        seed=doc.get("seed", 0),
     )
     period = doc.get("period")
     return config, (str(period) if period is not None else None)

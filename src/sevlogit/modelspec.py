@@ -13,7 +13,7 @@ from typing import Iterable, Mapping, Union
 
 import numpy as np
 
-from .data import Observation, OutcomeSet
+from .data import Observation, OutcomeSet, integral
 from .errors import ModelSpecError, SchemaError
 
 CONSTANT = "constant"
@@ -30,9 +30,18 @@ class TermSpec:
     shared: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "outcomes", tuple(sorted(set(self.outcomes))))
         if not self.variable:
             raise ModelSpecError("term variable name must be non-empty")
+        outcomes = [integral(out) for out in self.outcomes]
+        if None in outcomes:
+            raise ModelSpecError(
+                f"term {self.variable!r}: outcomes must be integer indices, got {tuple(self.outcomes)}"
+            )
+        object.__setattr__(self, "outcomes", tuple(sorted(set(outcomes))))
+        if not isinstance(self.shared, bool):
+            raise ModelSpecError(
+                f"term {self.variable!r}: shared must be true or false, got {self.shared!r}"
+            )
         if not self.outcomes:
             raise ModelSpecError(f"term {self.variable!r} lists no outcomes")
         if BASE_OUTCOME in self.outcomes:

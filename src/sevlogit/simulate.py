@@ -13,7 +13,7 @@ from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .data import SEGMENT_LEVELS, Dataset, SegmentKey
+from .data import SEGMENT_LEVELS, Dataset, SegmentKey, integral
 from .errors import ConfigError
 from .modelspec import ModelSpec, ThetaLike, _theta_values, augmented_matrix, bind_design
 from .likelihood import _probabilities
@@ -63,10 +63,11 @@ Distribution = Union[ConstantDist, UniformDist, CategoricalDist, IndicatorDist]
 
 
 def generator_seed(seed: int) -> int:
-    """The seed rule: a non-negative integer, as PCG64 seeding needs."""
-    if seed < 0:
-        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
-    return seed
+    """The seed rule: a non-negative integer, as PCG64 seeding needs; see ``integral``."""
+    value = integral(seed)
+    if value is None or value < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -96,9 +97,11 @@ class GeneratorConfig:
     def __post_init__(self):
         object.__setattr__(self, "covariates", dict(self.covariates))
         object.__setattr__(self, "segments", tuple(self.segments))
-        if self.n_obs < 1:
-            raise ConfigError(f"n_obs must be at least 1, got {self.n_obs}")
-        generator_seed(self.seed)
+        n_obs = integral(self.n_obs)
+        if n_obs is None or n_obs < 1:
+            raise ConfigError(f"n_obs (config key 'n') must be an integer >= 1, got {self.n_obs!r}")
+        object.__setattr__(self, "n_obs", n_obs)
+        object.__setattr__(self, "seed", generator_seed(self.seed))
         missing = [v for v in self.model.variables() if v not in self.covariates]
         if missing:
             raise ConfigError(f"no covariate distribution for model variables {missing}")

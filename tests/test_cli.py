@@ -386,6 +386,29 @@ class TestOtherCommands:
         assert run("simulate", "--config", gen, "--out", b) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_simulate_fractional_n_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        gen = tmp_path / "gen.json"
+        gen.write_text(
+            json.dumps(
+                {
+                    "model": {
+                        "outcomes": ["a", "b"],
+                        "terms": [{"variable": "constant", "outcomes": ["b"]}],
+                    },
+                    "theta": [0.3],
+                    "n": 20.7,
+                    "seed": 1,
+                    "covariates": {},
+                }
+            )
+        )
+        out = tmp_path / "sim.csv"
+        assert run("simulate", "--config", gen, "--out", out) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: n_obs (config key 'n') must be an integer >= 1, got 20.7\n"
+        assert captured.out == ""
+        assert os.listdir(tmp_path) == ["gen.json"]
+
     def test_split_test(self, tmp_path, speed_model, speed_theta, capsys):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps(model_spec_to_dict(speed_model)))

@@ -213,6 +213,46 @@ class TestElasticityReport:
         expected = (p_on[2] - p_off[2]) / p_off[2]
         assert rep1.cell("curve", 2).elasticity == pytest.approx(expected, rel=1e-12)
 
+    def test_two_indicators_match_independent_flips(self, three_outcomes):
+        # curve is flipped before dark: had curve's column been left at 0 or 1, dark's flips
+        # would see the wrong curve values
+        model = sl.ModelSpec(
+            three_outcomes,
+            (
+                sl.TermSpec("constant", (1, 2)),
+                sl.TermSpec("curve", (1, 2)),
+                sl.TermSpec("dark", (1, 2)),
+                sl.TermSpec("speed_limit", (1, 2), shared=True),
+            ),
+        )
+        covariates = {
+            "curve": sl.IndicatorDist(0.3),
+            "dark": sl.IndicatorDist(0.4),
+            "speed_limit": sl.UniformDist(25, 70),
+        }
+        theta = np.array([-1.0, -3.0, 0.4, 0.7, 0.2, 0.9, 0.02])
+        data = sl.simulate(sl.GeneratorConfig(model, theta, 4000, covariates, seed=8))
+        assert model.variables() == data.variable_names == ("curve", "dark", "speed_limit")
+        result = sl.estimate(model, data)
+        report = sl.elasticity_report(model, result, data, threshold=0.0, keep_per_observation=True)
+
+        def flipped(col, value):
+            x = data.covariate_matrix.copy()
+            x[:, col] = value
+            columns = dict(data.columns, X=x)
+            copy = sl.Dataset.from_columns(
+                data.outcome_set, data.variable_names, columns, data.period_labels
+            )
+            return sl.probability_matrix(model, result.theta_hat, copy)
+
+        for col, variable in enumerate(("curve", "dark")):
+            off, on = flipped(col, 0.0), flipped(col, 1.0)
+            for out in (1, 2):
+                cell = report.cell(variable, out)
+                assert cell.method == "pseudo-elasticity"
+                expected = (on[:, out] - off[:, out]) / off[:, out]
+                assert np.array_equal(cell.per_observation, expected)
+
     def test_aggregation_options(self, speed_model, speed_dataset):
         result = sl.estimate(speed_model, speed_dataset)
         mean_rep = sl.elasticity_report(speed_model, result, speed_dataset, aggregation="mean")

@@ -441,6 +441,27 @@ class TestModelSpecFile:
         with pytest.raises(sl.ModelSpecError):
             load_model_spec(missing_keys)
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"outcomes": "pdo", "terms": [{"variable": "x", "outcomes": [1]}]}, "'outcomes' must"),
+            ({"outcomes": ["a", "b"], "terms": [{"variable": "x", "outcomes": "b"}]},
+             "term 0 needs 'variable' and a list of 'outcomes'"),
+            ({"outcomes": ["a", "b", "c"], "terms": [{"variable": "x", "outcomes": [1.7]}]},
+             "outcomes must be integer indices, got \\(1.7,\\)"),
+            ({"outcomes": ["a", "b", "c"], "terms": [{"variable": "x", "outcomes": [True]}]},
+             "outcomes must be integer indices"),
+            ({"outcomes": ["a", "b", "c"],
+              "terms": [{"variable": "x", "outcomes": [1, 2], "shared": "false"}]},
+             "shared must be true or false, got 'false'"),
+        ],
+    )
+    def test_malformed_values_are_refused(self, tmp_path, doc, message):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(sl.ModelSpecError, match=message):
+            load_model_spec(path)
+
 
 class TestGeneratorConfigFile:
     def _write(self, tmp_path, doc):
@@ -513,6 +534,41 @@ class TestGeneratorConfigFile:
         }
         with pytest.raises(sl.ConfigError, match="slot order"):
             load_generator_config(self._write(tmp_path, doc))
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"n": 20.7}, "n_obs \\(config key 'n'\\) must be an integer >= 1, got 20.7"),
+            ({"n": True}, "config key 'n'\\) must be an integer >= 1, got True"),
+            ({"n": "20"}, "config key 'n'\\) must be an integer >= 1, got '20'"),
+            ({"seed": 1.5}, "seed must be a non-negative integer, got 1.5"),
+            ({"seed": "1"}, "seed must be a non-negative integer, got '1'"),
+            ({"covariates": ["x"]}, "'covariates' must be an object"),
+            ({"segments": ["interstate"]}, "'segments' must be a list of objects"),
+            ({"segments": {"road_class": "interstate"}}, "'segments' must be a list of objects"),
+        ],
+    )
+    def test_malformed_values_are_refused(self, tmp_path, changes, message):
+        doc = {
+            "model": {"outcomes": ["a", "b"], "terms": [{"variable": "constant", "outcomes": [1]}]},
+            "theta": [0.1],
+            "n": 20,
+            "seed": 1,
+            "covariates": {},
+            **changes,
+        }
+        with pytest.raises(sl.ConfigError, match=message):
+            load_generator_config(self._write(tmp_path, doc))
+
+    def test_integral_float_n_is_accepted(self, tmp_path):
+        doc = {
+            "model": {"outcomes": ["a", "b"], "terms": [{"variable": "constant", "outcomes": [1]}]},
+            "theta": [0.1],
+            "n": 2e1,
+            "covariates": {},
+        }
+        config, _ = load_generator_config(self._write(tmp_path, doc))
+        assert config.n_obs == 20 and type(config.n_obs) is int
 
     def test_unknown_distribution(self, tmp_path):
         doc = {

@@ -20,6 +20,21 @@ class TestTermSpec:
         term = sl.TermSpec("x", (2, 1, 2))
         assert term.outcomes == (1, 2)
 
+    @pytest.mark.parametrize("outcome", [1.7, True, "1", None])
+    def test_outcome_indices_must_be_integers(self, outcome):
+        with pytest.raises(sl.ModelSpecError, match="'x': outcomes must be integer indices"):
+            sl.TermSpec("x", (outcome, 2))
+
+    def test_integral_outcome_indices_become_ints(self):
+        term = sl.TermSpec("x", (2.0, np.int64(1)))
+        assert term.outcomes == (1, 2)
+        assert all(type(out) is int for out in term.outcomes)
+
+    @pytest.mark.parametrize("shared", ["false", 0, 1, None])
+    def test_shared_must_be_a_bool(self, shared):
+        with pytest.raises(sl.ModelSpecError, match="'x': shared must be true or false"):
+            sl.TermSpec("x", (1, 2), shared=shared)
+
 
 class TestModelSpec:
     def test_duplicate_pair_rejected(self):

@@ -170,6 +170,23 @@ class TestGeneratorConfigValidation:
         with pytest.raises(sl.ConfigError, match="seed must be a non-negative integer, got -1"):
             sl.GeneratorConfig(constants_model, np.zeros(2), 10, {}, seed=-1)
 
+    @pytest.mark.parametrize("n_obs", [20.7, True, "20", None, float("inf")])
+    def test_n_must_be_an_integer(self, constants_model, n_obs):
+        with pytest.raises(sl.ConfigError, match="n_obs .* must be an integer >= 1"):
+            sl.GeneratorConfig(constants_model, np.zeros(2), n_obs, {}, seed=0)
+
+    @pytest.mark.parametrize("seed", [1.5, False, "1", None, float("nan")])
+    def test_seed_must_be_an_integer(self, constants_model, seed):
+        with pytest.raises(sl.ConfigError, match="seed must be a non-negative integer, got"):
+            sl.GeneratorConfig(constants_model, np.zeros(2), 10, {}, seed=seed)
+
+    def test_integral_floats_are_integers(self, constants_model):
+        config = sl.GeneratorConfig(constants_model, np.zeros(2), 2e1, {}, seed=np.float64(7.0))
+        assert (config.n_obs, config.seed) == (20, 7)
+        assert type(config.n_obs) is int and type(config.seed) is int
+        exact = sl.GeneratorConfig(constants_model, np.zeros(2), 20, {}, seed=7)
+        assert sl.simulate(config) == sl.simulate(exact)
+
 
 class TestThetaForTargetShares:
     def test_round_trip(self, constants_model):
