@@ -78,9 +78,7 @@ def integral(value) -> Optional[int]:
 
     bools, strings and fractional or non-finite numbers give None.
     """
-    if isinstance(value, (bool, np.bool_)):
-        return None
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
         return int(value)
     if isinstance(value, (float, np.floating)) and float(value).is_integer():
         return int(value)
