@@ -33,6 +33,7 @@ from .inference import (
     lr_temporal_test,
 )
 from .io import ingest_csv, load_generator_config, load_model_spec, write_csv, write_text_atomic
+from .io import read_sidecar, sidecar_key, write_sidecar
 from .simulate import RNG_ALGORITHM, generator_seed, simulate
 
 
@@ -153,11 +154,22 @@ def _report(args, config: dict, records: list) -> int:
     return 0
 
 
+def _dataset(path, outcome_set: OutcomeSet):
+    """The dataset of a CSV: from its column sidecar if one matches, else ingested, and the
+    sidecar written. A sidecar holds what the ingest gave, so no record depends on it."""
+    key = sidecar_key(path, outcome_set)
+    dataset = read_sidecar(path, key, outcome_set)
+    if dataset is None:
+        dataset = ingest_csv(path, outcome_set)
+        write_sidecar(path, key, dataset)
+    return dataset
+
+
 def _load(args):
     """The model spec and the dataset of a fitting command."""
     _check_inputs(args.data, args.model)
     model = load_model_spec(args.model)
-    return model, ingest_csv(args.data, model.outcome_set)
+    return model, _dataset(args.data, model.outcome_set)
 
 
 def _cmd_estimate(args) -> int:
@@ -231,7 +243,8 @@ def _cmd_temporal_test(args) -> int:
             raise ConfigError(f"period {label!r} not present in the data (found {periods})")
 
     code = dataset.columns["period"]
-    both = dataset.take((code == periods.index(label_a)) | (code == periods.index(label_b)))
+    keep = (code == periods.index(label_a)) | (code == periods.index(label_b))
+    both = dataset if keep.all() else dataset.take(keep)  # no copy of a two-period file
     rep = _fit_cells(model, both, ("period",), options)
     fits = {cell.key: cell.result for cell in rep.cells}
     fit_all, fit_a, fit_b = rep.pooled, fits[(label_a,)], fits[(label_b,)]
@@ -303,11 +316,11 @@ def _cmd_summarize(args) -> int:
     except ValueError:
         raise ConfigError(f"--bins must be a comma list of numbers, got {args.bins!r}") from None
     bins = bin_edges(bins)
-    outcome_set = None
+    outcome_set = OutcomeSet()
     if args.outcomes:
         outcome_set = OutcomeSet(tuple(s.strip() for s in args.outcomes.split(",")))
     _check_inputs(args.data)
-    dataset = ingest_csv(args.data, outcome_set)
+    dataset = _dataset(args.data, outcome_set)
     table = summarize(dataset, bins, variable=args.speed_var)
     config = _config_dict(args, "summarize", bins=args.bins, speed_var=args.speed_var)
     return _report(args, config, [report.summary_record(table)])

@@ -36,7 +36,11 @@ class OutcomeSet:
     labels: tuple[str, ...] = DEFAULT_OUTCOME_LABELS
 
     def __post_init__(self):
+        if isinstance(self.labels, str):
+            raise ValueError(f"outcome labels must be a sequence of strings, not {self.labels!r}")
         object.__setattr__(self, "labels", tuple(self.labels))
+        if not all(isinstance(lab, str) for lab in self.labels):
+            raise ValueError(f"outcome labels must be strings, got {self.labels}")
         if len(self.labels) < 2:
             raise ValueError("an outcome set needs at least two outcomes")
         if len(set(self.labels)) != len(self.labels):

@@ -5,6 +5,7 @@ header row. Required columns are outcome, road_class, location, accident_type;
 period and weight are optional; every remaining column is a numeric covariate.
 Outcome cells hold the outcome label, case-sensitively. Lines starting with '#' before the header are
 metadata comments (emitted datasets record their RNG there) and are skipped.
+The CLI keeps the columns of a clean ingest in a sidecar beside the CSV (sidecar_key).
 """
 
 from __future__ import annotations
@@ -13,12 +14,20 @@ import csv
 import json
 import math
 import os
+import stat
 import tempfile
-from functools import partial
+import zipfile
+from contextlib import contextmanager
+from functools import lru_cache, partial
 from itertools import compress, islice, repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import Optional
+
+try:  # as the random module does: hashlib loads OpenSSL (3.5 MB of RSS); its blake2b is this one
+    from _blake2 import blake2b
+except ImportError:
+    from hashlib import blake2b
 
 import numpy as np
 
@@ -197,13 +206,14 @@ def _convert_block(
     cells = dict(zip(header, column_cells))
     columns = {dim: _codes(cells[dim], levels) for dim, levels in SEGMENT_LEVELS.items()}
     columns["y"] = _codes(cells["outcome"], outcome_set.labels)
-    period = cells.get("period", ("",) * n)
-    periods.extend(sorted(set(period) - set(periods) - {""}))
-    columns["period"] = _codes(period, periods)
-    weight = cells.get("weight", ("",) * n)
-    given = np.fromiter(map(bool, weight), dtype=bool, count=n)
-    columns["w"] = np.ones(n)
-    columns["w"][given] = _floats(list(compress(weight, given)))
+    columns["period"] = np.full(n, -1, dtype=np.int64)  # an absent column: no period, weight 1
+    if "period" in cells:
+        periods.extend(sorted(set(cells["period"]) - set(periods) - {""}))
+        columns["period"] = _codes(cells["period"], periods)
+    columns["w"], weight = np.ones(n), cells.get("weight", ())
+    if weight:
+        given = np.fromiter(map(bool, weight), dtype=bool, count=n)
+        columns["w"][given] = _floats(list(compress(weight, given)))
     columns["X"] = np.empty((n, len(covariate_names)))
     for j, name in enumerate(covariate_names):
         columns["X"][:, j] = _floats(cells[name])
@@ -259,32 +269,119 @@ def write_csv(dataset: Dataset, path, note: Optional[str] = None) -> None:
         numeric.insert(0, c["w"])
     header.extend(dataset.variable_names)
 
-    # blocks bound the cells held at once; csv.writer would leave a bare CR unquoted
-    parts = [f"# {note}\n"] if note else []
-    parts.append(",".join(map(_quoted, header)) + "\n")
+    # blocks are written as they are formatted; csv.writer would leave a bare CR unquoted
     labels = [(np.asarray(list(map(_quoted, table)), dtype=object), codes) for table, codes in labels]
-    for start in range(0, dataset.n_obs, BLOCK_ROWS):
-        rows = slice(start, start + BLOCK_ROWS)
-        cells = [table[codes[rows]] for table, codes in labels]
-        cells.extend(_format_column(values[rows]) for values in numeric)
-        parts.append("\n".join(map(",".join, zip(*cells))) + "\n")
-    write_text_atomic(path, "".join(parts))
+    with _atomic(path) as handle:
+        handle.write((f"# {note}\n" if note else "") + ",".join(map(_quoted, header)) + "\n")
+        for start in range(0, dataset.n_obs, BLOCK_ROWS):
+            rows = slice(start, start + BLOCK_ROWS)
+            cells = [table[codes[rows]] for table, codes in labels]
+            cells.extend(_format_column(values[rows]) for values in numeric)
+            handle.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def write_text_atomic(path, text: str) -> None:
     """Write via a temp file in the target directory plus rename; OSError becomes ConfigError."""
+    with _atomic(path) as handle:
+        handle.write(text)
+
+
+@contextmanager
+def _atomic(path, mode: str = "w"):
+    """A handle on a temp file in the target's directory, renamed onto the target when the
+    block ends; an OSError becomes ConfigError, and the temp file never outlives the block."""
     path, tmp = Path(path), None
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        with os.fdopen(fd, mode, encoding=None if "b" in mode else "utf-8") as handle:
+            yield handle
         os.replace(tmp, path)
     except OSError as exc:
         raise ConfigError(f"cannot write {path} ({exc})") from None
     finally:
         if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+
+
+# A column sidecar, `.<name>.sevlogit.npz` beside a CSV, holds the columns of a clean ingest
+# of it, so the CLI parses a file once across commands. Anything wrong with one is a miss
+# (TypeError: a plain .npy file, or metadata that is not an object, in its place).
+_SIDECAR_ERRORS = (OSError, ValueError, KeyError, TypeError, zipfile.BadZipFile)
+
+
+def _sidecar_path(path) -> Path:
+    return Path(path).with_name(f".{Path(path).name}.sevlogit.npz")
+
+
+@lru_cache(maxsize=None)
+def _ingest_code_digest() -> bytes:
+    """Digest of the sources of the ingest rules: changing a rule invalidates old sidecars."""
+    sources = (Path(__file__).with_name(name).read_bytes() for name in ("io.py", "data.py"))
+    return blake2b(b"".join(sources)).digest()
+
+
+def sidecar_key(path, outcome_set: OutcomeSet) -> Optional[tuple]:
+    """(digest of the CSV's bytes, outcome labels and ingest code; the CSV's owner; its size
+    and mtime), read in one pass. None if the CSV cannot be read or the system is not POSIX
+    (a sidecar is trusted by its owner and mode)."""
+    if os.name != "posix":
+        return None
+    try:
+        digest = blake2b(_ingest_code_digest() + json.dumps(outcome_set.labels).encode())
+        with open(path, "rb") as raw:
+            status = os.fstat(raw.fileno())
+            for chunk in iter(partial(raw.read, 1 << 20), b""):
+                digest.update(chunk)
+    except OSError:
+        return None
+    return digest.hexdigest(), status.st_uid, (status.st_size, status.st_mtime_ns)
+
+
+def read_sidecar(path, key: Optional[tuple], outcome_set: OutcomeSet) -> Optional[Dataset]:
+    """The dataset in a CSV's sidecar if it matches `key`, else None. A sidecar that is not a
+    regular file owned by the CSV's owner, or that group or others may write, is ignored."""
+    if key is None:
+        return None
+    digest, owner, _ = key
+    try:
+        fd = os.open(_sidecar_path(path), os.O_RDONLY | os.O_NOFOLLOW | os.O_NONBLOCK)
+        with open(fd, "rb") as handle:
+            status = os.fstat(fd)
+            mode_ok = stat.S_ISREG(status.st_mode) and not status.st_mode & 0o022
+            if not mode_ok or status.st_uid != owner:
+                return None
+            with np.load(handle, allow_pickle=False) as archive:
+                meta = json.loads(archive["meta"].tobytes())
+                if meta["key"] != digest:
+                    return None
+                columns = {name: archive[name] for name in COLUMNS}
+        return Dataset.from_columns(outcome_set, meta["names"], columns, meta["periods"])
+    except _SIDECAR_ERRORS:
+        return None
+
+
+def write_sidecar(path, key: Optional[tuple], dataset: Dataset) -> None:
+    """Store an ingested dataset in its CSV's sidecar, atomically and without copying an
+    array, if the CSV is this user's and its size and mtime are those in `key`."""
+    if key is None:
+        return
+    digest, owner, stamp = key
+    meta = {"key": digest, "names": dataset.variable_names, "periods": dataset.period_labels}
+    arrays = {"meta": np.frombuffer(json.dumps(meta).encode(), np.uint8), **dataset.columns}
+    try:
+        status = os.stat(path)
+        if (status.st_size, status.st_mtime_ns) != stamp or owner != os.geteuid():
+            return
+        with _atomic(_sidecar_path(path), "wb") as handle, zipfile.ZipFile(handle, "w") as archive:
+            for name, array in arrays.items():
+                array = np.ascontiguousarray(array)
+                with archive.open(f"{name}.npy", "w", force_zip64=True) as member:
+                    header = np.lib.format.header_data_from_array_1_0(array)
+                    np.lib.format.write_array_header_1_0(member, header)
+                    member.write(array)  # through the buffer protocol, not a bytes copy
+    except (ConfigError, *_SIDECAR_ERRORS):
+        pass
 
 
 def load_model_spec(path) -> ModelSpec:

@@ -95,8 +95,12 @@ class GeneratorConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.covariates, Mapping):
+            raise ConfigError(f"covariates must map names to distributions, got {self.covariates!r}")
         object.__setattr__(self, "covariates", dict(self.covariates))
         object.__setattr__(self, "segments", tuple(self.segments))
+        if not all(isinstance(c, SegmentComponent) for c in self.segments):
+            raise ConfigError(f"segments must be SegmentComponent objects, got {self.segments!r}")
         n_obs = integral(self.n_obs)
         if n_obs is None or n_obs < 1:
             raise ConfigError(f"n_obs (config key 'n') must be an integer >= 1, got {self.n_obs!r}")

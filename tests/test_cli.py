@@ -7,9 +7,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import sevlogit as sl
+import sevlogit.cli
+import sevlogit.io
 from sevlogit.cli import build_parser, main
 from sevlogit.io import model_spec_to_dict, write_csv
 from sevlogit.report import estimation_record, render
@@ -661,3 +664,195 @@ def test_records_do_not_depend_on_blas_threads(tmp_path, speed_model, speed_thet
             )
             outputs.setdefault(argv[0], set()).add(proc.stdout)
     assert all(len(out) == 1 for out in outputs.values())
+
+
+class TestColumnSidecar:
+    """The CLI keeps the columns of each cleanly ingested CSV in `.<name>.sevlogit.npz`
+    beside it and loads them instead of parsing while the key (the CSV's bytes, the
+    outcome labels and the ingest code) matches. No record depends on which happened."""
+
+    COMMANDS = [
+        ("estimate",),
+        ("elasticities",),
+        ("split-test", "--by", "road_class"),
+        ("partition", "--by", "road_class"),
+        ("temporal-test",),
+        ("summarize", "--bins", "35,45,55"),
+    ]
+
+    @pytest.fixture
+    def files(self, tmp_path, speed_model, speed_theta):
+        (tmp_path / "spec.json").write_text(json.dumps(model_spec_to_dict(speed_model)))
+        covs = {"speed_limit": sl.UniformDist(25, 70), "curve": sl.IndicatorDist(0.3)}
+        segments = (
+            sl.SegmentComponent(sl.SegmentKey(road_class="interstate"), 0.5),
+            sl.SegmentComponent(sl.SegmentKey(road_class="county-road"), 0.5),
+        )
+        years = [
+            sl.simulate(
+                sl.GeneratorConfig(speed_model, speed_theta, 1000, covs, segments, seed=seed)
+            ).with_period(year)
+            for seed, year in ((31, "2004"), (32, "2006"))
+        ]
+        write_csv(sl.concatenate(years), tmp_path / "data.csv")
+        return tmp_path
+
+    @pytest.fixture
+    def parses(self, monkeypatch):
+        """The CSVs the CLI parsed, in order."""
+        calls, real = [], sevlogit.cli.ingest_csv
+
+        def counting(path, *args):
+            calls.append(Path(path).name)
+            return real(path, *args)
+
+        monkeypatch.setattr(sevlogit.cli, "ingest_csv", counting)
+        return calls
+
+    @staticmethod
+    def argv(files, command=("summarize", "--bins", "35,45,55")):
+        common = ("--data", files / "data.csv", "--format", "records")
+        if command[0] != "summarize":
+            common += ("--model", files / "spec.json")
+        return (*command, *common)
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda command: command[0])
+    def test_a_hit_gives_the_records_of_a_miss(self, files, parses, command, capsys):
+        assert run(*self.argv(files, command)) == 0
+        miss = capsys.readouterr().out
+        assert parses == ["data.csv"]
+        assert (files / ".data.csv.sevlogit.npz").is_file()
+        assert run(*self.argv(files, command)) == 0
+        assert capsys.readouterr().out == miss
+        assert parses == ["data.csv"]
+
+    def test_sidecar_holds_the_ingested_dataset(self, files, speed_model):
+        data, labels = files / "data.csv", speed_model.outcome_set
+        key = sevlogit.io.sidecar_key(data, labels)
+        ingested = sl.ingest_csv(data, labels)
+        sevlogit.io.write_sidecar(data, key, ingested)
+        assert sevlogit.io.read_sidecar(data, key, labels) == ingested
+        digest, owner, stamp = key  # a sidecar not owned by the CSV's owner is ignored
+        assert sevlogit.io.read_sidecar(data, (digest, owner + 1, stamp), labels) is None
+
+    @pytest.mark.parametrize("change", ["edited-csv", "outcome-order", "ingest-code"])
+    def test_a_changed_key_misses_and_rewrites(self, files, parses, change, monkeypatch, capsys):
+        argv, sidecar = self.argv(files), files / ".data.csv.sevlogit.npz"
+        assert run(*argv) == 0
+        first, written = capsys.readouterr().out, sidecar.read_bytes()
+        if change == "edited-csv":  # one digit changed, size and mtime kept
+            data = files / "data.csv"
+            status, text = data.stat(), data.read_text()
+            digit = text.index("2004,") + len("2004,")  # first speed_limit cell
+            data.write_text(text[:digit] + str(9 - int(text[digit])) + text[digit + 1:])
+            os.utime(data, ns=(status.st_atime_ns, status.st_mtime_ns))
+            assert data.stat().st_size == status.st_size
+        elif change == "outcome-order":
+            argv += ("--outcomes", "fatality,injury,property-damage-only")
+        else:
+            monkeypatch.setattr(sevlogit.io, "_ingest_code_digest", lambda: b"another ingest")
+        assert run(*argv) == 0
+        changed = capsys.readouterr().out
+        assert parses == ["data.csv", "data.csv"]
+        assert sidecar.read_bytes() != written
+        if change != "ingest-code":  # the parse, not the old sidecar, gave the records
+            assert changed != first
+        assert run(*argv) == 0
+        assert capsys.readouterr().out == changed
+        assert parses == ["data.csv", "data.csv"]
+
+    @pytest.mark.parametrize("damage", ["truncated", "garbage", "npy-file", "directory"])
+    def test_a_damaged_sidecar_is_a_miss_and_rewritten(self, files, parses, damage, capsys):
+        argv, sidecar = self.argv(files), files / ".data.csv.sevlogit.npz"
+        assert run(*argv) == 0
+        first, written = capsys.readouterr().out, sidecar.read_bytes()
+        sidecar.unlink()
+        if damage == "truncated":
+            sidecar.write_bytes(written[: len(written) // 2])
+        elif damage == "garbage":
+            sidecar.write_bytes(b"not a sidecar\n" * 100)
+        elif damage == "npy-file":
+            with sidecar.open("wb") as handle:
+                np.save(handle, np.arange(10))
+        else:
+            sidecar.mkdir()
+        assert run(*argv) == 0
+        assert capsys.readouterr().out == first
+        assert parses == ["data.csv", "data.csv"]
+        if damage != "directory":  # os.replace cannot put a file over a directory
+            assert run(*argv) == 0
+            assert capsys.readouterr().out == first
+            assert parses == ["data.csv", "data.csv"]
+
+    @pytest.mark.parametrize("kind", ["group-writable", "symlink"])
+    def test_an_untrusted_sidecar_is_ignored(self, files, parses, kind, capsys):
+        argv, sidecar = self.argv(files), files / ".data.csv.sevlogit.npz"
+        assert run(*argv) == 0
+        first = capsys.readouterr().out
+        if kind == "group-writable":
+            sidecar.chmod(0o664)
+        else:
+            sidecar.rename(files / "elsewhere.npz")
+            sidecar.symlink_to(files / "elsewhere.npz")
+        assert run(*argv) == 0
+        assert capsys.readouterr().out == first
+        assert parses == ["data.csv", "data.csv"]
+
+    def test_a_csv_changed_during_the_ingest_gets_no_sidecar(self, files, monkeypatch, capsys):
+        real = sevlogit.cli.ingest_csv
+
+        def touched(path, *args):
+            dataset = real(path, *args)
+            os.utime(path, ns=(0, 10**9))  # as if the file were rewritten meanwhile
+            return dataset
+
+        monkeypatch.setattr(sevlogit.cli, "ingest_csv", touched)
+        assert run(*self.argv(files)) == 0
+        assert not (files / ".data.csv.sevlogit.npz").exists()
+
+    def test_read_only_directory_gets_no_sidecar(self, files, parses, monkeypatch, capsys):
+        argv = self.argv(files, ("estimate",))
+        assert run(*argv) == 0
+        first = capsys.readouterr().out
+        (files / ".data.csv.sevlogit.npz").unlink()
+        before = sorted(os.listdir(files))
+        files.chmod(0o555)
+        try:
+            if os.access(files, os.W_OK):  # root ignores the mode: refuse as the OS would
+                def refuse(*args, **kwargs):
+                    raise PermissionError(13, "Permission denied")
+
+                monkeypatch.setattr(sevlogit.io.tempfile, "mkstemp", refuse)
+            assert run(*argv) == 0
+            assert capsys.readouterr() == (first, "")
+            assert sorted(os.listdir(files)) == before
+        finally:
+            files.chmod(0o755)
+
+    def test_malformed_csv_gets_no_sidecar(self, files, speed_model, capsys):
+        data = files / "data.csv"
+        data.write_text(data.read_text().replace("injury,", "Injury,", 3))
+        with pytest.raises(sl.IngestionError) as err:
+            sl.ingest_csv(data, speed_model.outcome_set)
+        assert run(*self.argv(files, ("estimate",))) == 3
+        assert capsys.readouterr() == ("", f"error: {err.value}\n")
+        assert not (files / ".data.csv.sevlogit.npz").exists()
+
+    def test_library_ingest_and_simulate_write_no_sidecar(self, files, capsys):
+        before = sorted(os.listdir(files))
+        sl.ingest_csv(files / "data.csv")
+        sl.ingest_csv(files / "data.csv")
+        assert sorted(os.listdir(files)) == before
+        config = {
+            "model": "spec.json",
+            "theta": [-1.8, -4.0, 0.03, 0.7],
+            "n": 50,
+            "covariates": {
+                "speed_limit": {"dist": "uniform", "low": 25, "high": 70},
+                "curve": {"dist": "indicator", "p": 0.3},
+            },
+        }
+        (files / "gen.json").write_text(json.dumps(config))
+        assert run("simulate", "--config", files / "gen.json", "--out", files / "data.csv") == 0
+        capsys.readouterr()
+        assert sorted(os.listdir(files)) == sorted([*before, "gen.json"])

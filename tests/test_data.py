@@ -24,6 +24,15 @@ class TestOutcomeSet:
         with pytest.raises(ValueError):
             sl.OutcomeSet(("a", ""))
 
+    def test_a_string_is_not_a_label_sequence(self):
+        with pytest.raises(ValueError, match="sequence of strings, not 'pdo'"):
+            sl.OutcomeSet("pdo")
+
+    @pytest.mark.parametrize("labels", [(1, 2), ("a", None), ("a", b"b")])
+    def test_labels_must_be_strings(self, labels):
+        with pytest.raises(ValueError, match="outcome labels must be strings"):
+            sl.OutcomeSet(labels)
+
     def test_index_of(self):
         outs = sl.OutcomeSet()
         assert outs.index_of("injury") == 1

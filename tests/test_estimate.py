@@ -93,6 +93,25 @@ class TestEstimate:
         assert result10.ll_converged == pytest.approx(result.ll_converged, abs=1e-6)
         assert np.allclose(result10.t_ratios, result.t_ratios, rtol=1e-6, atol=1e-6)
 
+    def test_weights_are_frequency_weights(self, speed_model, speed_dataset):
+        # a weight of k acts as k identical rows: the weighted log-likelihood and its
+        # information are those of the duplicated rows, so every reported number agrees
+        columns = dict(speed_dataset.columns, w=np.full(speed_dataset.n_obs, 2.0))
+        doubled = sl.Dataset.from_columns(
+            speed_dataset.outcome_set, speed_dataset.variable_names, columns
+        )
+        fits = [
+            sl.estimate(speed_model, data, TIGHT)
+            for data in (doubled, sl.concatenate([speed_dataset, speed_dataset]))
+        ]
+        for get in (
+            lambda fit: fit.theta_hat.values,
+            lambda fit: fit.std_errors,
+            lambda fit: fit.ll_converged,
+            lambda fit: fit.ll_null,
+        ):
+            np.testing.assert_allclose(get(fits[0]), get(fits[1]), rtol=1e-9, atol=0)
+
     def test_covariance_properties(self, speed_model, speed_dataset):
         result = sl.estimate(speed_model, speed_dataset)
         assert np.array_equal(result.covariance, result.covariance.T)

@@ -9,6 +9,7 @@ from io import StringIO
 import pytest
 
 import sevlogit as sl
+import sevlogit.io
 from sevlogit.io import (
     ingest_csv,
     load_generator_config,
@@ -321,6 +322,26 @@ class TestWriteCSV:
         again = ingest_csv(path)
         assert again == speed_dataset
         assert path.read_text().startswith("# generator: numpy PCG64, seed=11\n")
+
+    def test_failure_mid_stream_leaves_the_old_file(self, speed_dataset, tmp_path, monkeypatch):
+        # blocks go to a temp file as they are formatted; only a complete file is renamed
+        path = tmp_path / "data.csv"
+        path.write_text("old\n")
+        formatted = []
+        real = sevlogit.io._format_column
+
+        def failing(values):
+            formatted.append(len(values))
+            if len(formatted) > 2:  # two columns per block: the second block fails
+                raise OSError(28, "No space left on device")
+            return real(values)
+
+        monkeypatch.setattr(sevlogit.io, "BLOCK_ROWS", 1000)
+        monkeypatch.setattr(sevlogit.io, "_format_column", failing)
+        with pytest.raises(sl.ConfigError, match="cannot write .*No space left"):
+            write_csv(speed_dataset, path)
+        assert path.read_text() == "old\n"
+        assert os.listdir(tmp_path) == ["data.csv"]
 
     def test_period_weight_round_trip(self, tmp_path):
         outs = sl.OutcomeSet()

@@ -180,6 +180,15 @@ class TestGeneratorConfigValidation:
         with pytest.raises(sl.ConfigError, match="seed must be a non-negative integer, got"):
             sl.GeneratorConfig(constants_model, np.zeros(2), 10, {}, seed=seed)
 
+    def test_covariates_must_be_a_mapping(self, constants_model):
+        with pytest.raises(sl.ConfigError, match="covariates must map names to distributions"):
+            sl.GeneratorConfig(constants_model, np.zeros(2), 10, ["x"], seed=0)
+
+    @pytest.mark.parametrize("segments", [["interstate"], "interstate", [{"weight": 1.0}]])
+    def test_segments_must_be_components(self, constants_model, segments):
+        with pytest.raises(sl.ConfigError, match="segments must be SegmentComponent objects"):
+            sl.GeneratorConfig(constants_model, np.zeros(2), 10, {}, segments=segments, seed=0)
+
     def test_integral_floats_are_integers(self, constants_model):
         config = sl.GeneratorConfig(constants_model, np.zeros(2), 2e1, {}, seed=np.float64(7.0))
         assert (config.n_obs, config.seed) == (20, 7)
