@@ -14,6 +14,7 @@ import argparse
 import os
 import sys
 from dataclasses import asdict, replace
+from functools import partial
 from pathlib import Path
 
 from . import __version__, report
@@ -21,7 +22,7 @@ from ._kernels import active_backend
 # partition is not called here, but perfbench/tracing.py patches it in this namespace
 from .data import OutcomeSet, bin_edges, partition, partition_dims, summarize  # noqa: F401
 from .errors import ConfigError, SevlogitError
-from .estimate import EstimateOptions, estimate
+from .estimate import EstimateOptions, EstimationResult, estimate
 from .inference import (
     AGGREGATIONS,
     DEFAULT_SIGNIFICANCE_T,
@@ -33,7 +34,7 @@ from .inference import (
     lr_temporal_test,
 )
 from .io import ingest_csv, load_generator_config, load_model_spec, write_csv, write_text_atomic
-from .io import read_sidecar, sidecar_key, write_sidecar
+from .io import fit_key, read_fit, read_sidecar, sidecar_key, write_fit, write_sidecar
 from .simulate import RNG_ALGORITHM, generator_seed, simulate
 
 
@@ -165,25 +166,37 @@ def _dataset(path, outcome_set: OutcomeSet):
     return dataset
 
 
+def _fit(path, model, dataset, options: EstimateOptions) -> EstimationResult:
+    """`estimate` through the fit store beside the CSV at `path`: a converged fit stored under
+    the same key is rebuilt, else the model is fitted and a converged fit stored. A store
+    holds what the fit gave, so no record depends on it."""
+    key = fit_key(model, dataset, options)
+    result = read_fit(path, key, model, dataset.variable_names, options)
+    if result is None:
+        result = estimate(model, dataset, options)
+        write_fit(path, key, result)
+    return result
+
+
 def _load(args):
-    """The model spec and the dataset of a fitting command."""
+    """The model spec, the dataset and the fitter of a fitting command."""
     _check_inputs(args.data, args.model)
     model = load_model_spec(args.model)
-    return model, _dataset(args.data, model.outcome_set)
+    return model, _dataset(args.data, model.outcome_set), partial(_fit, args.data)
 
 
 def _cmd_estimate(args) -> int:
     options = _options(args)
-    model, dataset = _load(args)
-    result = estimate(model, dataset, options)
+    model, dataset, fit = _load(args)
+    result = fit(model, dataset, options)
     config = _config_dict(args, "estimate", options)
     return _report(args, config, [report.estimation_record(result)])
 
 
 def _cmd_elasticities(args) -> int:
     options, settings = _options(args), ElasticityOptions(args.sig_threshold, args.aggregation)
-    model, dataset = _load(args)
-    result = estimate(model, dataset, options)
+    model, dataset, fit = _load(args)
+    result = fit(model, dataset, options)
     rep = elasticity_report(
         model, result, dataset, threshold=settings.threshold, aggregation=settings.aggregation
     )
@@ -198,9 +211,9 @@ def _parse_dims(raw: str) -> tuple[str, ...]:
     return tuple(d.strip() for d in raw.split(",") if d.strip())
 
 
-def _fit_cells(model, dataset, dims, options: EstimateOptions) -> PartitionReport:
+def _fit_cells(model, dataset, dims, options: EstimateOptions, fit) -> PartitionReport:
     """Pooled and per-cell fits over every non-empty cell; a failed fit raises its own error."""
-    rep = evaluate_partition(model, dataset, dims, options, min_cell_size=1)
+    rep = evaluate_partition(model, dataset, dims, options, min_cell_size=1, fit=fit)
     if not rep.cells:
         raise ConfigError(f"splitting by {{{', '.join(dims)}}} produces 1 cell(s); need at least 2")
     for cell in rep.cells:
@@ -212,8 +225,8 @@ def _fit_cells(model, dataset, dims, options: EstimateOptions) -> PartitionRepor
 def _cmd_split_test(args) -> int:
     options, dims = _options(args), _parse_dims(args.by)
     partition_dims(dims)  # the dims rule, checked before any file is read
-    model, dataset = _load(args)
-    rep = _fit_cells(model, dataset, dims, options)
+    model, dataset, fit = _load(args)
+    rep = _fit_cells(model, dataset, dims, options, fit)
     records = [report.estimation_record(rep.pooled, label="pooled")]
     for cell in rep.cells:
         label = ", ".join(str(v) for v in cell.key)
@@ -228,7 +241,7 @@ def _cmd_temporal_test(args) -> int:
         raise ConfigError("give both --period-a and --period-b, or neither")
     if label_a is not None and label_a == label_b:
         raise ConfigError(f"--period-a and --period-b must differ, both are {label_a!r}")
-    model, dataset = _load(args)
+    model, dataset, fit = _load(args)
 
     periods = list(dataset.period_labels)
     if label_a is None:
@@ -245,7 +258,7 @@ def _cmd_temporal_test(args) -> int:
     code = dataset.columns["period"]
     keep = (code == periods.index(label_a)) | (code == periods.index(label_b))
     both = dataset if keep.all() else dataset.take(keep)  # no copy of a two-period file
-    rep = _fit_cells(model, both, ("period",), options)
+    rep = _fit_cells(model, both, ("period",), options, fit)
     fits = {cell.key: cell.result for cell in rep.cells}
     fit_all, fit_a, fit_b = rep.pooled, fits[(label_a,)], fits[(label_b,)]
     test = lr_temporal_test(
@@ -269,9 +282,9 @@ def _cmd_temporal_test(args) -> int:
 def _cmd_partition(args) -> int:
     options, dims = _options(args), _parse_dims(args.by)
     settings = PartitionOptions(dims, args.min_cell_size, args.confidence)
-    model, dataset = _load(args)
+    model, dataset, fit = _load(args)
     rep = evaluate_partition(
-        model, dataset, settings.dims, options=options, min_cell_size=settings.min_cell_size
+        model, dataset, settings.dims, options, min_cell_size=settings.min_cell_size, fit=fit
     )
     config = _config_dict(
         args,

@@ -89,6 +89,17 @@ def integral(value) -> Optional[int]:
     return None
 
 
+def real(value) -> Optional[float]:
+    """value as a float if it is a finite int, float or numpy real (not a bool), else None."""
+    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an int beyond float64
+            return None
+        return number if math.isfinite(number) else None
+    return None
+
+
 def unknown_level(dim: str, value: str) -> str:
     """Error text for a segment value outside its closed enumeration."""
     return f"unknown {dim} {value!r}; expected one of {SEGMENT_LEVELS[dim]}"

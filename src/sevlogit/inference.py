@@ -311,14 +311,17 @@ def evaluate_partition(
     dims: Sequence[str],
     options: EstimateOptions | None = None,
     min_cell_size: int | None = None,
+    fit=None,
 ) -> PartitionReport:
     """Estimate pooled and per-cell models over a partition and run the split test.
 
     Cells below the minimum size (default 30 observations per parameter) are
     flagged and skipped; a cell that fails to estimate keeps its exception in
     `error`. If any cell is skipped or failed, the split test is marked
-    unavailable instead of being computed over a subset.
+    unavailable instead of being computed over a subset. `fit` makes each fit
+    and takes estimate's arguments (default: estimate, looked up at the call).
     """
+    fit = fit or estimate
     dims = PartitionOptions(dims, min_cell_size).dims
     min_cell_size = min_cell_size or 30 * model.n_params  # None or >= 1 by now
     cells = partition(dataset, dims)
@@ -329,7 +332,7 @@ def evaluate_partition(
             f"every cell is below the minimum size {min_cell_size}; nothing to evaluate"
         )
 
-    pooled = estimate(model, dataset, options)
+    pooled = fit(model, dataset, options)
 
     # a single cell is the pooled data again: there is nothing to fit or compare
     reports: list[CellReport] = []
@@ -339,7 +342,7 @@ def evaluate_partition(
             status, reason = "skipped", f"cell size {cell_data.n_obs} below minimum {min_cell_size}"
         else:
             try:
-                result = estimate(model, cell_data, options)
+                result = fit(model, cell_data, options)
             except SevlogitError as exc:
                 status, reason, error = "failed", str(exc), exc
         reports.append(

@@ -5,7 +5,8 @@ header row. Required columns are outcome, road_class, location, accident_type;
 period and weight are optional; every remaining column is a numeric covariate.
 Outcome cells hold the outcome label, case-sensitively. Lines starting with '#' before the header are
 metadata comments (emitted datasets record their RNG there) and are skipped.
-The CLI keeps the columns of a clean ingest in a sidecar beside the CSV (sidecar_key).
+The CLI keeps the columns of a clean ingest in a sidecar beside the CSV (sidecar_key),
+and the converged fits it makes on the CSV's data in a fit store beside it (fit_key).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import stat
 import tempfile
 import zipfile
 from contextlib import contextmanager
+from dataclasses import asdict
 from functools import lru_cache, partial
 from itertools import compress, islice, repeat
 from operator import itemgetter
@@ -31,9 +33,10 @@ except ImportError:
 
 import numpy as np
 
-from .data import COLUMNS, SEGMENT_LEVELS, Dataset, OutcomeSet, SegmentKey, unknown_level
+from .data import COLUMNS, SEGMENT_LEVELS, Dataset, OutcomeSet, SegmentKey, real, unknown_level
 from .errors import ConfigError, IngestionError, ModelSpecError, SchemaError
-from .modelspec import ModelSpec, ParameterVector, TermSpec, build_layout
+from .estimate import EstimateOptions, EstimationResult
+from .modelspec import ModelSpec, ParameterVector, TermSpec, bind_design, build_layout
 from .simulate import (
     CategoricalDist,
     ConstantDist,
@@ -287,13 +290,19 @@ def write_text_atomic(path, text: str) -> None:
 
 
 @contextmanager
-def _atomic(path, mode: str = "w"):
+def _atomic(path, mode: str = "w", private: bool = False):
     """A handle on a temp file in the target's directory, renamed onto the target when the
-    block ends; an OSError becomes ConfigError, and the temp file never outlives the block."""
+    block ends; an OSError becomes ConfigError, and the temp file never outlives the block.
+    The file gets the mode open(path, "w") gives a new file (0o666 less the umask), or 0o600
+    if `private`."""
     path, tmp = Path(path), None
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+        if private:
+            fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+        else:  # O_EXCL: a name that is taken fails, so tmp is never another's file
+            name = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+            fd, tmp = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), name
         with os.fdopen(fd, mode, encoding=None if "b" in mode else "utf-8") as handle:
             yield handle
         os.replace(tmp, path)
@@ -304,21 +313,38 @@ def _atomic(path, mode: str = "w"):
             os.unlink(tmp)
 
 
+@contextmanager
+def _trusted(path, owner: int):
+    """A binary handle on `path`, or None unless it is a regular file of `owner` that group
+    and others cannot write. A symlink is not followed; a file that cannot be opened raises
+    OSError."""
+    fd = os.open(path, os.O_RDONLY | os.O_NOFOLLOW | os.O_NONBLOCK)
+    with open(fd, "rb") as handle:
+        status = os.fstat(fd)
+        mode_ok = stat.S_ISREG(status.st_mode) and not status.st_mode & 0o022
+        yield handle if mode_ok and status.st_uid == owner else None
+
+
 # A column sidecar, `.<name>.sevlogit.npz` beside a CSV, holds the columns of a clean ingest
 # of it, so the CLI parses a file once across commands. Anything wrong with one is a miss
 # (TypeError: a plain .npy file, or metadata that is not an object, in its place).
 _SIDECAR_ERRORS = (OSError, ValueError, KeyError, TypeError, zipfile.BadZipFile)
 
 
-def _sidecar_path(path) -> Path:
-    return Path(path).with_name(f".{Path(path).name}.sevlogit.npz")
+def _beside(path, suffix: str) -> Path:
+    """The hidden file `.<name><suffix>` beside the CSV at `path`."""
+    return Path(path).with_name(f".{Path(path).name}{suffix}")
 
 
 @lru_cache(maxsize=None)
+def _code_digest(*names: str) -> bytes:
+    """Digest of the sources of this package's modules `names`, read once per process."""
+    return blake2b(b"".join(Path(__file__).with_name(name).read_bytes() for name in names)).digest()
+
+
 def _ingest_code_digest() -> bytes:
-    """Digest of the sources of the ingest rules: changing a rule invalidates old sidecars."""
-    sources = (Path(__file__).with_name(name).read_bytes() for name in ("io.py", "data.py"))
-    return blake2b(b"".join(sources)).digest()
+    """The ingest rules' sources: changing a rule invalidates old sidecars."""
+    return _code_digest("io.py", "data.py")
 
 
 def sidecar_key(path, outcome_set: OutcomeSet) -> Optional[tuple]:
@@ -345,11 +371,8 @@ def read_sidecar(path, key: Optional[tuple], outcome_set: OutcomeSet) -> Optiona
         return None
     digest, owner, _ = key
     try:
-        fd = os.open(_sidecar_path(path), os.O_RDONLY | os.O_NOFOLLOW | os.O_NONBLOCK)
-        with open(fd, "rb") as handle:
-            status = os.fstat(fd)
-            mode_ok = stat.S_ISREG(status.st_mode) and not status.st_mode & 0o022
-            if not mode_ok or status.st_uid != owner:
+        with _trusted(_beside(path, ".sevlogit.npz"), owner) as handle:
+            if handle is None:
                 return None
             with np.load(handle, allow_pickle=False) as archive:
                 meta = json.loads(archive["meta"].tobytes())
@@ -373,7 +396,8 @@ def write_sidecar(path, key: Optional[tuple], dataset: Dataset) -> None:
         status = os.stat(path)
         if (status.st_size, status.st_mtime_ns) != stamp or owner != os.geteuid():
             return
-        with _atomic(_sidecar_path(path), "wb") as handle, zipfile.ZipFile(handle, "w") as archive:
+        sidecar = _atomic(_beside(path, ".sevlogit.npz"), "wb", private=True)
+        with sidecar as handle, zipfile.ZipFile(handle, "w") as archive:
             for name, array in arrays.items():
                 array = np.ascontiguousarray(array)
                 with archive.open(f"{name}.npy", "w", force_zip64=True) as member:
@@ -381,6 +405,100 @@ def write_sidecar(path, key: Optional[tuple], dataset: Dataset) -> None:
                     np.lib.format.write_array_header_1_0(member, header)
                     member.write(array)  # through the buffer protocol, not a bytes copy
     except (ConfigError, *_SIDECAR_ERRORS):
+        pass
+
+
+# A fit store, `.<name>.sevlogit-fits.json` beside a CSV, holds the newest FIT_STORE_ENTRIES
+# converged fits the CLI made on the CSV's data, each under its fit_key, oldest first. It is
+# trusted as a sidecar is; anything wrong with it or with an entry is a miss.
+FIT_STORE_ENTRIES = 32
+_FIT_SCALARS = {"ll_converged": float, "ll_null": float, "ll_zero": float,
+                "iterations": int, "gradient_max": float, "n_obs": int}
+
+
+def _fit_code_digest() -> bytes:
+    """The fit's sources: changing the fit invalidates stored fits."""
+    return _code_digest("estimate.py", "_kernels.py", "likelihood.py", "modelspec.py", "data.py")
+
+
+def fit_key(model: ModelSpec, dataset: Dataset, options: EstimateOptions) -> Optional[str]:
+    """Digest of all that `estimate` reads: the fit code, numpy's version and the machine
+    (kernel bits repeat per machine only), the model, variable names and options, and the
+    shape, dtype and bytes of X, y and w. None if the system is not POSIX."""
+    if os.name != "posix":
+        return None
+    head = [_fit_code_digest().hex(), np.__version__, os.uname().machine,
+            model_spec_to_dict(model), dataset.variable_names, asdict(options)]
+    digest = blake2b(json.dumps(head).encode())
+    for array in (dataset.columns[name] for name in ("X", "y", "w")):
+        digest.update(f"{array.dtype.str}{array.shape}".encode())
+        for start in range(0, len(array), BLOCK_ROWS):  # row blocks: no copy of a C-order array
+            digest.update(np.ascontiguousarray(array[start : start + BLOCK_ROWS]))
+    return digest.hexdigest()
+
+
+def _fit_entries(path) -> list:
+    """The keyed entries of the fit store beside a CSV; none if it is absent or untrusted."""
+    try:
+        with _trusted(_beside(path, ".sevlogit-fits.json"), os.stat(path).st_uid) as handle:
+            doc = json.load(handle) if handle else []
+    except (OSError, ValueError, RecursionError):
+        return []
+    if not isinstance(doc, list):
+        return []
+    return [e for e in doc if isinstance(e, dict) and isinstance(e.get("key"), str)]
+
+
+def _float_list(value, n: int) -> bool:
+    return isinstance(value, list) and len(value) == n and all(type(v) is float for v in value)
+
+
+def read_fit(
+    path, key: Optional[str], model: ModelSpec, variable_names, options: EstimateOptions
+) -> Optional[EstimationResult]:
+    """The converged fit stored under `key` beside a CSV, with the caller's `options`, or
+    None. An entry whose arrays do not fit the model's layout, or a value of the wrong
+    type, is a miss."""
+    entry = next((e for e in _fit_entries(path) if e["key"] == key), None) if key else None
+    if entry is None:
+        return None
+    layout = bind_design(model, variable_names).layout
+    n, covariance, notes = layout.n_params, entry.get("covariance"), entry.get("diagnostics")
+    if not (
+        isinstance(covariance, list) and len(covariance) == n
+        and all(_float_list(v, n) for v in (entry.get("theta"), entry.get("t_ratios"), *covariance))
+        and all(type(entry.get(k)) is kind for k, kind in _FIT_SCALARS.items())
+        and isinstance(notes, list) and all(type(note) is str for note in notes)
+    ):
+        return None
+    return EstimationResult(
+        ParameterVector(np.array(entry["theta"]), layout),
+        **{k: np.array(entry[k]) for k in ("covariance", "t_ratios")},
+        **{k: entry[k] for k in _FIT_SCALARS},
+        converged=True, diagnostics=tuple(notes), options=options,
+    )
+
+
+def write_fit(path, key: Optional[str], result: EstimationResult) -> None:
+    """Add a converged fit under `key` to the store beside a CSV this user owns, atomically
+    and readable by this user only; a store that cannot be written is left as it is."""
+    if key is None or not result.converged:
+        return
+    entry = {
+        "key": key,
+        "theta": result.theta_hat.values.tolist(),
+        "covariance": result.covariance.tolist(),
+        "t_ratios": result.t_ratios.tolist(),
+        **{k: getattr(result, k) for k in _FIT_SCALARS},
+        "diagnostics": list(result.diagnostics),
+    }
+    try:
+        if os.stat(path).st_uid != os.geteuid():
+            return
+        entries = [e for e in _fit_entries(path) if e["key"] != key] + [entry]
+        with _atomic(_beside(path, ".sevlogit-fits.json"), private=True) as handle:
+            json.dump(entries[-FIT_STORE_ENTRIES:], handle)
+    except (ConfigError, OSError):
         pass
 
 
@@ -436,12 +554,20 @@ def model_spec_to_dict(model: ModelSpec) -> dict:
     }
 
 
-_DIST_PARSERS = {
-    "constant": lambda d: ConstantDist(float(d["value"])),
-    "uniform": lambda d: UniformDist(float(d["low"]), float(d["high"])),
-    "categorical": lambda d: CategoricalDist(tuple(d["values"]), tuple(d["probs"])),
-    "indicator": lambda d: IndicatorDist(float(d["p"])),
+_DIST_PARSERS = {  # each gets the distribution's object and a reader of its number fields
+    "constant": lambda d, number: ConstantDist(number("value")),
+    "uniform": lambda d, number: UniformDist(number("low"), number("high")),
+    "categorical": lambda d, number: CategoricalDist(tuple(d["values"]), tuple(d["probs"])),
+    "indicator": lambda d, number: IndicatorDist(number("p")),
 }
+
+
+def _real(field: str, value) -> float:
+    """A JSON number field as a float, by the rule of data.real."""
+    number = real(value)
+    if number is None:
+        raise ConfigError(f"{field} must be a finite number, got {value!r}")
+    return number
 
 
 def _parse_distribution(name: str, raw: dict):
@@ -455,20 +581,21 @@ def _parse_distribution(name: str, raw: dict):
             f"(expected one of {sorted(_DIST_PARSERS)})"
         )
     try:
-        return parser(raw)
+        return parser(raw, lambda key: _real(f"covariate {name!r}: {key!r}", raw[key]))
     except KeyError as exc:
         raise ConfigError(f"covariate {name!r}: missing distribution parameter {exc}") from None
 
 
-def _parse_theta(raw, model: ModelSpec) -> np.ndarray:
+def _parse_theta(raw, model: ModelSpec, field: str = "theta") -> np.ndarray:
     """A {slot name: value} mapping or a list of values in slot order."""
     layout = build_layout(model)
     try:
         if isinstance(raw, dict):
-            return ParameterVector.from_dict(layout, {k: float(v) for k, v in raw.items()}).values
-        return ParameterVector([float(v) for v in raw], layout).values
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"theta: {exc} (slot order {list(layout.slot_names())})") from None
+            values = {k: _real(f"value of {k!r}", v) for k, v in raw.items()}
+            return ParameterVector.from_dict(layout, values).values
+        return ParameterVector([_real(f"value {i}", v) for i, v in enumerate(raw)], layout).values
+    except (TypeError, ValueError, ConfigError) as exc:
+        raise ConfigError(f"{field}: {exc} (slot order {list(layout.slot_names())})") from None
 
 
 def load_generator_config(path) -> tuple[GeneratorConfig, Optional[str]]:
@@ -512,8 +639,11 @@ def load_generator_config(path) -> tuple[GeneratorConfig, Optional[str]]:
             )
         except ValueError as exc:
             raise ConfigError(f"{path}: segment {i}: {exc}") from None
-        theta = _parse_theta(raw["theta"], model) if "theta" in raw else None
-        segments.append(SegmentComponent(key, float(raw.get("weight", 1.0)), theta))
+        theta = None
+        if "theta" in raw:
+            theta = _parse_theta(raw["theta"], model, f"{path}: segment {i}: theta")
+        weight = _real(f"{path}: segment {i}: 'weight'", raw.get("weight", 1.0))
+        segments.append(SegmentComponent(key, weight, theta))
 
     config = GeneratorConfig(
         model=model,

@@ -657,6 +657,7 @@ def test_records_do_not_depend_on_blas_threads(tmp_path, speed_model, speed_thet
         env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads,
                "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
         for argv in (("estimate",), ("partition", "--by", "road_class")):
+            (tmp_path / ".data.csv.sevlogit-fits.json").unlink(missing_ok=True)  # fit every time
             proc = subprocess.run(
                 [sys.executable, "-m", "sevlogit", *argv, "--data", "data.csv",
                  "--model", "spec.json", "--format", "records"],
@@ -664,6 +665,24 @@ def test_records_do_not_depend_on_blas_threads(tmp_path, speed_model, speed_thet
             )
             outputs.setdefault(argv[0], set()).add(proc.stdout)
     assert all(len(out) == 1 for out in outputs.values())
+
+
+def _two_period_files(tmp_path, speed_model, speed_theta):
+    """spec.json and a 2,000-row data.csv: two road classes, periods 2004 and 2006."""
+    (tmp_path / "spec.json").write_text(json.dumps(model_spec_to_dict(speed_model)))
+    covs = {"speed_limit": sl.UniformDist(25, 70), "curve": sl.IndicatorDist(0.3)}
+    segments = (
+        sl.SegmentComponent(sl.SegmentKey(road_class="interstate"), 0.5),
+        sl.SegmentComponent(sl.SegmentKey(road_class="county-road"), 0.5),
+    )
+    years = [
+        sl.simulate(
+            sl.GeneratorConfig(speed_model, speed_theta, 1000, covs, segments, seed=seed)
+        ).with_period(year)
+        for seed, year in ((31, "2004"), (32, "2006"))
+    ]
+    write_csv(sl.concatenate(years), tmp_path / "data.csv")
+    return tmp_path
 
 
 class TestColumnSidecar:
@@ -682,20 +701,7 @@ class TestColumnSidecar:
 
     @pytest.fixture
     def files(self, tmp_path, speed_model, speed_theta):
-        (tmp_path / "spec.json").write_text(json.dumps(model_spec_to_dict(speed_model)))
-        covs = {"speed_limit": sl.UniformDist(25, 70), "curve": sl.IndicatorDist(0.3)}
-        segments = (
-            sl.SegmentComponent(sl.SegmentKey(road_class="interstate"), 0.5),
-            sl.SegmentComponent(sl.SegmentKey(road_class="county-road"), 0.5),
-        )
-        years = [
-            sl.simulate(
-                sl.GeneratorConfig(speed_model, speed_theta, 1000, covs, segments, seed=seed)
-            ).with_period(year)
-            for seed, year in ((31, "2004"), (32, "2006"))
-        ]
-        write_csv(sl.concatenate(years), tmp_path / "data.csv")
-        return tmp_path
+        return _two_period_files(tmp_path, speed_model, speed_theta)
 
     @pytest.fixture
     def parses(self, monkeypatch):
@@ -856,3 +862,229 @@ class TestColumnSidecar:
         assert run("simulate", "--config", files / "gen.json", "--out", files / "data.csv") == 0
         capsys.readouterr()
         assert sorted(os.listdir(files)) == sorted([*before, "gen.json"])
+
+
+class TestFitStore:
+    """The CLI keeps each converged fit it makes in `.<name>.sevlogit-fits.json` beside the
+    CSV, keyed by all that `estimate` reads, and rebuilds a fit from it instead of fitting
+    again. No record depends on which happened."""
+
+    COMMANDS = [command for command in TestColumnSidecar.COMMANDS if command[0] != "summarize"]
+
+    @pytest.fixture
+    def files(self, tmp_path, speed_model, speed_theta):
+        return _two_period_files(tmp_path, speed_model, speed_theta)
+
+    @pytest.fixture
+    def fits(self, monkeypatch):
+        """The number of real fits the CLI made."""
+        calls, real = [], sevlogit.cli.estimate
+
+        def counting(*args):
+            calls.append(args[1].n_obs)
+            return real(*args)
+
+        monkeypatch.setattr(sevlogit.cli, "estimate", counting)
+        return calls
+
+    @staticmethod
+    def argv(files, command=("estimate",), *extra):
+        return (*command, "--data", files / "data.csv", "--model", files / "spec.json", *extra)
+
+    @staticmethod
+    def store(files):
+        return files / ".data.csv.sevlogit-fits.json"
+
+    @pytest.mark.parametrize("fmt", ["records", "table"])
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda command: command[0])
+    def test_a_hit_gives_the_records_of_a_miss(self, files, fits, command, fmt, capsys):
+        argv = self.argv(files, command, "--format", fmt)
+        assert run(*argv) == 0
+        miss, made = capsys.readouterr().out, len(fits)
+        assert made >= 1 and self.store(files).is_file()
+        assert run(*argv) == 0
+        assert capsys.readouterr().out == miss
+        assert len(fits) == made
+
+    def test_elasticities_after_estimate_makes_no_pooled_fit(self, files, fits, capsys):
+        assert run(*self.argv(files, ("estimate",), "--format", "records")) == 0
+        estimated = _records_of(capsys)[1]
+        assert run(*self.argv(files, ("elasticities",), "--format", "records")) == 0
+        assert _records_of(capsys)[1] == estimated
+        assert fits == [2000]
+        assert run(*self.argv(files, ("partition", "--by", "road_class"))) == 0
+        assert fits[0] == 2000 and len(fits) == 3  # pooled: a hit again; the two cells: misses
+
+    @pytest.mark.parametrize("change", ["edited-csv", "spec", "tol", "max-iter", "fit-code"])
+    def test_a_changed_key_misses_and_rewrites(self, files, fits, change, monkeypatch, capsys):
+        argv = self.argv(files, ("estimate",), "--format", "records")
+        assert run(*argv) == 0
+        first, written = capsys.readouterr().out, self.store(files).read_bytes()
+        if change == "edited-csv":
+            data = files / "data.csv"
+            text = data.read_text()
+            digit = text.index("2004,") + len("2004,")  # first speed_limit cell
+            data.write_text(text[:digit] + str(9 - int(text[digit])) + text[digit + 1:])
+        elif change == "spec":
+            spec = json.loads((files / "spec.json").read_text())
+            spec["terms"] = [t for t in spec["terms"] if t["variable"] != "curve"]
+            (files / "spec.json").write_text(json.dumps(spec))
+        elif change == "tol":
+            argv += ("--tol", "1e-7")
+        elif change == "max-iter":
+            argv += ("--max-iter", "50")
+        else:
+            monkeypatch.setattr(sevlogit.io, "_fit_code_digest", lambda: b"another fit")
+        assert run(*argv) == 0
+        changed = capsys.readouterr().out
+        assert len(fits) == 2
+        assert self.store(files).read_bytes() != written
+        if change == "fit-code":  # a new key for the same fit
+            assert changed == first
+        assert run(*argv) == 0
+        assert capsys.readouterr().out == changed
+        assert len(fits) == 2
+
+    @pytest.mark.parametrize("damage", ["truncated", "garbage", "wrong-shape", "wrong-type"])
+    def test_a_damaged_store_is_a_miss_and_rewritten(self, files, fits, damage, capsys):
+        argv = self.argv(files, ("estimate",), "--format", "records")
+        assert run(*argv) == 0
+        first, store = capsys.readouterr().out, self.store(files)
+        written = store.read_bytes()
+        if damage == "truncated":
+            store.write_bytes(written[: len(written) // 2])
+        elif damage == "garbage":
+            store.write_bytes(b"[" * 100_000)
+        else:
+            entries = json.loads(written)
+            if damage == "wrong-shape":
+                entries[0]["covariance"] = entries[0]["covariance"][:-1]
+            else:
+                entries[0]["iterations"] = float(entries[0]["iterations"])
+            store.write_text(json.dumps(entries))
+        assert run(*argv) == 0
+        assert capsys.readouterr().out == first
+        assert len(fits) == 2
+        assert store.read_bytes() == written
+        assert run(*argv) == 0
+        assert capsys.readouterr().out == first
+        assert len(fits) == 2
+
+    @pytest.mark.parametrize("kind", ["group-writable", "symlink", "foreign-owner"])
+    def test_an_untrusted_store_is_ignored(self, files, fits, kind, capsys):
+        argv, store = self.argv(files, ("estimate",), "--format", "records"), self.store(files)
+        assert run(*argv) == 0
+        first = capsys.readouterr().out
+        if kind == "group-writable":
+            store.chmod(0o660)
+        elif kind == "symlink":
+            store.rename(files / "elsewhere.json")
+            store.symlink_to(files / "elsewhere.json")
+        elif os.geteuid() == 0:
+            os.chown(store, os.getuid() + 1, -1)
+        else:  # only root can give a file away: check the owner rule itself
+            with sevlogit.io._trusted(store, os.getuid() + 1) as handle:
+                assert handle is None
+            return
+        assert run(*argv) == 0
+        assert capsys.readouterr().out == first
+        assert len(fits) == 2
+
+    def test_failed_fits_are_not_stored(self, files, fits, capsys):
+        argv = self.argv(files, ("estimate",), "--max-iter", "1")
+        for made in (1, 2):
+            assert run(*argv) == 4
+            assert "no convergence after 1 iterations" in capsys.readouterr().err
+            assert len(fits) == made
+        assert not self.store(files).exists()
+
+    def test_read_only_directory_gets_no_store(self, files, fits, monkeypatch, capsys):
+        argv = self.argv(files, ("split-test", "--by", "road_class"), "--format", "records")
+        assert run(*argv) == 0
+        first = capsys.readouterr().out
+        self.store(files).unlink()
+        before = sorted(os.listdir(files))
+        files.chmod(0o555)
+        try:
+            if os.access(files, os.W_OK):  # root ignores the mode: refuse as the OS would
+                def refuse(*args, **kwargs):
+                    raise PermissionError(13, "Permission denied")
+
+                monkeypatch.setattr(sevlogit.io.tempfile, "mkstemp", refuse)
+            assert run(*argv) == 0
+            assert capsys.readouterr() == (first, "")
+            assert sorted(os.listdir(files)) == before
+        finally:
+            files.chmod(0o755)
+
+    def test_library_and_other_commands_write_no_store(self, files, speed_model, capsys):
+        before = sorted(os.listdir(files))
+        dataset = sl.ingest_csv(files / "data.csv", speed_model.outcome_set)
+        sl.estimate(speed_model, dataset)
+        sl.evaluate_partition(speed_model, dataset, ("road_class",))
+        assert sorted(os.listdir(files)) == before
+        assert run("summarize", "--data", files / "data.csv", "--bins", "35,45,55") == 0
+        config = {
+            "model": "spec.json",
+            "theta": [-1.8, -4.0, 0.03, 0.7],
+            "n": 50,
+            "covariates": {
+                "speed_limit": {"dist": "uniform", "low": 25, "high": 70},
+                "curve": {"dist": "indicator", "p": 0.3},
+            },
+        }
+        (files / "gen.json").write_text(json.dumps(config))
+        assert run("simulate", "--config", files / "gen.json", "--out", files / "new.csv") == 0
+        capsys.readouterr()
+        assert not [name for name in os.listdir(files) if name.endswith("-fits.json")]
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077])
+def test_outputs_get_the_umask_and_stores_stay_private(tmp_path, speed_model, umask):
+    (tmp_path / "spec.json").write_text(json.dumps(model_spec_to_dict(speed_model)))
+    config = {
+        "model": "spec.json",
+        "theta": [-1.8, -4.0, 0.7, 0.03],
+        "n": 500,
+        "seed": 3,
+        "covariates": {
+            "speed_limit": {"dist": "uniform", "low": 25, "high": 70},
+            "curve": {"dist": "indicator", "p": 0.3},
+        },
+    }
+    (tmp_path / "gen.json").write_text(json.dumps(config))
+    script = (
+        "import os, sys; os.umask(int(sys.argv[1])); from sevlogit.cli import main\n"
+        "assert main(['simulate', '--config', 'gen.json', '--out', 'data.csv']) == 0\n"
+        "assert main(['estimate', '--data', 'data.csv', '--model', 'spec.json',"
+        " '--out', 'report.txt']) == 0\n"
+    )
+    src = str(Path(sl.__file__).resolve().parents[1])
+    subprocess.run([sys.executable, "-c", script, str(umask)], cwd=tmp_path, check=True,
+                   env={**os.environ, "PYTHONPATH": src}, capture_output=True)
+    mode = {name: os.stat(tmp_path / name).st_mode & 0o777 for name in os.listdir(tmp_path)}
+    assert mode["data.csv"] == mode["report.txt"] == 0o666 & ~umask
+    assert mode[".data.csv.sevlogit.npz"] == mode[".data.csv.sevlogit-fits.json"] == 0o600
+
+
+@pytest.mark.parametrize(
+    "field, raw",
+    [("low", {"dist": "uniform", "low": "25", "high": 70}),
+     ("p", {"dist": "indicator", "p": True})],
+)
+def test_a_config_number_of_another_type_writes_nothing(tmp_path, speed_model, field, raw, capsys):
+    (tmp_path / "spec.json").write_text(json.dumps(model_spec_to_dict(speed_model)))
+    config = {
+        "model": "spec.json",
+        "theta": [-1.8, -4.0, 0.03, 0.7],
+        "n": 20,
+        "covariates": {
+            "speed_limit": {"dist": "uniform", "low": 25, "high": 70},
+            "curve": {"dist": "indicator", "p": 0.3},
+        },
+    }
+    config["covariates"]["speed_limit" if field == "low" else "curve"] = raw
+    (tmp_path / "gen.json").write_text(json.dumps(config))
+    assert run("simulate", "--config", tmp_path / "gen.json", "--out", tmp_path / "data.csv") == 2
+    assert f"'{field}' must be a finite number" in capsys.readouterr().err
+    assert not (tmp_path / "data.csv").exists()

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import sevlogit as sl
-from sevlogit.data import PARTITION_DIMS, ROAD_CLASSES
+from sevlogit.data import PARTITION_DIMS, ROAD_CLASSES, real
 
 
 class TestOutcomeSet:
@@ -38,6 +38,21 @@ class TestOutcomeSet:
         assert outs.index_of("injury") == 1
         with pytest.raises(KeyError):
             outs.index_of("Injury")  # labels are case-sensitive
+
+
+class TestRealRule:
+    @pytest.mark.parametrize(
+        "value, expected", [(2, 2.0), (0.35, 0.35), (np.float32(0.5), 0.5), (np.int64(-3), -3.0)]
+    )
+    def test_finite_numbers_are_floats(self, value, expected):
+        assert real(value) == expected and type(real(value)) is float
+
+    @pytest.mark.parametrize(
+        "value",
+        [True, np.bool_(True), "0.35", None, float("nan"), float("inf"), 10**400, [1.0], 1j],
+    )
+    def test_anything_else_is_refused(self, value):
+        assert real(value) is None
 
 
 class TestSegmentKey:

@@ -581,6 +581,40 @@ class TestGeneratorConfigFile:
         with pytest.raises(sl.ConfigError, match=message):
             load_generator_config(self._write(tmp_path, doc))
 
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"covariates": {"x": {"dist": "constant", "value": "1"}}},
+             "covariate 'x': 'value' must be a finite number, got '1'"),
+            ({"covariates": {"x": {"dist": "uniform", "low": "25", "high": 70}}},
+             "covariate 'x': 'low' must be a finite number, got '25'"),
+            ({"covariates": {"x": {"dist": "uniform", "low": 25, "high": float("inf")}}},
+             "covariate 'x': 'high' must be a finite number, got inf"),
+            ({"covariates": {"x": {"dist": "indicator", "p": True}}},
+             "covariate 'x': 'p' must be a finite number, got True"),
+            ({"theta": {"x:b": "0.35"}},
+             "theta: value of 'x:b' must be a finite number, got '0.35' \\(slot order"),
+            ({"theta": [None]}, "theta: value 0 must be a finite number, got None \\(slot order"),
+            ({"segments": [{"road_class": "interstate", "weight": True}]},
+             "segment 0: 'weight' must be a finite number, got True"),
+            ({"segments": [{"road_class": "interstate", "weight": 1.0, "theta": [False]}]},
+             "segment 0: theta: value 0 must be a finite number, got False \\(slot order"),
+        ],
+        ids=["constant-value", "uniform-low", "uniform-high", "indicator-p", "theta-mapping",
+             "theta-list", "segment-weight", "segment-theta"],
+    )
+    def test_numbers_must_be_numbers(self, tmp_path, changes, message):
+        doc = {
+            "model": {"outcomes": ["a", "b"], "terms": [{"variable": "x", "outcomes": [1]}]},
+            "theta": [0.1],
+            "n": 20,
+            "covariates": {"x": {"dist": "uniform", "low": 25, "high": 70}},
+            "segments": [{"road_class": "interstate", "weight": 1.0}],
+            **changes,
+        }
+        with pytest.raises(sl.ConfigError, match=message):
+            load_generator_config(self._write(tmp_path, doc))
+
     def test_integral_float_n_is_accepted(self, tmp_path):
         doc = {
             "model": {"outcomes": ["a", "b"], "terms": [{"variable": "constant", "outcomes": [1]}]},
