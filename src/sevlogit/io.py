@@ -318,9 +318,9 @@ def _trusted(path, owner: int):
     """A binary handle on `path`, or None unless it is a regular file of `owner` that group
     and others cannot write. A symlink is not followed; a file that cannot be opened raises
     OSError."""
-    fd = os.open(path, os.O_RDONLY | os.O_NOFOLLOW | os.O_NONBLOCK)
-    with open(fd, "rb") as handle:
-        status = os.fstat(fd)
+    nofollow = lambda name, flags: os.open(name, flags | os.O_NOFOLLOW | os.O_NONBLOCK)
+    with open(path, "rb", opener=nofollow) as handle:  # the handle owns the fd from the start
+        status = os.fstat(handle.fileno())
         mode_ok = stat.S_ISREG(status.st_mode) and not status.st_mode & 0o022
         yield handle if mode_ok and status.st_uid == owner else None
 

@@ -945,7 +945,9 @@ class TestFitStore:
         assert capsys.readouterr().out == changed
         assert len(fits) == 2
 
-    @pytest.mark.parametrize("damage", ["truncated", "garbage", "wrong-shape", "wrong-type"])
+    @pytest.mark.parametrize(
+        "damage", ["truncated", "garbage", "wrong-shape", "wrong-type", "directory"]
+    )
     def test_a_damaged_store_is_a_miss_and_rewritten(self, files, fits, damage, capsys):
         argv = self.argv(files, ("estimate",), "--format", "records")
         assert run(*argv) == 0
@@ -955,6 +957,9 @@ class TestFitStore:
             store.write_bytes(written[: len(written) // 2])
         elif damage == "garbage":
             store.write_bytes(b"[" * 100_000)
+        elif damage == "directory":
+            store.unlink()
+            store.mkdir()
         else:
             entries = json.loads(written)
             if damage == "wrong-shape":
@@ -965,10 +970,11 @@ class TestFitStore:
         assert run(*argv) == 0
         assert capsys.readouterr().out == first
         assert len(fits) == 2
-        assert store.read_bytes() == written
-        assert run(*argv) == 0
-        assert capsys.readouterr().out == first
-        assert len(fits) == 2
+        if damage != "directory":  # os.replace cannot put a file over a directory
+            assert store.read_bytes() == written
+            assert run(*argv) == 0
+            assert capsys.readouterr().out == first
+            assert len(fits) == 2
 
     @pytest.mark.parametrize("kind", ["group-writable", "symlink", "foreign-owner"])
     def test_an_untrusted_store_is_ignored(self, files, fits, kind, capsys):
