@@ -100,6 +100,31 @@ def real(value) -> Optional[float]:
     return None
 
 
+def checked_real(field: str, value, error=ValueError, non_finite=None) -> float:
+    """``real(value)``, or `error` naming `field`; `non_finite`, if given, is raised instead
+    for an inf or nan float. The number rule's one message."""
+    number = real(value)
+    if number is None:
+        shown = value.item() if isinstance(value, np.generic) else value  # inf, not np.float64(inf)
+        kind = non_finite if non_finite and isinstance(value, (float, np.floating)) else error
+        raise kind(f"{field} must be a finite number, got {shown!r}")
+    return number
+
+
+def checked_reals(field: str, values, error=ValueError) -> tuple[float, ...]:
+    """Each entry of a list, tuple or array by ``checked_real``; anything else is refused."""
+    if not isinstance(values, (list, tuple, np.ndarray)):
+        raise error(f"{field} must be a list of numbers, got {values!r}")
+    return tuple(checked_real(f"{field} entry {i}", v, error) for i, v in enumerate(values))
+
+
+def period_label(label) -> Optional[str]:
+    """The period rule: a label is a string, or None for no period."""
+    if label is None or isinstance(label, str):
+        return label
+    raise ValueError(f"period label must be a string or None, got {label!r}")
+
+
 def unknown_level(dim: str, value: str) -> str:
     """Error text for a segment value outside its closed enumeration."""
     return f"unknown {dim} {value!r}; expected one of {SEGMENT_LEVELS[dim]}"
@@ -116,14 +141,18 @@ class Observation:
     weight: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "covariates", dict(self.covariates))
-        if self.outcome < 0:
-            raise ValueError(f"outcome index must be non-negative, got {self.outcome}")
-        if not (self.weight > 0) or not math.isfinite(self.weight):
-            raise ValueError(f"weight must be positive and finite, got {self.weight}")
-        for name, value in self.covariates.items():
-            if not math.isfinite(value):
-                raise ValueError(f"covariate {name!r} is not finite: {value}")
+        outcome, weight = integral(self.outcome), real(self.weight)
+        if outcome is None or outcome < 0:
+            raise ValueError(f"outcome index must be a non-negative integer, got {self.outcome!r}")
+        if weight is None or not weight > 0:
+            raise ValueError(f"weight must be positive and finite, got {self.weight!r}")
+        covariates = dict(self.covariates)
+        for name, value in covariates.items():
+            covariates[name] = checked_real(f"covariate {name!r}", value)
+        object.__setattr__(self, "covariates", covariates)
+        object.__setattr__(self, "outcome", outcome)
+        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "period", period_label(self.period))
 
 
 def _require(ok: np.ndarray, message) -> None:
@@ -180,7 +209,7 @@ class Dataset:
         repeated, unused or None (no period); they are reduced to the sorted labels in
         use and the period codes remapped.
         """
-        names, labels = tuple(variable_names), tuple(period_labels)
+        names, labels = tuple(variable_names), tuple(map(period_label, period_labels))
         if len(set(names)) != len(names):
             raise ValueError("duplicate variable names")
         n = len(columns["y"])

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .data import Dataset
+from .data import Dataset, integral, real
 from .errors import (
     NonConvergenceError,
     NonIdentificationError,
@@ -37,10 +37,14 @@ class EstimateOptions:
     max_iterations: int = 200
 
     def __post_init__(self):
-        if not (math.isfinite(self.gradient_tol) and self.gradient_tol > 0):
+        tol, cap = real(self.gradient_tol), integral(self.max_iterations)
+        if tol is None or not tol > 0:
             raise ValueError(f"gradient_tol must be finite and > 0, got {self.gradient_tol!r}")
-        if not self.max_iterations >= 1:
-            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations!r}")
+        if cap is None or cap < 1:
+            kind = "" if cap is not None else "an integer "
+            raise ValueError(f"max_iterations must be {kind}>= 1, got {self.max_iterations!r}")
+        object.__setattr__(self, "gradient_tol", tol)
+        object.__setattr__(self, "max_iterations", cap)
 
 
 @dataclass(frozen=True)

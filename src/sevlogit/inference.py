@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .chi2 import chi_square_sf
-from .data import Dataset, partition, partition_dims
+from .data import Dataset, integral, partition, partition_dims, real
 from .errors import EmptyPartitionError, InconsistencyError, SevlogitError
 from .estimate import EstimateOptions, EstimationResult, estimate
 from .likelihood import _probabilities, probability_matrix
@@ -30,11 +29,14 @@ class ElasticityOptions:
     aggregation: str = "mean"
 
     def __post_init__(self):
-        threshold, aggregation = self.threshold, self.aggregation
-        if not (math.isfinite(threshold) and threshold >= 0.0):
-            raise ValueError(f"significance threshold must be finite and >= 0, got {threshold!r}")
+        threshold, aggregation = real(self.threshold), self.aggregation
+        if threshold is None or threshold < 0.0:
+            raise ValueError(
+                f"significance threshold must be finite and >= 0, got {self.threshold!r}"
+            )
         if aggregation not in AGGREGATIONS:
             raise ValueError(f"unknown aggregation {aggregation!r}; expected 'mean' or 'prob-weighted'")
+        object.__setattr__(self, "threshold", threshold)
 
 
 @dataclass(frozen=True)
@@ -47,10 +49,18 @@ class PartitionOptions:
 
     def __post_init__(self):
         object.__setattr__(self, "dims", partition_dims(self.dims))
-        if self.min_cell_size is not None and self.min_cell_size < 1:
-            raise ValueError(f"minimum cell size must be >= 1, got {self.min_cell_size}")
-        if not 0.0 < self.confidence < 1.0:
-            raise ValueError(f"--confidence must be in (0, 1), got {self.confidence}")
+        if self.min_cell_size is not None:
+            size = integral(self.min_cell_size)
+            if size is None or size < 1:
+                kind = "" if size is not None else "an integer "
+                raise ValueError(
+                    f"minimum cell size must be {kind}>= 1, got {self.min_cell_size!r}"
+                )
+            object.__setattr__(self, "min_cell_size", size)
+        confidence = real(self.confidence)
+        if confidence is None or not 0.0 < confidence < 1.0:
+            raise ValueError(f"--confidence must be in (0, 1), got {self.confidence!r}")
+        object.__setattr__(self, "confidence", confidence)
 
 
 def elasticity_point(probability: float, coefficient: float, value: float) -> float:
@@ -322,8 +332,8 @@ def evaluate_partition(
     and takes estimate's arguments (default: estimate, looked up at the call).
     """
     fit = fit or estimate
-    dims = PartitionOptions(dims, min_cell_size).dims
-    min_cell_size = min_cell_size or 30 * model.n_params  # None or >= 1 by now
+    settings = PartitionOptions(dims, min_cell_size)
+    dims, min_cell_size = settings.dims, settings.min_cell_size or 30 * model.n_params
     cells = partition(dataset, dims)
 
     # no cells means no rows; the pooled fit below rejects an empty dataset

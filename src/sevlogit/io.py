@@ -19,7 +19,7 @@ import stat
 import tempfile
 import zipfile
 from contextlib import contextmanager
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from functools import lru_cache, partial
 from itertools import compress, islice, repeat
 from operator import itemgetter
@@ -33,8 +33,9 @@ except ImportError:
 
 import numpy as np
 
-from .data import COLUMNS, SEGMENT_LEVELS, Dataset, OutcomeSet, SegmentKey, real, unknown_level
-from .errors import ConfigError, IngestionError, ModelSpecError, SchemaError
+from .data import (COLUMNS, SEGMENT_LEVELS, Dataset, OutcomeSet, SegmentKey, period_label,
+                   unknown_level)
+from .errors import ConfigError, IngestionError, ModelSpecError, NumericError, SchemaError
 from .estimate import EstimateOptions, EstimationResult
 from .modelspec import ModelSpec, ParameterVector, TermSpec, bind_design, build_layout
 from .simulate import (
@@ -457,8 +458,8 @@ def read_fit(
     path, key: Optional[str], model: ModelSpec, variable_names, options: EstimateOptions
 ) -> Optional[EstimationResult]:
     """The converged fit stored under `key` beside a CSV, with the caller's `options`, or
-    None. An entry whose arrays do not fit the model's layout, or a value of the wrong
-    type, is a miss."""
+    None. An entry whose arrays do not fit the model's layout, a value of the wrong type, or
+    a theta that ParameterVector refuses (a stored NaN or Infinity), is a miss."""
     entry = next((e for e in _fit_entries(path) if e["key"] == key), None) if key else None
     if entry is None:
         return None
@@ -471,8 +472,12 @@ def read_fit(
         and isinstance(notes, list) and all(type(note) is str for note in notes)
     ):
         return None
+    try:
+        theta = ParameterVector(np.array(entry["theta"]), layout)
+    except (ValueError, NumericError):
+        return None
     return EstimationResult(
-        ParameterVector(np.array(entry["theta"]), layout),
+        theta,
         **{k: np.array(entry[k]) for k in ("covariance", "t_ratios")},
         **{k: entry[k] for k in _FIT_SCALARS},
         converged=True, diagnostics=tuple(notes), options=options,
@@ -518,7 +523,7 @@ def model_spec_from_dict(doc: dict, source: str = "<inline>") -> ModelSpec:
     if not isinstance(doc["outcomes"], list):
         raise ModelSpecError(f"{source}: 'outcomes' must be a list of labels, base first")
     try:
-        outcome_set = OutcomeSet(tuple(str(lab) for lab in doc["outcomes"]))
+        outcome_set = OutcomeSet(doc["outcomes"])
     except ValueError as exc:
         raise ModelSpecError(f"{source}: {exc}") from None
 
@@ -536,7 +541,7 @@ def model_spec_from_dict(doc: dict, source: str = "<inline>") -> ModelSpec:
                     raise ModelSpecError(f"{source}: term {i}: {exc}") from None
             else:
                 outs.append(item)
-        terms.append(TermSpec(str(raw["variable"]), tuple(outs), raw.get("shared", False)))
+        terms.append(TermSpec(raw["variable"], tuple(outs), raw.get("shared", False)))
     return ModelSpec(outcome_set, tuple(terms))
 
 
@@ -554,48 +559,41 @@ def model_spec_to_dict(model: ModelSpec) -> dict:
     }
 
 
-_DIST_PARSERS = {  # each gets the distribution's object and a reader of its number fields
-    "constant": lambda d, number: ConstantDist(number("value")),
-    "uniform": lambda d, number: UniformDist(number("low"), number("high")),
-    "categorical": lambda d, number: CategoricalDist(tuple(d["values"]), tuple(d["probs"])),
-    "indicator": lambda d, number: IndicatorDist(number("p")),
+_DISTRIBUTIONS = {  # each takes its fields' values as the JSON object's keys of those names
+    "constant": ConstantDist,
+    "uniform": UniformDist,
+    "categorical": CategoricalDist,
+    "indicator": IndicatorDist,
 }
-
-
-def _real(field: str, value) -> float:
-    """A JSON number field as a float, by the rule of data.real."""
-    number = real(value)
-    if number is None:
-        raise ConfigError(f"{field} must be a finite number, got {value!r}")
-    return number
 
 
 def _parse_distribution(name: str, raw: dict):
     if not isinstance(raw, dict) or "dist" not in raw:
         raise ConfigError(f"covariate {name!r}: expected an object with a 'dist' key")
     kind = raw["dist"]
-    parser = _DIST_PARSERS.get(kind)
-    if parser is None:
+    dist = _DISTRIBUTIONS.get(kind)
+    if dist is None:
         raise ConfigError(
             f"covariate {name!r}: unknown distribution {kind!r} "
-            f"(expected one of {sorted(_DIST_PARSERS)})"
+            f"(expected one of {sorted(_DISTRIBUTIONS)})"
         )
     try:
-        return parser(raw, lambda key: _real(f"covariate {name!r}: {key!r}", raw[key]))
+        return dist(*(raw[f.name] for f in fields(dist)))
     except KeyError as exc:
         raise ConfigError(f"covariate {name!r}: missing distribution parameter {exc}") from None
+    except ConfigError as exc:
+        raise ConfigError(f"covariate {name!r}: {exc}") from None
 
 
-def _parse_theta(raw, model: ModelSpec, field: str = "theta") -> np.ndarray:
+def _parse_theta(raw, model: ModelSpec) -> np.ndarray:
     """A {slot name: value} mapping or a list of values in slot order."""
     layout = build_layout(model)
     try:
         if isinstance(raw, dict):
-            values = {k: _real(f"value of {k!r}", v) for k, v in raw.items()}
-            return ParameterVector.from_dict(layout, values).values
-        return ParameterVector([_real(f"value {i}", v) for i, v in enumerate(raw)], layout).values
-    except (TypeError, ValueError, ConfigError) as exc:
-        raise ConfigError(f"{field}: {exc} (slot order {list(layout.slot_names())})") from None
+            return ParameterVector.from_dict(layout, raw).values
+        return ParameterVector(raw, layout).values
+    except (TypeError, ValueError, NumericError) as exc:
+        raise ConfigError(f"theta: {exc} (slot order {list(layout.slot_names())})") from None
 
 
 def load_generator_config(path) -> tuple[GeneratorConfig, Optional[str]]:
@@ -632,18 +630,11 @@ def load_generator_config(path) -> tuple[GeneratorConfig, Optional[str]]:
     segments = []
     for i, raw in enumerate(segments_raw):
         try:
-            key = SegmentKey(
-                road_class=raw.get("road_class", "other"),
-                location=raw.get("location", "other"),
-                accident_type=raw.get("accident_type", "other"),
-            )
-        except ValueError as exc:
+            key = SegmentKey(**{dim: raw.get(dim, "other") for dim in SEGMENT_LEVELS})
+            theta = _parse_theta(raw["theta"], model) if "theta" in raw else None
+            segments.append(SegmentComponent(key, raw.get("weight", 1.0), theta))
+        except (ValueError, ConfigError) as exc:
             raise ConfigError(f"{path}: segment {i}: {exc}") from None
-        theta = None
-        if "theta" in raw:
-            theta = _parse_theta(raw["theta"], model, f"{path}: segment {i}: theta")
-        weight = _real(f"{path}: segment {i}: 'weight'", raw.get("weight", 1.0))
-        segments.append(SegmentComponent(key, weight, theta))
 
     config = GeneratorConfig(
         model=model,
@@ -653,5 +644,7 @@ def load_generator_config(path) -> tuple[GeneratorConfig, Optional[str]]:
         segments=tuple(segments),
         seed=doc.get("seed", 0),
     )
-    period = doc.get("period")
-    return config, (str(period) if period is not None else None)
+    try:
+        return config, period_label(doc.get("period"))
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None

@@ -36,14 +36,6 @@ def probabilities_from_utilities(utilities: np.ndarray) -> np.ndarray:
     return _kernels._softmax(u.T)[0].T
 
 
-def _finite_theta(design: Design, theta: ThetaLike) -> np.ndarray:
-    """theta's values in the design's slot layout; every one must be finite."""
-    values = _theta_values(theta, design.layout)
-    if not np.isfinite(values).all():
-        raise NumericError("non-finite parameter value")
-    return values
-
-
 def _data_inputs(dataset: Dataset):
     """The kernels' (x, y, w) for a dataset: the design matrix, outcomes and weights."""
     return augmented_matrix(dataset.covariate_matrix), dataset.outcome_indices, dataset.weights
@@ -51,7 +43,7 @@ def _data_inputs(dataset: Dataset):
 
 def _probabilities(x: np.ndarray, design: Design, theta: ThetaLike) -> np.ndarray:
     """(rows, n_outcomes) outcome probabilities of a design matrix from ``augmented_matrix``."""
-    p = _kernels.prob_matrix(x, design, _finite_theta(design, theta))
+    p = _kernels.prob_matrix(x, design, _theta_values(theta, design.layout))
     if not np.isfinite(p).all():
         raise NumericError("non-finite utility while computing probabilities")
     return p
@@ -74,7 +66,7 @@ def log_likelihood(model: ModelSpec, theta: ThetaLike, dataset: Dataset) -> floa
     if dataset.n_obs == 0:
         raise ValueError("dataset is empty")
     design = bind_design(model, dataset.variable_names)
-    values = _finite_theta(design, theta)
+    values = _theta_values(theta, design.layout)
     value, _ = _kernels.loglik(*_data_inputs(dataset), design, values)
     return float(value)
 
@@ -84,6 +76,6 @@ def gradient_hessian(model: ModelSpec, theta: ThetaLike, dataset: Dataset) -> Li
     if dataset.n_obs == 0:
         raise ValueError("dataset is empty")
     design = bind_design(model, dataset.variable_names)
-    values = _finite_theta(design, theta)
+    values = _theta_values(theta, design.layout)
     value, grad, hess, n_floored = _kernels.loglik_grad_hess(*_data_inputs(dataset), design, values)
     return LikelihoodEvaluation(float(value), grad, hess, int(n_floored))

@@ -9,12 +9,13 @@ changes slot assignment.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Iterable, Mapping, Union
 
 import numpy as np
 
-from .data import Observation, OutcomeSet, integral
-from .errors import ModelSpecError, SchemaError
+from .data import Observation, OutcomeSet, checked_real, integral
+from .errors import ModelSpecError, NumericError, SchemaError
 
 CONSTANT = "constant"
 
@@ -30,8 +31,8 @@ class TermSpec:
     shared: bool = False
 
     def __post_init__(self):
-        if not self.variable:
-            raise ModelSpecError("term variable name must be non-empty")
+        if not (isinstance(self.variable, str) and self.variable):
+            raise ModelSpecError(f"term variable must be a non-empty string, got {self.variable!r}")
         outcomes = [integral(out) for out in self.outcomes]
         if None in outcomes:
             raise ModelSpecError(
@@ -147,19 +148,31 @@ def build_layout(model: ModelSpec) -> ParameterLayout:
     return ParameterLayout(model.outcome_set, tuple(slots), slot_of)
 
 
+# a parameter value by data.real: ValueError if it is not a number, NumericError if not finite
+_value = partial(checked_real, error=ValueError, non_finite=NumericError)
+
+
 @dataclass(frozen=True)
 class ParameterVector:
-    """Flat coefficient values plus the layout mapping terms to slots."""
+    """Flat coefficient values, each a finite real number, plus the layout mapping them to slots."""
 
     values: np.ndarray
     layout: ParameterLayout
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
+        values = self.values
+        if not (isinstance(values, np.ndarray) and values.dtype.kind == "f"):
+            # entry by entry: np.asarray([True, "0.5"], dtype=float) gives floats
+            values = [_value(f"value {i}", v) for i, v in enumerate(values)]
+        elif not np.isfinite(values).all():
+            for i, v in enumerate(values.tolist()):
+                _value(f"value {i}", v)
+        values = np.array(values, dtype=np.float64)  # a read-only copy: the checks hold for good
         if values.shape != (self.layout.n_params,):
             raise ValueError(
                 f"expected {self.layout.n_params} parameter values, got shape {values.shape}"
             )
+        values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
     @classmethod
@@ -174,7 +187,7 @@ class ParameterVector:
         unknown = [n for n in values if n not in names]
         if missing or unknown:
             raise ValueError(f"parameter dict mismatch (missing {missing}, unknown {unknown})")
-        return cls(np.array([values[n] for n in names], dtype=np.float64), layout)
+        return cls(np.array([_value(f"value of {n!r}", values[n]) for n in names]), layout)
 
 
 ThetaLike = Union[ParameterVector, np.ndarray, Iterable[float]]

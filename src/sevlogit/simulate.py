@@ -13,7 +13,7 @@ from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .data import SEGMENT_LEVELS, Dataset, SegmentKey, integral
+from .data import SEGMENT_LEVELS, Dataset, SegmentKey, checked_real, checked_reals, integral
 from .errors import ConfigError
 from .modelspec import ModelSpec, ThetaLike, _theta_values, augmented_matrix, bind_design
 from .likelihood import _probabilities
@@ -25,6 +25,9 @@ RNG_ALGORITHM = "PCG64"
 class ConstantDist:
     value: float
 
+    def __post_init__(self):
+        object.__setattr__(self, "value", checked_real("'value'", self.value, ConfigError))
+
 
 @dataclass(frozen=True)
 class UniformDist:
@@ -32,6 +35,8 @@ class UniformDist:
     high: float
 
     def __post_init__(self):
+        object.__setattr__(self, "low", checked_real("'low'", self.low, ConfigError))
+        object.__setattr__(self, "high", checked_real("'high'", self.high, ConfigError))
         if not self.low < self.high:
             raise ConfigError(f"uniform bounds must satisfy low < high, got ({self.low}, {self.high})")
 
@@ -42,8 +47,8 @@ class CategoricalDist:
     probs: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        object.__setattr__(self, "probs", tuple(float(p) for p in self.probs))
+        object.__setattr__(self, "values", checked_reals("'values'", self.values, ConfigError))
+        object.__setattr__(self, "probs", checked_reals("'probs'", self.probs, ConfigError))
         if len(self.values) != len(self.probs) or not self.values:
             raise ConfigError("categorical needs matching, non-empty values and probs")
         if any(p < 0 for p in self.probs) or abs(sum(self.probs) - 1.0) > 1e-9:
@@ -55,6 +60,7 @@ class IndicatorDist:
     p: float
 
     def __post_init__(self):
+        object.__setattr__(self, "p", checked_real("'p'", self.p, ConfigError))
         if not 0.0 <= self.p <= 1.0:
             raise ConfigError(f"indicator probability must be in [0, 1], got {self.p}")
 
@@ -80,7 +86,9 @@ class SegmentComponent:
 
     def __post_init__(self):
         if self.theta is not None:
-            object.__setattr__(self, "theta", np.asarray(self.theta, dtype=np.float64))
+            theta = checked_reals("'theta'", self.theta, ConfigError)
+            object.__setattr__(self, "theta", np.array(theta))
+        object.__setattr__(self, "weight", checked_real("'weight'", self.weight, ConfigError))
         if not self.weight > 0:
             raise ConfigError(f"segment weight must be positive, got {self.weight}")
 
@@ -117,7 +125,7 @@ class GeneratorConfig:
 
 def _draw_column(dist: Distribution, n: int, rng: np.random.Generator) -> np.ndarray:
     if isinstance(dist, ConstantDist):
-        return np.full(n, float(dist.value))
+        return np.full(n, dist.value)
     if isinstance(dist, UniformDist):
         return rng.uniform(dist.low, dist.high, size=n)
     if isinstance(dist, CategoricalDist):

@@ -996,6 +996,20 @@ class TestFitStore:
         assert capsys.readouterr().out == first
         assert len(fits) == 2
 
+    @pytest.mark.parametrize("stored", [float("nan"), float("inf")])
+    def test_a_non_finite_theta_is_a_miss(self, files, fits, stored, capsys):
+        argv = self.argv(files, ("estimate",), "--format", "records")
+        assert run(*argv) == 0
+        first, store = capsys.readouterr().out, self.store(files)
+        written = store.read_bytes()
+        entries = json.loads(written)
+        entries[0]["theta"][0] = stored
+        store.write_text(json.dumps(entries))  # NaN and Infinity: Python's JSON reads them back
+        assert run(*argv) == 0
+        assert capsys.readouterr().out == first
+        assert len(fits) == 2
+        assert store.read_bytes() == written
+
     def test_failed_fits_are_not_stored(self, files, fits, capsys):
         argv = self.argv(files, ("estimate",), "--max-iter", "1")
         for made in (1, 2):
@@ -1094,3 +1108,51 @@ def test_a_config_number_of_another_type_writes_nothing(tmp_path, speed_model, f
     assert run("simulate", "--config", tmp_path / "gen.json", "--out", tmp_path / "data.csv") == 2
     assert f"'{field}' must be a finite number" in capsys.readouterr().err
     assert not (tmp_path / "data.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"covariates": {"x": {"dist": "categorical", "values": ["1", True], "probs": [0.5, 0.5]}}},
+         "covariate 'x': 'values' entry 0 must be a finite number, got '1'"),
+        ({"covariates": {"x": {"dist": "categorical", "values": [1, 2], "probs": [0.5, "0.5"]}}},
+         "covariate 'x': 'probs' entry 1 must be a finite number, got '0.5'"),
+        ({"covariates": {"x": {"dist": "categorical", "values": "ab", "probs": [0.5, 0.5]}}},
+         "covariate 'x': 'values' must be a list of numbers, got 'ab'"),
+        ({"model": {"outcomes": [0, 1], "terms": [{"variable": "x", "outcomes": [1]}]}},
+         "outcome labels must be strings, got (0, 1)"),
+        ({"model": {"outcomes": ["a", "b"], "terms": [{"variable": 7, "outcomes": [1]}]}},
+         "term variable must be a non-empty string, got 7"),
+        ({"period": 2006}, "period label must be a string or None, got 2006"),
+    ],
+    ids=["categorical-values", "categorical-probs", "categorical-string", "outcome-labels",
+         "term-variable", "period"],
+)
+def test_a_config_value_of_another_type_exits_2_and_writes_nothing(tmp_path, change, message,
+                                                                   capsys):
+    config = {
+        "model": {"outcomes": ["a", "b"], "terms": [{"variable": "x", "outcomes": [1]}]},
+        "theta": [0.1],
+        "n": 20,
+        "covariates": {"x": {"dist": "uniform", "low": 25, "high": 70}},
+        **change,
+    }
+    (tmp_path / "gen.json").write_text(json.dumps(config))
+    assert run("simulate", "--config", tmp_path / "gen.json", "--out", tmp_path / "data.csv") == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+    assert os.listdir(tmp_path) == ["gen.json"]
+
+
+def test_a_string_period_label_is_written(tmp_path, capsys):
+    config = {
+        "model": {"outcomes": ["a", "b"], "terms": [{"variable": "x", "outcomes": [1]}]},
+        "theta": [0.1],
+        "n": 20,
+        "covariates": {"x": {"dist": "uniform", "low": 25, "high": 70}},
+        "period": "2006",
+    }
+    (tmp_path / "gen.json").write_text(json.dumps(config))
+    assert run("simulate", "--config", tmp_path / "gen.json", "--out", tmp_path / "data.csv") == 0
+    dataset = sl.ingest_csv(tmp_path / "data.csv", sl.OutcomeSet(("a", "b")))
+    assert dataset.period_labels == ("2006",)

@@ -311,3 +311,52 @@ class TestConcatenate:
             sl.concatenate([a, b])
         with pytest.raises(ValueError):
             sl.concatenate([])
+
+
+class TestObservationOwnsItsValues:
+    @pytest.mark.parametrize("outcome", [True, 1.5, "1", None, -1])
+    def test_outcome_is_a_non_negative_integer(self, outcome):
+        refused = f"outcome index must be a non-negative integer, got {outcome!r}"
+        with pytest.raises(ValueError, match=refused):
+            sl.Observation({}, outcome)
+
+    @pytest.mark.parametrize("weight", ["2", True, float("inf"), float("nan"), 0.0])
+    def test_weight_is_a_positive_finite_number(self, weight):
+        with pytest.raises(ValueError, match=f"weight must be positive and finite, got {weight!r}"):
+            sl.Observation({}, 0, weight=weight)
+
+    @pytest.mark.parametrize("value", ["1", True, None, float("nan")])
+    def test_covariates_are_finite_numbers(self, value):
+        refused = f"covariate 'x' must be a finite number, got {value!r}"
+        with pytest.raises(ValueError, match=refused):
+            sl.Observation({"x": value}, 0)
+
+    def test_values_are_stored_normalised(self):
+        obs = sl.Observation({"x": np.int64(3)}, 2.0, weight=np.float32(2.0))
+        assert obs == sl.Observation({"x": 3.0}, 2, weight=2.0)
+        assert type(obs.outcome) is int and type(obs.weight) is float
+        assert type(obs.covariates["x"]) is float
+
+
+class TestPeriodLabelsAreStrings:
+    @pytest.mark.parametrize("period", [2006, 2006.0, True, b"2006"])
+    def test_observation(self, period):
+        refused = f"period label must be a string or None, got {period!r}"
+        with pytest.raises(ValueError, match=refused):
+            sl.Observation({}, 0, period=period)
+
+    def test_with_period(self):
+        ds = sl.Dataset(sl.OutcomeSet(), (sl.Observation({}, 0),), ())
+        with pytest.raises(ValueError, match="period label must be a string or None, got 2006"):
+            ds.with_period(2006)
+        assert ds.with_period("2006").period_labels == ("2006",)
+        assert ds.with_period(None).period_labels == ()
+
+    def test_from_columns(self):
+        n = 2
+        columns = {"X": np.empty((n, 0)), "y": [0, 1], "w": [1.0, 1.0], "period": [0, 1],
+                   **{dim: [0, 0] for dim in sl.data.SEGMENT_LEVELS}}
+        with pytest.raises(ValueError, match="period label must be a string or None, got 2004"):
+            sl.Dataset.from_columns(sl.OutcomeSet(), (), columns, ("2006", 2004))
+        ds = sl.Dataset.from_columns(sl.OutcomeSet(), (), columns, ("2006", None))
+        assert ds.period_labels == ("2006",)

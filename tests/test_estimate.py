@@ -374,3 +374,22 @@ class TestNullLogLikelihood:
         ds = dataset_from_outcomes([0, 0, 1, 1])
         expected = 4 * math.log(0.5)
         assert null_log_likelihood(ds) == pytest.approx(expected, rel=1e-12)
+
+
+class TestEstimateOptionsOwnTheirNumbers:
+    @pytest.mark.parametrize("cap", [2.5, True, "200", None])
+    def test_max_iterations_is_an_integer(self, cap):
+        refused = f"max_iterations must be an integer >= 1, got {cap!r}"
+        with pytest.raises(ValueError, match=refused):
+            EstimateOptions(max_iterations=cap)
+
+    @pytest.mark.parametrize("tol", [True, "1e-6", math.inf, math.nan, 0.0])
+    def test_gradient_tol_is_a_positive_finite_number(self, tol):
+        with pytest.raises(ValueError, match=f"gradient_tol must be finite and > 0, got {tol!r}"):
+            EstimateOptions(gradient_tol=tol)
+
+    def test_values_are_stored_normalised(self):
+        options = EstimateOptions(np.float32(0.5), np.int64(50))
+        assert options == EstimateOptions(0.5, 50)
+        assert type(options.gradient_tol) is float and type(options.max_iterations) is int
+        assert EstimateOptions(max_iterations=2e2).max_iterations == 200

@@ -516,3 +516,28 @@ class TestEvaluatePartition:
         scaled = sl.Dataset(ds.outcome_set, scaled_obs, ds.variable_names)
         report10 = sl.evaluate_partition(speed_model, scaled, ("road_class",))
         assert report10.test.statistic == pytest.approx(report.test.statistic, abs=1e-6)
+
+
+class TestOptionsOwnTheirNumbers:
+    @pytest.mark.parametrize("size", [2.5, True, "30"])
+    def test_min_cell_size_is_an_integer(self, size):
+        refused = f"minimum cell size must be an integer >= 1, got {size!r}"
+        with pytest.raises(ValueError, match=refused):
+            sl.PartitionOptions(("period",), size)
+
+    @pytest.mark.parametrize("confidence", [True, "0.95", float("nan"), float("inf")])
+    def test_confidence_is_a_number(self, confidence):
+        refused = f"--confidence must be in \\(0, 1\\), got {confidence!r}"
+        with pytest.raises(ValueError, match=refused):
+            sl.PartitionOptions(("period",), None, confidence)
+
+    @pytest.mark.parametrize("threshold", [True, "1.96", float("inf"), float("nan")])
+    def test_threshold_is_a_finite_number(self, threshold):
+        refused = f"significance threshold must be finite and >= 0, got {threshold!r}"
+        with pytest.raises(ValueError, match=refused):
+            sl.ElasticityOptions(threshold)
+
+    def test_values_are_stored_normalised(self):
+        options = sl.PartitionOptions(("period",), 30.0, np.float64(0.9))
+        assert type(options.min_cell_size) is int and type(options.confidence) is float
+        assert type(sl.ElasticityOptions(np.int64(2)).threshold) is float

@@ -205,3 +205,61 @@ class TestUtility:
         obs = sl.Observation({}, 0)
         assert sl.utility(constants_model, np.array([0.5, -1.0]), obs, 1) == 0.5
         assert sl.utility(constants_model, np.array([0.5, -1.0]), obs, 2) == -1.0
+
+
+class TestTermVariableIsALabel:
+    @pytest.mark.parametrize("variable", [7, True, None, 1.5, ""])
+    def test_a_non_string_or_empty_variable_is_refused(self, variable):
+        refused = f"term variable must be a non-empty string, got {variable!r}"
+        with pytest.raises(sl.ModelSpecError, match=refused):
+            sl.TermSpec(variable, (1,))
+
+
+class TestParameterVectorOwnsItsNumbers:
+    """Each value is a real number (ValueError naming it) and finite (NumericError)."""
+
+    @pytest.fixture
+    def layout(self, speed_model):
+        return sl.build_layout(speed_model)
+
+    @pytest.mark.parametrize("bad", ["0.3", True, None, object(), [0.1]])
+    @pytest.mark.parametrize("kind", ["list", "tuple", "object-array"])
+    def test_a_non_number_is_refused_by_position(self, layout, kind, bad):
+        values = [0.1, 0.2, bad, 0.4]
+        if kind != "list":
+            values = tuple(values) if kind == "tuple" else np.array(values, dtype=object)
+        with pytest.raises(ValueError, match=r"^value 2 must be a finite number, got "):
+            sl.ParameterVector(values, layout)
+
+    def test_strings_are_not_converted(self, layout):
+        with pytest.raises(ValueError, match="value 0 must be a finite number, got '-1'"):
+            sl.ParameterVector(["-1", "-2", "0.3", "0.4"], layout)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("kind", ["list", "float-array"])
+    def test_a_non_finite_value_is_a_numeric_error(self, layout, kind, bad):
+        values = [0.1, bad, 0.3, 0.4]
+        values = np.array(values) if kind == "float-array" else values
+        with pytest.raises(sl.NumericError, match=f"^value 1 must be a finite number, got {bad}$"):
+            sl.ParameterVector(values, layout)
+
+    def test_from_dict_names_the_slot(self, layout):
+        mapping = dict(zip(layout.slot_names(), [0.1, 0.2, 0.3, 0.4]))
+        refused = "value of 'constant:injury' must be a finite number, got True"
+        with pytest.raises(ValueError, match=refused):
+            sl.ParameterVector.from_dict(layout, {**mapping, "constant:injury": True})
+        refused = "value of 'curve:fatality' must be a finite number, got inf$"
+        with pytest.raises(sl.NumericError, match=refused):
+            sl.ParameterVector.from_dict(layout, {**mapping, "curve:fatality": np.float64(np.inf)})
+
+    def test_integers_become_floats(self, layout):
+        theta = sl.ParameterVector([1, np.int64(2), 3.0, np.float32(0.5)], layout)
+        assert theta.values.dtype == np.float64 and theta.values.tolist() == [1.0, 2.0, 3.0, 0.5]
+
+    def test_values_are_a_read_only_copy(self, layout):
+        given = np.zeros(layout.n_params)
+        theta = sl.ParameterVector(given, layout)
+        given[0] = np.inf  # the caller's array stays the caller's
+        assert theta.values[0] == 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            theta.values[0] = np.inf  # no value can turn non-finite after the check

@@ -209,3 +209,62 @@ class TestThetaForTargetShares:
             theta_for_target_shares([0.5, 0.4])
         with pytest.raises(ValueError):
             theta_for_target_shares([1.0, 0.0, 0.0])
+
+
+# (constructor of one config type from a value of the named field, the field as named)
+NUMBER_FIELDS = {
+    "constant-value": (lambda v: sl.ConstantDist(v), "'value'"),
+    "uniform-low": (lambda v: sl.UniformDist(v, 70), "'low'"),
+    "uniform-high": (lambda v: sl.UniformDist(25, v), "'high'"),
+    "indicator-p": (lambda v: sl.IndicatorDist(v), "'p'"),
+    "categorical-values": (lambda v: sl.CategoricalDist((1.0, v), (0.5, 0.5)), "'values' entry 1"),
+    "categorical-probs": (lambda v: sl.CategoricalDist((1.0, 2.0), (v, 0.5)), "'probs' entry 0"),
+    "segment-weight": (lambda v: sl.SegmentComponent(sl.SegmentKey(), v), "'weight'"),
+    "segment-theta": (
+        lambda v: sl.SegmentComponent(sl.SegmentKey(), 1.0, [0.1, v]), "'theta' entry 1"
+    ),
+}
+
+
+class TestConfigTypesOwnTheirNumbers:
+    """Each config type refuses a number field that is not a finite int or float, naming it."""
+
+    @pytest.mark.parametrize("value", ["0.5", True, float("nan"), float("inf"), None])
+    @pytest.mark.parametrize("field", NUMBER_FIELDS)
+    def test_a_non_number_is_refused_by_name(self, field, value):
+        build, name = NUMBER_FIELDS[field]
+        refused = f"^{name} must be a finite number, got {value!r}$"
+        with pytest.raises(sl.ConfigError, match=refused):
+            build(value)
+
+    def test_numbers_are_stored_as_floats(self):
+        one = np.int64(1)
+        assert type(sl.ConstantDist(one).value) is float
+        uniform = sl.UniformDist(one, 2)
+        assert type(uniform.low) is float and type(uniform.high) is float
+        assert type(sl.IndicatorDist(one).p) is float
+        categorical = sl.CategoricalDist([one, 2], [one, 0])
+        assert all(type(v) is float for v in categorical.values + categorical.probs)
+        segment = sl.SegmentComponent(sl.SegmentKey(), one, [one, 2])
+        assert type(segment.weight) is float and segment.theta.dtype == np.float64
+
+    def test_string_bounds_are_not_compared(self):
+        with pytest.raises(sl.ConfigError, match="'low' must be a finite number, got '100'"):
+            sl.UniformDist("100", "70")
+
+    @pytest.mark.parametrize("values", ["ab", {1.0: 0.5}, 1.0])
+    def test_categorical_needs_a_list(self, values):
+        with pytest.raises(sl.ConfigError, match="'values' must be a list of numbers"):
+            sl.CategoricalDist(values, (0.5, 0.5))
+
+    def test_segment_theta_needs_a_list(self):
+        with pytest.raises(sl.ConfigError, match="'theta' must be a list of numbers, got '01'"):
+            sl.SegmentComponent(sl.SegmentKey(), 1.0, "01")
+
+    def test_integer_and_float_bounds_draw_identical_columns(self, constants_model):
+        def draw(dist):
+            config = sl.GeneratorConfig(constants_model, np.zeros(2), 1000, {"x": dist}, seed=5)
+            return sl.simulate(config).covariate_matrix
+
+        assert np.array_equal(draw(sl.UniformDist(25, 70)), draw(sl.UniformDist(25.0, 70.0)))
+        assert sl.UniformDist(25, 70) == sl.UniformDist(25.0, 70.0)
