@@ -111,6 +111,15 @@ def checked_real(field: str, value, error=ValueError, non_finite=None) -> float:
     return number
 
 
+def checked_count(field: str, value) -> int:
+    """``integral(value)`` if it is at least 1, else ValueError naming `field`."""
+    count = integral(value)
+    if count is None or count < 1:
+        kind = "" if count is not None else "an integer "
+        raise ValueError(f"{field} must be {kind}>= 1, got {value!r}")
+    return count
+
+
 def checked_reals(field: str, values, error=ValueError) -> tuple[float, ...]:
     """Each entry of a list, tuple or array by ``checked_real``; anything else is refused."""
     if not isinstance(values, (list, tuple, np.ndarray)):

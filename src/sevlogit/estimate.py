@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .data import Dataset, integral, real
+from .data import Dataset, checked_count, real
 from .errors import (
     NonConvergenceError,
     NonIdentificationError,
@@ -37,14 +37,11 @@ class EstimateOptions:
     max_iterations: int = 200
 
     def __post_init__(self):
-        tol, cap = real(self.gradient_tol), integral(self.max_iterations)
+        tol = real(self.gradient_tol)
         if tol is None or not tol > 0:
             raise ValueError(f"gradient_tol must be finite and > 0, got {self.gradient_tol!r}")
-        if cap is None or cap < 1:
-            kind = "" if cap is not None else "an integer "
-            raise ValueError(f"max_iterations must be {kind}>= 1, got {self.max_iterations!r}")
         object.__setattr__(self, "gradient_tol", tol)
-        object.__setattr__(self, "max_iterations", cap)
+        object.__setattr__(self, "max_iterations", checked_count("max_iterations", self.max_iterations))
 
 
 @dataclass(frozen=True)
@@ -229,7 +226,7 @@ def estimate(
         t_ratios = np.full(n_params, np.nan)
 
     result = EstimationResult(
-        theta_hat=ParameterVector(theta.copy(), layout),
+        theta_hat=ParameterVector(theta, layout),
         covariance=covariance,
         t_ratios=t_ratios,
         ll_converged=float(ll),

@@ -8,7 +8,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .chi2 import chi_square_sf
-from .data import Dataset, integral, partition, partition_dims, real
+from .data import Dataset, checked_count, partition, partition_dims, real
 from .errors import EmptyPartitionError, InconsistencyError, SevlogitError
 from .estimate import EstimateOptions, EstimationResult, estimate
 from .likelihood import _probabilities, probability_matrix
@@ -50,12 +50,7 @@ class PartitionOptions:
     def __post_init__(self):
         object.__setattr__(self, "dims", partition_dims(self.dims))
         if self.min_cell_size is not None:
-            size = integral(self.min_cell_size)
-            if size is None or size < 1:
-                kind = "" if size is not None else "an integer "
-                raise ValueError(
-                    f"minimum cell size must be {kind}>= 1, got {self.min_cell_size!r}"
-                )
+            size = checked_count("minimum cell size", self.min_cell_size)
             object.__setattr__(self, "min_cell_size", size)
         confidence = real(self.confidence)
         if confidence is None or not 0.0 < confidence < 1.0:

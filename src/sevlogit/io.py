@@ -459,7 +459,7 @@ def read_fit(
 ) -> Optional[EstimationResult]:
     """The converged fit stored under `key` beside a CSV, with the caller's `options`, or
     None. An entry whose arrays do not fit the model's layout, a value of the wrong type, or
-    a theta that ParameterVector refuses (a stored NaN or Infinity), is a miss."""
+    a stored NaN or Infinity in theta, covariance or t_ratios, is a miss."""
     entry = next((e for e in _fit_entries(path) if e["key"] == key), None) if key else None
     if entry is None:
         return None
@@ -472,13 +472,12 @@ def read_fit(
         and isinstance(notes, list) and all(type(note) is str for note in notes)
     ):
         return None
-    try:
-        theta = ParameterVector(np.array(entry["theta"]), layout)
-    except (ValueError, NumericError):
+    arrays = {k: np.array(entry[k]) for k in ("theta", "covariance", "t_ratios")}
+    if not all(np.isfinite(a).all() for a in arrays.values()):
         return None
     return EstimationResult(
-        theta,
-        **{k: np.array(entry[k]) for k in ("covariance", "t_ratios")},
+        ParameterVector(arrays.pop("theta"), layout),
+        **arrays,
         **{k: entry[k] for k in _FIT_SCALARS},
         converged=True, diagnostics=tuple(notes), options=options,
     )
@@ -541,7 +540,10 @@ def model_spec_from_dict(doc: dict, source: str = "<inline>") -> ModelSpec:
                     raise ModelSpecError(f"{source}: term {i}: {exc}") from None
             else:
                 outs.append(item)
-        terms.append(TermSpec(raw["variable"], tuple(outs), raw.get("shared", False)))
+        try:
+            terms.append(TermSpec(raw["variable"], tuple(outs), raw.get("shared", False)))
+        except ModelSpecError as exc:
+            raise ModelSpecError(f"{source}: term {i}: {exc}") from None
     return ModelSpec(outcome_set, tuple(terms))
 
 
@@ -585,13 +587,13 @@ def _parse_distribution(name: str, raw: dict):
         raise ConfigError(f"covariate {name!r}: {exc}") from None
 
 
-def _parse_theta(raw, model: ModelSpec) -> np.ndarray:
+def _parse_theta(raw, model: ModelSpec) -> ParameterVector:
     """A {slot name: value} mapping or a list of values in slot order."""
     layout = build_layout(model)
     try:
         if isinstance(raw, dict):
-            return ParameterVector.from_dict(layout, raw).values
-        return ParameterVector(raw, layout).values
+            return ParameterVector.from_dict(layout, raw)
+        return ParameterVector(raw, layout)
     except (TypeError, ValueError, NumericError) as exc:
         raise ConfigError(f"theta: {exc} (slot order {list(layout.slot_names())})") from None
 

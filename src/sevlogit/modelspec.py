@@ -160,19 +160,13 @@ class ParameterVector:
     layout: ParameterLayout
 
     def __post_init__(self):
-        values = self.values
-        if not (isinstance(values, np.ndarray) and values.dtype.kind == "f"):
-            # entry by entry: np.asarray([True, "0.5"], dtype=float) gives floats
-            values = [_value(f"value {i}", v) for i, v in enumerate(values)]
-        elif not np.isfinite(values).all():
-            for i, v in enumerate(values.tolist()):
-                _value(f"value {i}", v)
-        values = np.array(values, dtype=np.float64)  # a read-only copy: the checks hold for good
+        # entry by entry: np.asarray([True, "0.5"], dtype=float) gives floats
+        values = np.array([_value(f"value {i}", v) for i, v in enumerate(self.values)])
         if values.shape != (self.layout.n_params,):
             raise ValueError(
                 f"expected {self.layout.n_params} parameter values, got shape {values.shape}"
             )
-        values.flags.writeable = False
+        values.flags.writeable = False  # a read-only copy: the checks hold for good
         object.__setattr__(self, "values", values)
 
     @classmethod

@@ -15,7 +15,8 @@ import numpy as np
 
 from .data import SEGMENT_LEVELS, Dataset, SegmentKey, checked_real, checked_reals, integral
 from .errors import ConfigError
-from .modelspec import ModelSpec, ThetaLike, _theta_values, augmented_matrix, bind_design
+from .modelspec import (ModelSpec, ParameterVector, ThetaLike, _theta_values, augmented_matrix,
+                        bind_design)
 from .likelihood import _probabilities
 
 RNG_ALGORITHM = "PCG64"
@@ -78,14 +79,15 @@ def generator_seed(seed: int) -> int:
 
 @dataclass(frozen=True)
 class SegmentComponent:
-    """One mixture component: a segment key, its weight, optionally its own theta."""
+    """One mixture component: a segment key, its weight, optionally its own theta (a
+    ParameterVector is kept as it is: its own type has checked it)."""
 
     segment: SegmentKey
     weight: float
-    theta: Optional[np.ndarray] = None
+    theta: Optional[ThetaLike] = None
 
     def __post_init__(self):
-        if self.theta is not None:
+        if self.theta is not None and not isinstance(self.theta, ParameterVector):
             theta = checked_reals("'theta'", self.theta, ConfigError)
             object.__setattr__(self, "theta", np.array(theta))
         object.__setattr__(self, "weight", checked_real("'weight'", self.weight, ConfigError))

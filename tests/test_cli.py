@@ -997,13 +997,15 @@ class TestFitStore:
         assert len(fits) == 2
 
     @pytest.mark.parametrize("stored", [float("nan"), float("inf")])
-    def test_a_non_finite_theta_is_a_miss(self, files, fits, stored, capsys):
+    @pytest.mark.parametrize("field", ["theta", "covariance", "t_ratios"])
+    def test_a_non_finite_stored_value_is_a_miss(self, files, fits, field, stored, capsys):
         argv = self.argv(files, ("estimate",), "--format", "records")
         assert run(*argv) == 0
         first, store = capsys.readouterr().out, self.store(files)
         written = store.read_bytes()
         entries = json.loads(written)
-        entries[0]["theta"][0] = stored
+        values = entries[0][field]
+        (values[0] if field == "covariance" else values)[0] = stored
         store.write_text(json.dumps(entries))  # NaN and Infinity: Python's JSON reads them back
         assert run(*argv) == 0
         assert capsys.readouterr().out == first
@@ -1120,9 +1122,9 @@ def test_a_config_number_of_another_type_writes_nothing(tmp_path, speed_model, f
         ({"covariates": {"x": {"dist": "categorical", "values": "ab", "probs": [0.5, 0.5]}}},
          "covariate 'x': 'values' must be a list of numbers, got 'ab'"),
         ({"model": {"outcomes": [0, 1], "terms": [{"variable": "x", "outcomes": [1]}]}},
-         "outcome labels must be strings, got (0, 1)"),
+         "gen.json#model: outcome labels must be strings, got (0, 1)"),
         ({"model": {"outcomes": ["a", "b"], "terms": [{"variable": 7, "outcomes": [1]}]}},
-         "term variable must be a non-empty string, got 7"),
+         "gen.json#model: term 0: term variable must be a non-empty string, got 7"),
         ({"period": 2006}, "period label must be a string or None, got 2006"),
     ],
     ids=["categorical-values", "categorical-probs", "categorical-string", "outcome-labels",
