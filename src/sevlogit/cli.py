@@ -13,8 +13,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import ExitStack
 from dataclasses import asdict, replace
-from functools import partial
 from pathlib import Path
 
 from . import __version__, report
@@ -34,7 +34,7 @@ from .inference import (
     lr_temporal_test,
 )
 from .io import ingest_csv, load_generator_config, load_model_spec, write_csv, write_text_atomic
-from .io import fit_key, read_fit, read_sidecar, sidecar_key, write_fit, write_sidecar
+from .io import FIT_STORE_ENTRIES, fit_entry, fit_key, read_fit, read_store, store_key, write_store
 from .simulate import RNG_ALGORITHM, generator_seed, simulate
 
 
@@ -155,34 +155,45 @@ def _report(args, config: dict, records: list) -> int:
     return 0
 
 
-def _dataset(path, outcome_set: OutcomeSet):
-    """The dataset of a CSV: from its column sidecar if one matches, else ingested, and the
-    sidecar written. A sidecar holds what the ingest gave, so no record depends on it."""
-    key = sidecar_key(path, outcome_set)
-    dataset = read_sidecar(path, key, outcome_set)
-    if dataset is None:
-        dataset = ingest_csv(path, outcome_set)
-        write_sidecar(path, key, dataset)
-    return dataset
+def _dataset(args, outcome_set: OutcomeSet):
+    """The dataset of the CSV at args.data, and the command's fitter. The store beside the CSV
+    gives the columns if their key matches, else the CSV is ingested; the fitter rebuilds a
+    fit the store holds under the fit's key, else fits the model. When the command ends, the
+    store is written once if the CSV was ingested or a new fit converged, with the fits the
+    command used and the newest others. A store holds what the ingest and fits gave, so no
+    record depends on it."""
+    key = store_key(args.data, outcome_set)
+    dataset, stored = read_store(args.data, key, outcome_set)
+    changed = dataset is None
+    if changed:
+        dataset = ingest_csv(args.data, outcome_set)
+    used = {}  # fit key -> entry of each converged fit the command used, by first use
 
+    def fit(model, data, options: EstimateOptions) -> EstimationResult:
+        nonlocal changed
+        fkey = fit_key(model, data, options)
+        result = read_fit(stored.get(fkey), model, data.variable_names, options)
+        if result is None:
+            result = estimate(model, data, options)
+            changed |= result.converged
+        if result.converged:
+            used[fkey] = fit_entry(fkey, result)
+        return result
 
-def _fit(path, model, dataset, options: EstimateOptions) -> EstimationResult:
-    """`estimate` through the fit store beside the CSV at `path`: a converged fit stored under
-    the same key is rebuilt, else the model is fitted and a converged fit stored. A store
-    holds what the fit gave, so no record depends on it."""
-    key = fit_key(model, dataset, options)
-    result = read_fit(path, key, model, dataset.variable_names, options)
-    if result is None:
-        result = estimate(model, dataset, options)
-        write_fit(path, key, result)
-    return result
+    def write():
+        if changed:
+            fits = [entry for k, entry in stored.items() if k not in used] + list(used.values())
+            write_store(args.data, key, dataset, fits[-max(FIT_STORE_ENTRIES, len(used)):])
+
+    args.on_exit.callback(write)
+    return dataset, fit
 
 
 def _load(args):
     """The model spec, the dataset and the fitter of a fitting command."""
     _check_inputs(args.data, args.model)
     model = load_model_spec(args.model)
-    return model, _dataset(args.data, model.outcome_set), partial(_fit, args.data)
+    return (model, *_dataset(args, model.outcome_set))
 
 
 def _cmd_estimate(args) -> int:
@@ -333,7 +344,7 @@ def _cmd_summarize(args) -> int:
     if args.outcomes:
         outcome_set = OutcomeSet(tuple(s.strip() for s in args.outcomes.split(",")))
     _check_inputs(args.data)
-    dataset = _dataset(args.data, outcome_set)
+    dataset, _ = _dataset(args, outcome_set)
     table = summarize(dataset, bins, variable=args.speed_var)
     config = _config_dict(args, "summarize", bins=args.bins, speed_var=args.speed_var)
     return _report(args, config, [report.summary_record(table)])
@@ -346,9 +357,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        if args.out:
-            _check_out(args.out)
-        return args.handler(args)
+        with ExitStack() as args.on_exit:  # the store beside --data is written as it closes
+            if args.out:
+                _check_out(args.out)
+            return args.handler(args)
     except (SevlogitError, ValueError) as exc:  # a ValueError is a bad value: exit 2
         print(f"error: {exc}", file=sys.stderr)
         return getattr(exc, "exit_code", 2)

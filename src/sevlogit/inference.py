@@ -125,7 +125,7 @@ def elasticity_report(
     does not enter. Indicator (0/1) variables get a pseudo-elasticity: the
     relative probability change from flipping the indicator 0 -> 1.
     """
-    ElasticityOptions(threshold, aggregation)  # raises on a bad value
+    threshold = ElasticityOptions(threshold, aggregation).threshold  # raises on a bad value
     if not result.converged:
         raise ValueError("elasticity report requires a converged result")
     if dataset.n_obs == 0:

@@ -5,8 +5,8 @@ header row. Required columns are outcome, road_class, location, accident_type;
 period and weight are optional; every remaining column is a numeric covariate.
 Outcome cells hold the outcome label, case-sensitively. Lines starting with '#' before the header are
 metadata comments (emitted datasets record their RNG there) and are skipped.
-The CLI keeps the columns of a clean ingest in a sidecar beside the CSV (sidecar_key),
-and the converged fits it makes on the CSV's data in a fit store beside it (fit_key).
+The CLI keeps the columns of a clean ingest (store_key) and the converged fits it makes
+on the CSV's data (fit_key) in one store beside the CSV.
 """
 
 from __future__ import annotations
@@ -326,15 +326,13 @@ def _trusted(path, owner: int):
         yield handle if mode_ok and status.st_uid == owner else None
 
 
-# A column sidecar, `.<name>.sevlogit.npz` beside a CSV, holds the columns of a clean ingest
-# of it, so the CLI parses a file once across commands. Anything wrong with one is a miss
-# (TypeError: a plain .npy file, or metadata that is not an object, in its place).
-_SIDECAR_ERRORS = (OSError, ValueError, KeyError, TypeError, zipfile.BadZipFile)
-
-
-def _beside(path, suffix: str) -> Path:
-    """The hidden file `.<name><suffix>` beside the CSV at `path`."""
-    return Path(path).with_name(f".{Path(path).name}{suffix}")
+# A store, `.<name>.sevlogit.npz` beside a CSV, holds the columns of a clean ingest of it
+# under store_key, so the CLI parses a file once across commands, and in its metadata the
+# converged fits the CLI made on the CSV's data, each under its fit_key, oldest first. Anything
+# wrong with one is a miss (TypeError: a plain .npy file, or metadata that is not an object, in
+# its place; RecursionError: metadata nested too deeply to parse).
+_STORE_ERRORS = (OSError, ValueError, KeyError, TypeError, RecursionError, zipfile.BadZipFile)
+FIT_STORE_ENTRIES = 32  # fits a write keeps, or as many as the writing command used if more
 
 
 @lru_cache(maxsize=None)
@@ -344,14 +342,14 @@ def _code_digest(*names: str) -> bytes:
 
 
 def _ingest_code_digest() -> bytes:
-    """The ingest rules' sources: changing a rule invalidates old sidecars."""
+    """The ingest rules' sources: changing a rule invalidates stored columns."""
     return _code_digest("io.py", "data.py")
 
 
-def sidecar_key(path, outcome_set: OutcomeSet) -> Optional[tuple]:
+def store_key(path, outcome_set: OutcomeSet) -> Optional[tuple]:
     """(digest of the CSV's bytes, outcome labels and ingest code; the CSV's owner; its size
     and mtime), read in one pass. None if the CSV cannot be read or the system is not POSIX
-    (a sidecar is trusted by its owner and mode)."""
+    (a store is trusted by its owner and mode)."""
     if os.name != "posix":
         return None
     try:
@@ -365,54 +363,56 @@ def sidecar_key(path, outcome_set: OutcomeSet) -> Optional[tuple]:
     return digest.hexdigest(), status.st_uid, (status.st_size, status.st_mtime_ns)
 
 
-def read_sidecar(path, key: Optional[tuple], outcome_set: OutcomeSet) -> Optional[Dataset]:
-    """The dataset in a CSV's sidecar if it matches `key`, else None. A sidecar that is not a
-    regular file owned by the CSV's owner, or that group or others may write, is ignored."""
+def read_store(path, key: Optional[tuple], outcome_set: OutcomeSet) -> tuple:
+    """(the dataset in a CSV's store if its columns match `key`, else None; the fit entries it
+    holds by fit key, oldest first, whatever the columns' key). A store that is not a regular
+    file owned by the CSV's owner, or that group or others may write, holds nothing."""
     if key is None:
-        return None
+        return None, {}
     digest, owner, _ = key
     try:
-        with _trusted(_beside(path, ".sevlogit.npz"), owner) as handle:
+        with _trusted(Path(path).with_name(f".{Path(path).name}.sevlogit.npz"), owner) as handle:
             if handle is None:
-                return None
+                return None, {}
             with np.load(handle, allow_pickle=False) as archive:
                 meta = json.loads(archive["meta"].tobytes())
-                if meta["key"] != digest:
-                    return None
-                columns = {name: archive[name] for name in COLUMNS}
-        return Dataset.from_columns(outcome_set, meta["names"], columns, meta["periods"])
-    except _SIDECAR_ERRORS:
-        return None
+                hit = meta["key"] == digest
+                columns = {name: archive[name] for name in COLUMNS} if hit else None
+        entries = meta.get("fits", ())  # a store of an older version holds none
+        fits = {e["key"]: e for e in entries if isinstance(e, dict) and type(e.get("key")) is str}
+        if not hit:
+            return None, fits
+        return Dataset.from_columns(outcome_set, meta["names"], columns, meta["periods"]), fits
+    except _STORE_ERRORS:
+        return None, {}
 
 
-def write_sidecar(path, key: Optional[tuple], dataset: Dataset) -> None:
-    """Store an ingested dataset in its CSV's sidecar, atomically and without copying an
-    array, if the CSV is this user's and its size and mtime are those in `key`."""
+def write_store(path, key: Optional[tuple], dataset: Dataset, fits: list) -> None:
+    """Store an ingested dataset and fit entries (oldest first) in its CSV's store, atomically,
+    readable by this user only and without copying an array, if the CSV is this user's and its
+    size and mtime are those in `key`."""
     if key is None:
         return
     digest, owner, stamp = key
-    meta = {"key": digest, "names": dataset.variable_names, "periods": dataset.period_labels}
+    meta = {"key": digest, "names": dataset.variable_names, "periods": dataset.period_labels,
+            "fits": fits}
     arrays = {"meta": np.frombuffer(json.dumps(meta).encode(), np.uint8), **dataset.columns}
     try:
         status = os.stat(path)
         if (status.st_size, status.st_mtime_ns) != stamp or owner != os.geteuid():
             return
-        sidecar = _atomic(_beside(path, ".sevlogit.npz"), "wb", private=True)
-        with sidecar as handle, zipfile.ZipFile(handle, "w") as archive:
+        store = Path(path).with_name(f".{Path(path).name}.sevlogit.npz")
+        with _atomic(store, "wb", private=True) as handle, zipfile.ZipFile(handle, "w") as archive:
             for name, array in arrays.items():
                 array = np.ascontiguousarray(array)
                 with archive.open(f"{name}.npy", "w", force_zip64=True) as member:
                     header = np.lib.format.header_data_from_array_1_0(array)
                     np.lib.format.write_array_header_1_0(member, header)
                     member.write(array)  # through the buffer protocol, not a bytes copy
-    except (ConfigError, *_SIDECAR_ERRORS):
+    except (ConfigError, *_STORE_ERRORS):
         pass
 
 
-# A fit store, `.<name>.sevlogit-fits.json` beside a CSV, holds the newest FIT_STORE_ENTRIES
-# converged fits the CLI made on the CSV's data, each under its fit_key, oldest first. It is
-# trusted as a sidecar is; anything wrong with it or with an entry is a miss.
-FIT_STORE_ENTRIES = 32
 _FIT_SCALARS = {"ll_converged": float, "ll_null": float, "ll_zero": float,
                 "iterations": int, "gradient_max": float, "n_obs": int}
 
@@ -438,29 +438,16 @@ def fit_key(model: ModelSpec, dataset: Dataset, options: EstimateOptions) -> Opt
     return digest.hexdigest()
 
 
-def _fit_entries(path) -> list:
-    """The keyed entries of the fit store beside a CSV; none if it is absent or untrusted."""
-    try:
-        with _trusted(_beside(path, ".sevlogit-fits.json"), os.stat(path).st_uid) as handle:
-            doc = json.load(handle) if handle else []
-    except (OSError, ValueError, RecursionError):
-        return []
-    if not isinstance(doc, list):
-        return []
-    return [e for e in doc if isinstance(e, dict) and isinstance(e.get("key"), str)]
-
-
 def _float_list(value, n: int) -> bool:
     return isinstance(value, list) and len(value) == n and all(type(v) is float for v in value)
 
 
 def read_fit(
-    path, key: Optional[str], model: ModelSpec, variable_names, options: EstimateOptions
+    entry: Optional[dict], model: ModelSpec, variable_names, options: EstimateOptions
 ) -> Optional[EstimationResult]:
-    """The converged fit stored under `key` beside a CSV, with the caller's `options`, or
-    None. An entry whose arrays do not fit the model's layout, a value of the wrong type, or
-    a stored NaN or Infinity in theta, covariance or t_ratios, is a miss."""
-    entry = next((e for e in _fit_entries(path) if e["key"] == key), None) if key else None
+    """The converged fit a stored entry holds, with the caller's `options`, or None. An entry
+    whose arrays do not fit the model's layout, a value of the wrong type, or a stored NaN or
+    Infinity in theta, covariance or t_ratios, is a miss."""
     if entry is None:
         return None
     layout = bind_design(model, variable_names).layout
@@ -483,12 +470,9 @@ def read_fit(
     )
 
 
-def write_fit(path, key: Optional[str], result: EstimationResult) -> None:
-    """Add a converged fit under `key` to the store beside a CSV this user owns, atomically
-    and readable by this user only; a store that cannot be written is left as it is."""
-    if key is None or not result.converged:
-        return
-    entry = {
+def fit_entry(key: str, result: EstimationResult) -> dict:
+    """A converged fit as a store's entry under `key`."""
+    return {
         "key": key,
         "theta": result.theta_hat.values.tolist(),
         "covariance": result.covariance.tolist(),
@@ -496,14 +480,6 @@ def write_fit(path, key: Optional[str], result: EstimationResult) -> None:
         **{k: getattr(result, k) for k in _FIT_SCALARS},
         "diagnostics": list(result.diagnostics),
     }
-    try:
-        if os.stat(path).st_uid != os.geteuid():
-            return
-        entries = [e for e in _fit_entries(path) if e["key"] != key] + [entry]
-        with _atomic(_beside(path, ".sevlogit-fits.json"), private=True) as handle:
-            json.dump(entries[-FIT_STORE_ENTRIES:], handle)
-    except (ConfigError, OSError):
-        pass
 
 
 def load_model_spec(path) -> ModelSpec:

@@ -5,7 +5,7 @@ import pytest
 
 import sevlogit as sl
 from sevlogit.inference import lr_split_test, lr_temporal_test
-from sevlogit.report import partition_record, render_partition
+from sevlogit.report import elasticity_record, partition_record, records_to_text, render_partition
 
 
 class TestElasticityPoint:
@@ -266,6 +266,17 @@ class TestElasticityReport:
         ).elasticity
         with pytest.raises(ValueError, match="aggregation"):
             sl.elasticity_report(speed_model, result, speed_dataset, aggregation="median")
+
+    def test_threshold_is_the_normalised_real(self, speed_model, speed_dataset):
+        result = sl.estimate(speed_model, speed_dataset)
+        texts = {
+            records_to_text([elasticity_record(
+                sl.elasticity_report(speed_model, result, speed_dataset, threshold=threshold)
+            )])
+            for threshold in (2, np.int64(2), 2.0)
+        }
+        assert len(texts) == 1
+        assert '"significance_threshold": 2.0' in texts.pop()
 
     def test_unknown_aggregation_rejected_with_no_significant_cell(
         self, speed_model, speed_dataset
