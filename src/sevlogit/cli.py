@@ -171,8 +171,8 @@ def _dataset(args, outcome_set: OutcomeSet):
 
     def fit(model, data, options: EstimateOptions) -> EstimationResult:
         nonlocal changed
-        fkey = fit_key(model, data, options)
-        result = read_fit(stored.get(fkey), model, data.variable_names, options)
+        fkey = fit_key(model, data, options) if key else None  # no store, no fit to look up
+        result = read_fit(stored.get(fkey), model, options)
         if result is None:
             result = estimate(model, data, options)
             changed |= result.converged

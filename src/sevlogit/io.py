@@ -16,7 +16,6 @@ import json
 import math
 import os
 import stat
-import tempfile
 import zipfile
 from contextlib import contextmanager
 from dataclasses import asdict, fields
@@ -37,7 +36,7 @@ from .data import (COLUMNS, SEGMENT_LEVELS, Dataset, OutcomeSet, SegmentKey, per
                    unknown_level)
 from .errors import ConfigError, IngestionError, ModelSpecError, NumericError, SchemaError
 from .estimate import EstimateOptions, EstimationResult
-from .modelspec import ModelSpec, ParameterVector, TermSpec, bind_design, build_layout
+from .modelspec import ModelSpec, ParameterVector, TermSpec, build_layout
 from .simulate import (
     CategoricalDist,
     ConstantDist,
@@ -299,11 +298,10 @@ def _atomic(path, mode: str = "w", private: bool = False):
     path, tmp = Path(path), None
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        if private:
-            fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
-        else:  # O_EXCL: a name that is taken fails, so tmp is never another's file
-            name = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
-            fd, tmp = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), name
+        # O_EXCL: a name that is taken fails, so tmp is never another's file
+        name = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+        fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600 if private else 0o666)
+        tmp = name
         with os.fdopen(fd, mode, encoding=None if "b" in mode else "utf-8") as handle:
             yield handle
         os.replace(tmp, path)
@@ -336,24 +334,26 @@ FIT_STORE_ENTRIES = 32  # fits a write keeps, or as many as the writing command 
 
 
 @lru_cache(maxsize=None)
-def _code_digest(*names: str) -> bytes:
-    """Digest of the sources of this package's modules `names`, read once per process."""
-    return blake2b(b"".join(Path(__file__).with_name(name).read_bytes() for name in names)).digest()
+def _code_digest() -> bytes:
+    """Digest of the package's module sources, by name, once per process; OSError if none."""
+    sources = sorted(Path(__file__).parent.glob("*.py"))
+    if not sources:
+        raise FileNotFoundError(f"no module sources beside {__file__}")
+    return blake2b(b"".join(blake2b(p.read_bytes()).digest() for p in sources)).digest()
 
 
-def _ingest_code_digest() -> bytes:
-    """The ingest rules' sources: changing a rule invalidates stored columns."""
-    return _code_digest("io.py", "data.py")
+def _store_path(path) -> Path:
+    return Path(path).with_name(f".{Path(path).name}.sevlogit.npz")
 
 
 def store_key(path, outcome_set: OutcomeSet) -> Optional[tuple]:
-    """(digest of the CSV's bytes, outcome labels and ingest code; the CSV's owner; its size
-    and mtime), read in one pass. None if the CSV cannot be read or the system is not POSIX
-    (a store is trusted by its owner and mode)."""
+    """(digest of the CSV's bytes, outcome labels and the package's code; the CSV's owner;
+    its size and mtime), read in one pass. None off POSIX (a store is trusted by owner and
+    mode), or if the CSV or the package's sources (a zip install has none) cannot be read."""
     if os.name != "posix":
         return None
     try:
-        digest = blake2b(_ingest_code_digest() + json.dumps(outcome_set.labels).encode())
+        digest = blake2b(_code_digest() + json.dumps(outcome_set.labels).encode())
         with open(path, "rb") as raw:
             status = os.fstat(raw.fileno())
             for chunk in iter(partial(raw.read, 1 << 20), b""):
@@ -371,7 +371,7 @@ def read_store(path, key: Optional[tuple], outcome_set: OutcomeSet) -> tuple:
         return None, {}
     digest, owner, _ = key
     try:
-        with _trusted(Path(path).with_name(f".{Path(path).name}.sevlogit.npz"), owner) as handle:
+        with _trusted(_store_path(path), owner) as handle:
             if handle is None:
                 return None, {}
             with np.load(handle, allow_pickle=False) as archive:
@@ -388,27 +388,20 @@ def read_store(path, key: Optional[tuple], outcome_set: OutcomeSet) -> tuple:
 
 
 def write_store(path, key: Optional[tuple], dataset: Dataset, fits: list) -> None:
-    """Store an ingested dataset and fit entries (oldest first) in its CSV's store, atomically,
-    readable by this user only and without copying an array, if the CSV is this user's and its
-    size and mtime are those in `key`."""
+    """Store an ingested dataset and fit entries (oldest first) in its CSV's store by np.savez
+    (every array is numeric: nothing is pickled), atomically and readable by this user only,
+    if the CSV is this user's and its size and mtime are those in `key`."""
     if key is None:
         return
     digest, owner, stamp = key
-    meta = {"key": digest, "names": dataset.variable_names, "periods": dataset.period_labels,
-            "fits": fits}
-    arrays = {"meta": np.frombuffer(json.dumps(meta).encode(), np.uint8), **dataset.columns}
+    meta = json.dumps({"key": digest, "names": dataset.variable_names,
+                       "periods": dataset.period_labels, "fits": fits}).encode()
     try:
         status = os.stat(path)
         if (status.st_size, status.st_mtime_ns) != stamp or owner != os.geteuid():
             return
-        store = Path(path).with_name(f".{Path(path).name}.sevlogit.npz")
-        with _atomic(store, "wb", private=True) as handle, zipfile.ZipFile(handle, "w") as archive:
-            for name, array in arrays.items():
-                array = np.ascontiguousarray(array)
-                with archive.open(f"{name}.npy", "w", force_zip64=True) as member:
-                    header = np.lib.format.header_data_from_array_1_0(array)
-                    np.lib.format.write_array_header_1_0(member, header)
-                    member.write(array)  # through the buffer protocol, not a bytes copy
+        with _atomic(_store_path(path), "wb", private=True) as handle:
+            np.savez(handle, meta=np.frombuffer(meta, np.uint8), **dataset.columns)
     except (ConfigError, *_STORE_ERRORS):
         pass
 
@@ -417,18 +410,11 @@ _FIT_SCALARS = {"ll_converged": float, "ll_null": float, "ll_zero": float,
                 "iterations": int, "gradient_max": float, "n_obs": int}
 
 
-def _fit_code_digest() -> bytes:
-    """The fit's sources: changing the fit invalidates stored fits."""
-    return _code_digest("estimate.py", "_kernels.py", "likelihood.py", "modelspec.py", "data.py")
-
-
-def fit_key(model: ModelSpec, dataset: Dataset, options: EstimateOptions) -> Optional[str]:
-    """Digest of all that `estimate` reads: the fit code, numpy's version and the machine
-    (kernel bits repeat per machine only), the model, variable names and options, and the
-    shape, dtype and bytes of X, y and w. None if the system is not POSIX."""
-    if os.name != "posix":
-        return None
-    head = [_fit_code_digest().hex(), np.__version__, os.uname().machine,
+def fit_key(model: ModelSpec, dataset: Dataset, options: EstimateOptions) -> str:
+    """Digest of all that `estimate` reads: the package's code, numpy's version and the
+    machine (kernel bits repeat per machine only), the model, variable names and options, and
+    the shape, dtype and bytes of X, y and w. Taken only for a CSV with a store_key."""
+    head = [_code_digest().hex(), np.__version__, os.uname().machine,
             model_spec_to_dict(model), dataset.variable_names, asdict(options)]
     digest = blake2b(json.dumps(head).encode())
     for array in (dataset.columns[name] for name in ("X", "y", "w")):
@@ -442,15 +428,14 @@ def _float_list(value, n: int) -> bool:
     return isinstance(value, list) and len(value) == n and all(type(v) is float for v in value)
 
 
-def read_fit(
-    entry: Optional[dict], model: ModelSpec, variable_names, options: EstimateOptions
-) -> Optional[EstimationResult]:
+def read_fit(entry: Optional[dict], model: ModelSpec,
+             options: EstimateOptions) -> Optional[EstimationResult]:
     """The converged fit a stored entry holds, with the caller's `options`, or None. An entry
     whose arrays do not fit the model's layout, a value of the wrong type, or a stored NaN or
-    Infinity in theta, covariance or t_ratios, is a miss."""
+    Infinity in theta, covariance or t_ratios, is a miss (its key covers the variable names)."""
     if entry is None:
         return None
-    layout = bind_design(model, variable_names).layout
+    layout = build_layout(model)
     n, covariance, notes = layout.n_params, entry.get("covariance"), entry.get("diagnostics")
     if not (
         isinstance(covariance, list) and len(covariance) == n

@@ -733,6 +733,14 @@ def fits(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def code_digest():
+    """io._code_digest with an empty cache, emptied again when the test ends."""
+    sevlogit.io._code_digest.cache_clear()
+    yield sevlogit.io._code_digest
+    sevlogit.io._code_digest.cache_clear()
+
+
 class TestColumnSidecar:
     """The CLI keeps the columns of each cleanly ingested CSV in its store,
     `.<name>.sevlogit.npz` beside it, and loads them instead of parsing while the key (the
@@ -812,7 +820,7 @@ class TestColumnSidecar:
         elif change == "outcome-order":
             argv += ("--outcomes", "fatality,injury,property-damage-only")
         else:
-            monkeypatch.setattr(sevlogit.io, "_ingest_code_digest", lambda: b"another ingest")
+            monkeypatch.setattr(sevlogit.io, "_code_digest", lambda: b"another ingest")
         assert run(*argv) == 0
         changed = capsys.readouterr().out
         assert parses == ["data.csv", "data.csv"]
@@ -893,10 +901,12 @@ class TestColumnSidecar:
         files.chmod(0o555)
         try:
             if os.access(files, os.W_OK):  # root ignores the mode: refuse as the OS would
-                def refuse(*args, **kwargs):
-                    raise PermissionError(13, "Permission denied")
+                def refuse(name, flags, *args, open=os.open):
+                    if flags & os.O_CREAT:
+                        raise PermissionError(13, "Permission denied")
+                    return open(name, flags, *args)
 
-                monkeypatch.setattr(sevlogit.io.tempfile, "mkstemp", refuse)
+                monkeypatch.setattr(sevlogit.io.os, "open", refuse)
             assert run(*argv) == 0
             assert capsys.readouterr() == (first, "")
             assert sorted(os.listdir(files)) == before
@@ -1026,7 +1036,7 @@ class TestFitStore:
         elif change == "max-iter":
             argv += ("--max-iter", "50")
         else:
-            monkeypatch.setattr(sevlogit.io, "_fit_code_digest", lambda: b"another fit")
+            monkeypatch.setattr(sevlogit.io, "_code_digest", lambda: b"another fit")
         assert run(*argv) == 0
         changed = capsys.readouterr().out
         assert len(fits) == 2
@@ -1036,6 +1046,63 @@ class TestFitStore:
         assert run(*argv) == 0
         assert capsys.readouterr().out == changed
         assert len(fits) == 2
+
+    def test_an_edit_to_any_module_changes_every_key(self, files, speed_model, monkeypatch,
+                                                      code_digest):
+        data, labels = files / "data.csv", speed_model.outcome_set
+        dataset = sl.ingest_csv(data, labels)
+        fitted = [(dataset, sl.EstimateOptions()), (dataset, sl.EstimateOptions(max_iterations=9)),
+                  (dataset.take(dataset.columns["period"] == 0), sl.EstimateOptions())]
+
+        def keys():
+            code_digest.cache_clear()
+            fit_keys = [sevlogit.io.fit_key(speed_model, *args) for args in fitted]
+            return sevlogit.io.store_key(data, labels), fit_keys
+
+        (store_key, fit_keys), read = keys(), Path.read_bytes
+        # report.py holds no ingest or fit rule, and is covered all the same
+        monkeypatch.setattr(Path, "read_bytes",
+                            lambda path: read(path) + b"\n" * (path.name == "report.py"))
+        edited_store_key, edited_fit_keys = keys()
+        assert edited_store_key[0] != store_key[0] and edited_store_key[1:] == store_key[1:]
+        assert all(new != old for new, old in zip(edited_fit_keys, fit_keys))
+        monkeypatch.undo()
+        assert keys() == (store_key, fit_keys)
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda command: command[0])
+    def test_unreadable_sources_parse_and_fit_and_keep_no_store(self, files, parses, fits, command,
+                                                                 monkeypatch, code_digest, capsys):
+        argv = self.argv(files, command, "--format", "records")
+        assert run(*argv) == 0
+        normal, made = capsys.readouterr().out, len(fits)
+        _store(files).unlink()
+
+        def unreadable(path):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        code_digest.cache_clear()
+        monkeypatch.setattr(Path, "read_bytes", unreadable)
+        for _ in range(2):
+            assert run(*argv) == 0
+            assert capsys.readouterr() == (normal, "")
+        assert parses == ["data.csv"] * 3 and len(fits) == 3 * made
+        assert sorted(os.listdir(files)) == ["data.csv", "spec.json"]
+
+    def test_a_package_without_sources_keeps_no_store(self, files, fits, tmp_path_factory,
+                                                      monkeypatch, code_digest, capsys):
+        sourceless = tmp_path_factory.mktemp("sourceless")  # as a zip or .pyc-only install
+        (sourceless / "io.cpython.pyc").write_bytes(b"")
+        monkeypatch.setattr(sevlogit.io, "__file__", str(sourceless / "io.py"))
+        with pytest.raises(OSError):
+            code_digest()
+        data = files / "data.csv"
+        assert sevlogit.io.store_key(data, sl.OutcomeSet()) is None
+        argv = self.argv(files, ("estimate",), "--format", "records")
+        assert run(*argv) == 0
+        first = capsys.readouterr().out
+        assert run(*argv) == 0
+        assert capsys.readouterr().out == first and len(fits) == 2
+        assert sorted(os.listdir(files)) == ["data.csv", "spec.json"]
 
     @pytest.mark.parametrize("damage", ["wrong-shape", "wrong-type", "older-version", "not-a-list"])
     def test_a_damaged_store_is_a_miss_and_rewritten(self, files, fits, damage, capsys):
@@ -1101,10 +1168,12 @@ class TestFitStore:
         files.chmod(0o555)
         try:
             if os.access(files, os.W_OK):  # root ignores the mode: refuse as the OS would
-                def refuse(*args, **kwargs):
-                    raise PermissionError(13, "Permission denied")
+                def refuse(name, flags, *args, open=os.open):
+                    if flags & os.O_CREAT:
+                        raise PermissionError(13, "Permission denied")
+                    return open(name, flags, *args)
 
-                monkeypatch.setattr(sevlogit.io.tempfile, "mkstemp", refuse)
+                monkeypatch.setattr(sevlogit.io.os, "open", refuse)
             assert run(*argv) == 0
             assert capsys.readouterr() == (first, "")
             assert sorted(os.listdir(files)) == before
