@@ -20,7 +20,8 @@ from pathlib import Path
 from . import __version__, report
 from ._kernels import active_backend
 # partition is not called here, but perfbench/tracing.py patches it in this namespace
-from .data import OutcomeSet, bin_edges, partition, partition_dims, summarize  # noqa: F401
+from .data import (OutcomeSet, bin_edges, partition, partition_dims,  # noqa: F401
+                   period_label, summarize)
 from .errors import ConfigError, SevlogitError
 from .estimate import EstimateOptions, EstimationResult, estimate
 from .inference import (
@@ -29,6 +30,7 @@ from .inference import (
     ElasticityOptions,
     PartitionOptions,
     PartitionReport,
+    cell_value,
     elasticity_report,
     evaluate_partition,
     lr_temporal_test,
@@ -111,12 +113,16 @@ def _check_inputs(*paths) -> None:
             raise ConfigError(f"input file not found: {path}")
 
 
-def _check_out(out) -> None:
-    """Refuse an --out that is a directory or whose nearest existing ancestor is not a
-    writable directory."""
-    path = Path(out).absolute()
+def _check_out(args) -> None:
+    """Refuse an --out that is a directory, that is the same file as an input, or whose nearest
+    existing ancestor is not a writable directory."""
+    out, path = args.out, Path(args.out).absolute()
     if path.is_dir():
         raise ConfigError(f"cannot write {out} (it is a directory)")
+    for name in ("data", "model", "config"):
+        source = getattr(args, name, None)
+        if source and path.exists() and os.path.exists(source) and os.path.samefile(path, source):
+            raise ConfigError(f"cannot write {out} (it is the --{name} input)")
     ancestor = next(parent for parent in path.parents if parent.exists())
     if not (ancestor.is_dir() and os.access(ancestor, os.W_OK)):
         raise ConfigError(f"cannot write {out} ({ancestor} is not a writable directory)")
@@ -240,7 +246,7 @@ def _cmd_split_test(args) -> int:
     rep = _fit_cells(model, dataset, dims, options, fit)
     records = [report.estimation_record(rep.pooled, label="pooled")]
     for cell in rep.cells:
-        label = ", ".join(str(v) for v in cell.key)
+        label = ", ".join(map(cell_value, cell.key))
         records.append(report.estimation_record(cell.result, label=label))
     records.append(report.lr_record(rep.test, "split"))
     return _report(args, _config_dict(args, "split-test", options, by=",".join(dims)), records)
@@ -310,7 +316,8 @@ def _cmd_partition(args) -> int:
 
 def _cmd_simulate(args) -> int:
     if args.seed is not None:
-        generator_seed(args.seed)  # the seed rule, checked before the config is read
+        generator_seed(args.seed)  # the seed and period rules, checked before the config is read
+    period_label(args.period)
     _check_inputs(args.config)
     config, period = load_generator_config(args.config)
     if args.seed is not None:
@@ -359,7 +366,7 @@ def main(argv=None) -> int:
     try:
         with ExitStack() as args.on_exit:  # the store beside --data is written as it closes
             if args.out:
-                _check_out(args.out)
+                _check_out(args)
             return args.handler(args)
     except (SevlogitError, ValueError) as exc:  # a ValueError is a bad value: exit 2
         print(f"error: {exc}", file=sys.stderr)

@@ -15,6 +15,8 @@ ROAD_CLASSES = ("county-road", "city-street", "state-route", "us-route", "inters
 LOCATIONS = ("rural", "urban", "other")
 ACCIDENT_TYPES = ("one-vehicle", "C+C", "C+LT", "LT+LT", "C/LT+C/LT", "C/LT+HT", "other")
 SEGMENT_LEVELS = {"road_class": ROAD_CLASSES, "location": LOCATIONS, "accident_type": ACCIDENT_TYPES}
+# the CSV's required and optional columns, then the model's intercept: never a covariate's name
+RESERVED_NAMES = ("outcome", *SEGMENT_LEVELS, "period", "weight", "constant")
 # dtypes of a Dataset's columns: X is (n, k), the others hold one entry per observation
 COLUMNS = {
     "X": np.float64,
@@ -128,7 +130,9 @@ def checked_reals(field: str, values, error=ValueError) -> tuple[float, ...]:
 
 
 def period_label(label) -> Optional[str]:
-    """The period rule: a label is a string, or None for no period."""
+    """The period rule: a label is a non-empty string, or None for no period."""
+    if isinstance(label, str) and not label:
+        raise ValueError("period label must be non-empty (a CSV reads an empty cell as no period)")
     if label is None or isinstance(label, str):
         return label
     raise ValueError(f"period label must be a string or None, got {label!r}")
@@ -221,6 +225,9 @@ class Dataset:
         names, labels = tuple(variable_names), tuple(map(period_label, period_labels))
         if len(set(names)) != len(names):
             raise ValueError("duplicate variable names")
+        for name in names:
+            if name in RESERVED_NAMES:
+                raise ValueError(f"variable name {name!r} is reserved (reserved: {RESERVED_NAMES})")
         n = len(columns["y"])
         c = {
             key: np.asarray(columns[key], dtype=np.float64 if key in ("X", "w") else np.int64)

@@ -306,8 +306,9 @@ class PartitionReport:
         return self.test.reject(confidence)
 
 
-def _cell_label(dims: Sequence[str], key: tuple) -> str:
-    return ", ".join(f"{d}={'-' if v is None else v}" for d, v in zip(dims, key))
+def cell_value(value) -> str:
+    """A cell key's value as reports show it; no period reads '-'."""
+    return "-" if value is None else str(value)
 
 
 def evaluate_partition(
@@ -350,9 +351,8 @@ def evaluate_partition(
                 result = fit(model, cell_data, options)
             except SevlogitError as exc:
                 status, reason, error = "failed", str(exc), exc
-        reports.append(
-            CellReport(key, _cell_label(dims, key), cell_data.n_obs, status, reason, result, error)
-        )
+        label = ", ".join(f"{d}={cell_value(v)}" for d, v in zip(dims, key))
+        reports.append(CellReport(key, label, cell_data.n_obs, status, reason, result, error))
 
     not_ok = [r for r in reports if r.status != "ok"]
     test, unavailable = None, None

@@ -2,7 +2,8 @@
 
 CSV schema: UTF-8 (a leading byte-order mark is skipped), comma-separated, one
 header row. Required columns are outcome, road_class, location, accident_type;
-period and weight are optional; every remaining column is a numeric covariate.
+period and weight are optional; constant (the intercept's name) is refused; every
+remaining column is a numeric covariate.
 Outcome cells hold the outcome label, case-sensitively. Lines starting with '#' before the header are
 metadata comments (emitted datasets record their RNG there) and are skipped.
 The CLI keeps the columns of a clean ingest (store_key) and the converged fits it makes
@@ -32,11 +33,11 @@ except ImportError:
 
 import numpy as np
 
-from .data import (COLUMNS, SEGMENT_LEVELS, Dataset, OutcomeSet, SegmentKey, period_label,
-                   unknown_level)
+from .data import (COLUMNS, RESERVED_NAMES, SEGMENT_LEVELS, Dataset, OutcomeSet, SegmentKey,
+                   period_label, unknown_level)
 from .errors import ConfigError, IngestionError, ModelSpecError, NumericError, SchemaError
 from .estimate import EstimateOptions, EstimationResult
-from .modelspec import ModelSpec, ParameterVector, TermSpec, build_layout
+from .modelspec import CONSTANT, ModelSpec, ParameterVector, TermSpec, build_layout
 from .simulate import (
     CategoricalDist,
     ConstantDist,
@@ -46,8 +47,7 @@ from .simulate import (
     UniformDist,
 )
 
-REQUIRED_COLUMNS = ("outcome", "road_class", "location", "accident_type")
-OPTIONAL_COLUMNS = ("period", "weight")
+REQUIRED_COLUMNS = RESERVED_NAMES[:4]  # outcome and the segment columns; period, weight optional
 BLOCK_ROWS = 8192  # rows converted or formatted at once; bounds memory to one block of cells
 LISTED_PROBLEMS = 100  # problems an ingest error spells out; the rest are counted
 
@@ -77,9 +77,9 @@ def ingest_csv(path, outcome_set: Optional[OutcomeSet] = None) -> Dataset:
             raise SchemaError(f"{path}: missing required column(s) {missing}")
         if len(set(header)) != len(header):
             raise SchemaError(f"{path}: duplicate column names in header")
-        covariate_names = tuple(
-            name for name in header if name not in REQUIRED_COLUMNS and name not in OPTIONAL_COLUMNS
-        )
+        if CONSTANT in header:
+            raise SchemaError(f"{path}: column {CONSTANT!r} is reserved for the model's intercept")
+        covariate_names = tuple(name for name in header if name not in RESERVED_NAMES)
 
         if _quote_bytes(path) == "".join(head).count('"'):
             tokenised = _split_blocks(path, first, len(header))

@@ -14,10 +14,10 @@ from typing import Iterable, Mapping, Union
 
 import numpy as np
 
-from .data import Observation, OutcomeSet, checked_real, integral
+from .data import RESERVED_NAMES, Observation, OutcomeSet, checked_real, integral
 from .errors import ModelSpecError, NumericError, SchemaError
 
-CONSTANT = "constant"
+CONSTANT = RESERVED_NAMES[-1]  # the intercept's variable name
 
 BASE_OUTCOME = 0  # utility of the base outcome is identically zero
 

@@ -249,6 +249,7 @@ BAD_VALUES = [
     (("summarize", "--bins", "30,abc"), "--bins must be a comma list of numbers, got '30,abc'"),
     (("summarize", "--bins", "50,30"), "bin edges must be strictly increasing, got [50.0, 30.0]"),
     (("simulate", "--seed", "-1"), "seed must be a non-negative integer, got -1"),
+    (("simulate", "--period", ""), "period label must be non-empty"),
 ]
 
 
@@ -744,7 +745,7 @@ def code_digest():
 class TestColumnSidecar:
     """The CLI keeps the columns of each cleanly ingested CSV in its store,
     `.<name>.sevlogit.npz` beside it, and loads them instead of parsing while the key (the
-    CSV's bytes, the outcome labels and the ingest code) matches. No record depends on which
+    CSV's bytes, the outcome labels and the package's code) matches. No record depends on which
     happened."""
 
     COMMANDS = [
@@ -1269,9 +1270,13 @@ def test_a_config_number_of_another_type_writes_nothing(tmp_path, speed_model, f
         ({"model": {"outcomes": ["a", "b"], "terms": [{"variable": 7, "outcomes": [1]}]}},
          "gen.json#model: term 0: term variable must be a non-empty string, got 7"),
         ({"period": 2006}, "period label must be a string or None, got 2006"),
+        ({"period": ""}, "gen.json: period label must be non-empty"),
+        ({"model": {"outcomes": ["a", "b"], "terms": [{"variable": "weight", "outcomes": [1]}]},
+          "covariates": {"weight": {"dist": "uniform", "low": 1, "high": 2}}},
+         "variable name 'weight' is reserved"),
     ],
     ids=["categorical-values", "categorical-probs", "categorical-string", "outcome-labels",
-         "term-variable", "period"],
+         "term-variable", "period", "empty-period", "weight-covariate"],
 )
 def test_a_config_value_of_another_type_exits_2_and_writes_nothing(tmp_path, change, message,
                                                                    capsys):
@@ -1287,6 +1292,54 @@ def test_a_config_value_of_another_type_exits_2_and_writes_nothing(tmp_path, cha
     captured = capsys.readouterr()
     assert message in captured.err and captured.out == ""
     assert os.listdir(tmp_path) == ["gen.json"]
+
+
+def test_a_constant_column_exits_3_and_is_named(workdir, capsys):
+    data = workdir / "data.csv"
+    data.write_text(data.read_text().replace("curve", "constant", 1))
+    assert run("estimate", "--data", data, "--model", workdir / "spec.json") == 3
+    assert "column 'constant' is reserved" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spelling", ["same", "relative", "symlink", "model", "config"])
+def test_out_may_not_name_an_input(workdir, spelling, monkeypatch, capsys):
+    monkeypatch.chdir(workdir)
+    data, spec = workdir / "data.csv", workdir / "spec.json"
+    (workdir / "link.csv").symlink_to(data)
+    inputs = {path: path.read_bytes() for path in (data, spec)}
+    argv = ["estimate", "--data", data, "--model", spec, "--out"]
+    if spelling == "config":
+        gen = workdir / "gen.json"
+        gen.write_text(json.dumps({"model": "spec.json", "theta": [-1.8, -4.0, 0.03, 0.7],
+                                   "n": 20, "covariates": {}}))
+        inputs[gen] = gen.read_bytes()
+        argv, name = ["simulate", "--config", gen, "--out", gen], "--config"
+    else:
+        out = {"same": data, "relative": "./data.csv", "symlink": "link.csv", "model": spec}
+        argv, name = [*argv, out[spelling]], "--model" if spelling == "model" else "--data"
+    assert run(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"(it is the {name} input)" in captured.err
+    assert all(path.read_bytes() == raw for path, raw in inputs.items())
+    assert sorted(os.listdir(workdir)) == sorted(["link.csv", *(p.name for p in inputs)])
+
+
+def test_split_test_names_the_no_period_cell_as_partition_does(tmp_path, speed_model,
+                                                                speed_theta, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(model_spec_to_dict(speed_model)))
+    covs = {"speed_limit": sl.UniformDist(25, 70), "curve": sl.IndicatorDist(0.3)}
+    early, unknown = (sl.simulate(sl.GeneratorConfig(speed_model, speed_theta, 1500, covs, seed=s))
+                      for s in (3, 4))
+    write_csv(sl.concatenate([early.with_period("2004"), unknown]), tmp_path / "data.csv")
+    common = ("--data", tmp_path / "data.csv", "--model", spec, "--by", "period",
+              "--format", "records")
+    assert run("split-test", *common) == 0
+    labels = [record["label"] for record in _records_of(capsys)[1:-1]]
+    assert sorted(labels) == ["-", "2004", "pooled"]
+    assert run("partition", *common) == 0
+    cells = _records_of(capsys)[1]["cells"]
+    assert [f"period={label}" for label in labels[1:]] == [cell["label"] for cell in cells]
 
 
 def test_a_string_period_label_is_written(tmp_path, capsys):

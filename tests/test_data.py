@@ -338,7 +338,28 @@ class TestObservationOwnsItsValues:
         assert type(obs.covariates["x"]) is float
 
 
+class TestReservedNames:
+    """The CSV's non-covariate columns and the intercept's name are never a variable's."""
+
+    @pytest.mark.parametrize("name", sl.data.RESERVED_NAMES)
+    def test_no_constructor_takes_a_reserved_variable(self, name):
+        columns = {"X": np.zeros((1, 1)), "y": [0], "w": [1.0], "period": [-1],
+                   **{dim: [0] for dim in sl.data.SEGMENT_LEVELS}}
+        with pytest.raises(ValueError, match=f"variable name '{name}' is reserved"):
+            sl.Dataset.from_columns(sl.OutcomeSet(), (name,), columns)
+        with pytest.raises(ValueError, match=f"variable name '{name}' is reserved"):
+            sl.Dataset(sl.OutcomeSet(), (sl.Observation({name: 1.0}, 0),), (name,))
+
+
 class TestPeriodLabelsAreStrings:
+    def test_an_empty_label_is_refused(self):
+        refused = "period label must be non-empty"
+        with pytest.raises(ValueError, match=refused):
+            sl.Observation({}, 0, period="")
+        ds = sl.Dataset(sl.OutcomeSet(), (sl.Observation({}, 0),), ())
+        with pytest.raises(ValueError, match=refused):
+            ds.with_period("")
+
     @pytest.mark.parametrize("period", [2006, 2006.0, True, b"2006"])
     def test_observation(self, period):
         refused = f"period label must be a string or None, got {period!r}"
