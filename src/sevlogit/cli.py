@@ -35,8 +35,9 @@ from .inference import (
     evaluate_partition,
     lr_temporal_test,
 )
-from .io import ingest_csv, load_generator_config, load_model_spec, write_csv, write_text_atomic
-from .io import FIT_STORE_ENTRIES, fit_entry, fit_key, read_fit, read_store, store_key, write_store
+from .io import (FIT_STORE_ENTRIES, fit_entry, fit_key, generator_model_path, ingest_csv,
+                 load_generator_config, load_model_spec, read_fit, read_store, store_key,
+                 store_path, write_csv, write_store, write_text_atomic)
 from .simulate import RNG_ALGORITHM, generator_seed, simulate
 
 
@@ -114,15 +115,20 @@ def _check_inputs(*paths) -> None:
 
 
 def _check_out(args) -> None:
-    """Refuse an --out that is a directory, that is the same file as an input, or whose nearest
-    existing ancestor is not a writable directory."""
+    """Refuse an --out that is a directory, that is the same file as an input, as the model spec
+    --config names or as the store of --data, or whose nearest existing ancestor is not a
+    writable directory."""
     out, path = args.out, Path(args.out).absolute()
     if path.is_dir():
         raise ConfigError(f"cannot write {out} (it is a directory)")
-    for name in ("data", "model", "config"):
-        source = getattr(args, name, None)
-        if source and path.exists() and os.path.exists(source) and os.path.samefile(path, source):
-            raise ConfigError(f"cannot write {out} (it is the --{name} input)")
+    data, config = getattr(args, "data", None), getattr(args, "config", None)
+    inputs = {"--data input": data, "--model input": getattr(args, "model", None),
+              "--config input": config, "store of --data": data and store_path(data),
+              "model spec --config names": config and generator_model_path(config)}
+    for what, source in inputs.items():  # by path too: the store may not exist yet
+        if source and (os.path.realpath(path) == os.path.realpath(source) or path.exists()
+                       and os.path.exists(source) and os.path.samefile(path, source)):
+            raise ConfigError(f"cannot write {out} (it is the {what})")
     ancestor = next(parent for parent in path.parents if parent.exists())
     if not (ancestor.is_dir() and os.access(ancestor, os.W_OK)):
         raise ConfigError(f"cannot write {out} ({ancestor} is not a writable directory)")

@@ -169,10 +169,10 @@ class Observation:
 
 
 def _require(ok: np.ndarray, message) -> None:
-    """Raise ValueError naming the first observation where `ok` is False."""
-    bad = np.flatnonzero(~ok)
-    if bad.size:
-        raise ValueError(f"observation {bad[0]}: {message(bad[0])}")
+    """Raise ValueError naming the first observation (row of `ok`) where `ok` is not all True."""
+    if not ok.all():
+        bad = int(np.argmin(ok.reshape(len(ok), -1).all(axis=1)))
+        raise ValueError(f"observation {bad}: {message(bad)}")
 
 
 class Dataset:
@@ -242,7 +242,7 @@ class Dataset:
                 lambda i: f"{dim} code {c[dim][i]} out of range",
             )
         _require(
-            np.isfinite(c["X"]).all(axis=1),
+            np.isfinite(c["X"]),
             lambda i: f"covariates are not all finite: {dict(zip(names, c['X'][i].tolist()))}",
         )
         n_out = outcome_set.n_outcomes
@@ -255,7 +255,7 @@ class Dataset:
             lambda i: f"weight must be positive and finite, got {c['w'][i]}",
         )
 
-        used = np.unique(c["period"][c["period"] >= 0])
+        used = np.flatnonzero(np.bincount(c["period"] + 1, minlength=len(labels) + 1)[1:])
         kept = sorted({labels[i] for i in used} - {None})
         position = {label: j for j, label in enumerate(kept)}
         lookup = np.full(len(labels) + 1, -1)  # code -1 reads the last entry
@@ -326,7 +326,12 @@ class Dataset:
 
     def take(self, rows) -> "Dataset":
         """Sub-dataset of the rows selected by an index array or boolean mask, in that order."""
-        columns = {key: col[rows] for key, col in self.columns.items()}
+        rows = np.asarray(rows)
+        if rows.dtype == bool:  # one mask scan, then one gather per column
+            if rows.shape != (self.n_obs,):
+                raise IndexError(f"mask of shape {rows.shape} for {self.n_obs} observations")
+            rows = np.flatnonzero(rows)
+        columns = {key: col.take(rows, axis=0) for key, col in self.columns.items()}
         return Dataset.from_columns(
             self.outcome_set, self.variable_names, columns, self.period_labels
         )
@@ -388,15 +393,18 @@ def partition(dataset: Dataset, dims: Sequence[str]) -> dict[tuple, Dataset]:
     first) for deterministic iteration.
     """
     dims = partition_dims(dims)
-    key = np.zeros(dataset.n_obs, dtype=np.int64)  # mixed radix; period + 1 keeps -1 apart
-    for d in dims:
-        key = key * len(dataset.levels(d)) + dataset.columns[d] + (d == "period")
-    _, first, cell = np.unique(key, return_index=True, return_inverse=True)
-    keys = [tuple(dataset.levels(d)[dataset.columns[d][i]] for d in dims) for i in first.tolist()]
+    # each cell's rows, in file order: a stable sort by the mixed-radix key of the cell's codes
+    # (a radix sort if the key fits in 16 bits), split where the key changes
+    sizes = [len(dataset.levels(d)) for d in dims]
+    codes = [dataset.columns[d] + (d == "period") for d in dims]  # period + 1 keeps -1 apart
+    key = np.ravel_multi_index(codes, sizes).astype(np.min_scalar_type(math.prod(sizes) - 1))
+    rows = np.argsort(key, kind="stable")
+    cells = np.split(rows, np.flatnonzero(np.diff(key[rows])) + 1) if rows.size else []
+    keys = [tuple(dataset.levels(d)[dataset.columns[d][cell[0]]] for d in dims) for cell in cells]
     order = sorted(
         range(len(keys)), key=lambda i: tuple("" if v is None else str(v) for v in keys[i])
     )
-    return {keys[i]: dataset.take(cell == i) for i in order}
+    return {keys[i]: dataset.take(cells[i]) for i in order}
 
 
 @dataclass(frozen=True)

@@ -245,7 +245,8 @@ def _format_column(values: np.ndarray) -> np.ndarray:
     # repr round-trips float64 exactly, preserving emit -> ingest identity
     integral = (values == np.trunc(values)) & (np.abs(values) < 1e15)
     cells = np.empty(values.shape, dtype=object)
-    cells[integral] = list(map(str, values[integral].astype(np.int64).tolist()))
+    distinct, inverse = np.unique(values[integral].astype(np.int64), return_inverse=True)
+    cells[integral] = np.array(list(map(str, distinct.tolist())), dtype=object)[inverse]
     cells[~integral] = list(map(repr, values[~integral].tolist()))
     return cells
 
@@ -265,20 +266,26 @@ def write_csv(dataset: Dataset, path, note: Optional[str] = None) -> None:
     labels.extend((levels, c[dim]) for dim, levels in SEGMENT_LEVELS.items())
     if (c["period"] >= 0).any():
         header.append("period")
-        labels.append((dataset.period_labels + ("",), c["period"]))
+        labels.append((("",) + dataset.period_labels, c["period"] + 1))
     numeric = [c["X"][:, j] for j in range(len(dataset.variable_names))]
     if (c["w"] != 1.0).any():
         header.append("weight")
         numeric.insert(0, c["w"])
     header.extend(dataset.variable_names)
 
-    # blocks are written as they are formatted; csv.writer would leave a bare CR unquoted
-    labels = [(np.asarray(list(map(_quoted, table)), dtype=object), codes) for table, codes in labels]
+    # a row's label cells are one cell, joined once per label combination in a block and
+    # found by the row's label codes; csv.writer would leave a bare CR unquoted
+    sizes = [len(table) for table, _ in labels]
+    labels = [(list(map(_quoted, table)), codes) for table, codes in labels]
     with _atomic(path) as handle:
         handle.write((f"# {note}\n" if note else "") + ",".join(map(_quoted, header)) + "\n")
         for start in range(0, dataset.n_obs, BLOCK_ROWS):
             rows = slice(start, start + BLOCK_ROWS)
-            cells = [table[codes[rows]] for table, codes in labels]
+            code = np.ravel_multi_index([codes[rows] for _, codes in labels], sizes)
+            _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
+            joined = [",".join(table[codes[start + i]] for table, codes in labels)
+                      for i in first.tolist()]
+            cells = [np.array(joined, dtype=object)[inverse]]
             cells.extend(_format_column(values[rows]) for values in numeric)
             handle.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
@@ -342,7 +349,7 @@ def _code_digest() -> bytes:
     return blake2b(b"".join(blake2b(p.read_bytes()).digest() for p in sources)).digest()
 
 
-def _store_path(path) -> Path:
+def store_path(path) -> Path:
     return Path(path).with_name(f".{Path(path).name}.sevlogit.npz")
 
 
@@ -371,7 +378,7 @@ def read_store(path, key: Optional[tuple], outcome_set: OutcomeSet) -> tuple:
         return None, {}
     digest, owner, _ = key
     try:
-        with _trusted(_store_path(path), owner) as handle:
+        with _trusted(store_path(path), owner) as handle:
             if handle is None:
                 return None, {}
             with np.load(handle, allow_pickle=False) as archive:
@@ -400,7 +407,7 @@ def write_store(path, key: Optional[tuple], dataset: Dataset, fits: list) -> Non
         status = os.stat(path)
         if (status.st_size, status.st_mtime_ns) != stamp or owner != os.geteuid():
             return
-        with _atomic(_store_path(path), "wb", private=True) as handle:
+        with _atomic(store_path(path), "wb", private=True) as handle:
             np.savez(handle, meta=np.frombuffer(meta, np.uint8), **dataset.columns)
     except (ConfigError, *_STORE_ERRORS):
         pass
@@ -557,6 +564,15 @@ def _parse_theta(raw, model: ModelSpec) -> ParameterVector:
         return ParameterVector(raw, layout)
     except (TypeError, ValueError, NumericError) as exc:
         raise ConfigError(f"theta: {exc} (slot order {list(layout.slot_names())})") from None
+
+
+def generator_model_path(path) -> Optional[Path]:
+    """The model spec a generator config names, against its directory; None if none or unread."""
+    try:
+        model = json.loads(Path(path).read_text(encoding="utf-8")).get("model")
+    except (OSError, ValueError, AttributeError, RecursionError):  # AttributeError: no object
+        return None
+    return Path(path).parent / model if isinstance(model, str) else None
 
 
 def load_generator_config(path) -> tuple[GeneratorConfig, Optional[str]]:

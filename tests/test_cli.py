@@ -1324,6 +1324,81 @@ def test_out_may_not_name_an_input(workdir, spelling, monkeypatch, capsys):
     assert sorted(os.listdir(workdir)) == sorted(["link.csv", *(p.name for p in inputs)])
 
 
+@pytest.mark.parametrize("spelling", ["spec.json", "./spec.json", "link.json"])
+def test_simulate_out_may_not_name_the_spec_its_config_names(workdir, spelling, monkeypatch,
+                                                              capsys):
+    # the config names the spec against its own directory, not the working directory
+    monkeypatch.chdir(workdir)
+    (workdir / "link.json").symlink_to(workdir / "spec.json")
+    (workdir / "conf").mkdir()
+    gen = workdir / "conf" / "gen.json"
+    gen.write_text(json.dumps({
+        "model": "../spec.json", "theta": [-1.8, -4.0, 0.7, 0.03], "n": 20,
+        "covariates": {"speed_limit": {"dist": "uniform", "low": 25, "high": 70},
+                       "curve": {"dist": "indicator", "p": 0.3}},
+    }))
+    inputs = {path: path.read_bytes() for path in (gen, *workdir.glob("*.*"))}
+    assert run("simulate", "--config", gen, "--out", spelling) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "(it is the model spec --config names)" in captured.err
+    assert all(path.read_bytes() == raw for path, raw in inputs.items())
+    assert sorted(os.listdir(workdir)) == ["conf", "data.csv", "link.json", "spec.json"]
+    assert os.listdir(workdir / "conf") == ["gen.json"]
+
+
+@pytest.mark.parametrize("stored", [False, True], ids=["no-store-yet", "store"])
+@pytest.mark.parametrize("spelling", ["plain", "relative", "symlink"])
+def test_out_may_not_name_the_store_of_data(workdir, stored, spelling, monkeypatch, capsys):
+    monkeypatch.chdir(workdir)
+    data, spec, store = workdir / "data.csv", workdir / "spec.json", _store(workdir)
+    if stored:
+        assert run("estimate", "--data", data, "--model", spec) == 0
+    inputs = {path: path.read_bytes() for path in (data, spec, store) if path.exists()}
+    (workdir / "link.npz").symlink_to(store)  # dangling while there is no store
+    out = {"plain": store, "relative": "./.data.csv.sevlogit.npz", "symlink": "link.npz"}[spelling]
+    for argv in (("estimate", "--model", spec), ("summarize", "--bins", "40")):
+        capsys.readouterr()
+        assert run(*argv, "--data", data, "--out", out) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "(it is the store of --data)" in captured.err
+    assert {path: path.read_bytes() for path in (data, spec, store) if path.exists()} == inputs
+    assert sorted(os.listdir(workdir)) == sorted(["data.csv", "link.npz", "spec.json",
+                                                  *[store.name] * stored])
+
+
+def test_no_command_imports_numpy_ma(tmp_path, speed_model):
+    # numpy loads numpy.ma for some calls only, such as np.unique without index outputs
+    (tmp_path / "spec.json").write_text(json.dumps(model_spec_to_dict(speed_model)))
+    config = {
+        "model": "spec.json",
+        "theta": [-1.8, -4.0, 0.7, 0.03],
+        "n": 2000,
+        "seed": 2,
+        "covariates": {
+            "speed_limit": {"dist": "uniform", "low": 25, "high": 70},
+            "curve": {"dist": "indicator", "p": 0.3},
+        },
+        "segments": [{"road_class": "interstate", "weight": 0.5},
+                     {"road_class": "county-road", "weight": 0.5}],
+    }
+    (tmp_path / "gen.json").write_text(json.dumps(config))
+    script = (
+        "import os, sys; from sevlogit.cli import main\n"
+        "assert main(['simulate', '--config', 'gen.json', '--out', 'data.csv']) == 0\n"
+        "common = ['--data', 'data.csv', '--model', 'spec.json']\n"
+        "assert main(['estimate', *common]) == 0\n"  # parses the CSV and writes its store
+        "assert os.path.exists('.data.csv.sevlogit.npz')\n"
+        "assert main(['estimate', *common]) == 0\n"  # the store's columns and fit
+        "assert main(['partition', *common, '--by', 'road_class']) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(sl.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, capture_output=True,
+                          env={**os.environ, "PYTHONPATH": src}, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"
+
+
 def test_split_test_names_the_no_period_cell_as_partition_does(tmp_path, speed_model,
                                                                 speed_theta, capsys):
     spec = tmp_path / "spec.json"

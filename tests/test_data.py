@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import sevlogit as sl
-from sevlogit.data import PARTITION_DIMS, ROAD_CLASSES, real
+from sevlogit.data import PARTITION_DIMS, ROAD_CLASSES, SEGMENT_LEVELS, real
 
 
 class TestOutcomeSet:
@@ -117,6 +117,39 @@ class TestDataset:
         assert all(o.period == "2006" for o in relabelled.observations)
 
 
+class TestTake:
+    def _dataset(self):
+        periods = ("2006", None, "2004", "2004", None)
+        obs = tuple(
+            sl.Observation({"x": float(i)}, i % 3, sl.SegmentKey(road_class=ROAD_CLASSES[i]),
+                           period=p, weight=1.0 + i)
+            for i, p in enumerate(periods)
+        )
+        return sl.Dataset(sl.OutcomeSet(), obs, ("x",))
+
+    @pytest.mark.parametrize("length", [0, 4, 6])
+    def test_a_mask_of_the_wrong_length_raises_index_error(self, length):
+        with pytest.raises(IndexError):
+            self._dataset().take(np.ones(length, dtype=bool))
+
+    def test_a_mask_keeps_file_order(self):
+        ds = self._dataset()
+        sub = ds.take(np.array([True, False, True, False, True]))
+        assert sub.observations == tuple(ds.observations[i] for i in (0, 2, 4))
+        assert sub.period_labels == ("2004", "2006")
+
+    def test_an_index_array_keeps_its_order_and_repeats(self):
+        ds = self._dataset()
+        rows = [4, 0, 0, 2, 4]
+        sub = ds.take(np.array(rows))
+        assert sub.observations == tuple(ds.observations[i] for i in rows)
+        assert sub.period_labels == ("2004", "2006")
+        for key, column in ds.columns.items():
+            if key != "period":  # period codes index the reduced label table
+                assert np.array_equal(sub.columns[key], column[rows])
+        assert ds.take(np.array([1, 4])).period_labels == ()
+
+
 def _segmented_dataset(road_classes, locations=("rural",), n=None):
     outs = sl.OutcomeSet()
     obs = []
@@ -208,6 +241,29 @@ class TestPartition:
             mask = np.array([o.segment.road_class == road and o.period == period for o in obs])
             assert np.array_equal(cell.covariate_matrix, ds.covariate_matrix[mask])
             assert np.array_equal(cell.outcome_indices, ds.outcome_indices[mask])
+
+    def test_road_class_by_period_matches_a_mask_per_cell(self):
+        rng = np.random.default_rng(7)
+        n, labels = 3000, ("2006", "2004", "1999")
+        columns = {
+            "X": rng.normal(size=(n, 2)),
+            "y": rng.integers(0, 3, n),
+            "w": rng.uniform(0.5, 2.0, n),
+            **{dim: rng.integers(0, len(levels), n) for dim, levels in SEGMENT_LEVELS.items()},
+            "period": rng.integers(-1, len(labels), n),  # -1: no period
+        }
+        ds = sl.Dataset.from_columns(sl.OutcomeSet(), ("a", "b"), columns, labels)
+        parts = sl.partition(ds, ("road_class", "period"))
+        road = np.asarray(ROAD_CLASSES, dtype=object)[ds.columns["road_class"]]
+        period = np.asarray((*ds.period_labels, None), dtype=object)[ds.columns["period"]]
+        keys = sorted(set(zip(road, period)), key=lambda k: (k[0], k[1] or ""))
+        assert len(keys) == 24 and list(parts) == keys
+        for key, cell in parts.items():
+            mask = np.array([(r, p) == key for r, p in zip(road, period)])
+            assert cell.period_labels == tuple(sorted({key[1]} - {None}))
+            for name, column in ds.columns.items():
+                if name != "period":
+                    assert np.array_equal(cell.columns[name], column[mask])
 
     def test_partition_by_period(self):
         outs = sl.OutcomeSet()

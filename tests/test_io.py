@@ -2,14 +2,17 @@
 
 import csv
 import json
+import math
 import os
 import tracemalloc
 from io import StringIO
 
+import numpy as np
 import pytest
 
 import sevlogit as sl
 import sevlogit.io
+from sevlogit.data import SEGMENT_LEVELS
 from sevlogit.io import (
     ingest_csv,
     load_generator_config,
@@ -381,6 +384,54 @@ class TestWriteCSV:
             assert ingest_csv(path) == ds
             with path.open(newline="", encoding="utf-8") as handle:
                 assert '"a\rb"' in handle.read()
+
+    @staticmethod
+    def _reference(dataset, note):
+        """write_csv's bytes, built one row and one cell at a time."""
+
+        def quoted(field):
+            special = any(ch in field for ch in ',"\r\n')
+            return '"' + field.replace('"', '""') + '"' if special else field
+
+        def number(value):
+            integral = value == math.trunc(value) and abs(value) < 1e15
+            return str(int(value)) if integral else repr(value)
+
+        rows = dataset.observations
+        period = any(o.period is not None for o in rows)
+        weight = any(o.weight != 1.0 for o in rows)
+        header = ["outcome", "road_class", "location", "accident_type"]
+        header += ["period"] * period + ["weight"] * weight + list(dataset.variable_names)
+        lines = [f"# {note}", ",".join(map(quoted, header))]
+        for o in rows:
+            labels = [dataset.outcome_set.labels[o.outcome], o.segment.road_class,
+                      o.segment.location, o.segment.accident_type] + [o.period or ""] * period
+            numbers = [o.weight] * weight + [o.covariates[name] for name in dataset.variable_names]
+            lines.append(",".join([*map(quoted, labels), *map(number, numbers)]))
+        return ("\n".join(lines) + "\n").encode()
+
+    @pytest.mark.parametrize("block_rows", [1, 7, 8192])
+    @pytest.mark.parametrize("periods_and_weights", [False, True])
+    def test_bytes_match_a_per_row_writer(self, tmp_path, monkeypatch, block_rows,
+                                          periods_and_weights):
+        rng = np.random.default_rng(5)
+        n = 200
+        outcomes = sl.OutcomeSet(("pdo, minor", 'in"jury', "fa\rtal", "multi\nline"))
+        mixed = np.array([-0.0, 0.0, 1e15, -1e15, 1e15 - 1, -7.0, 3.5, -2.25, 0.1, 123456789.0])
+        columns = {
+            "X": np.column_stack([rng.choice(mixed, n), rng.uniform(-50, 50, n),
+                                  rng.integers(-3, 3, n).astype(float)]),
+            "y": rng.integers(0, 4, n),
+            "w": rng.choice([1.0, 0.5, 2.0, 1e-3], n) if periods_and_weights else np.ones(n),
+            **{dim: rng.integers(0, len(levels), n) for dim, levels in SEGMENT_LEVELS.items()},
+            "period": rng.integers(-1, 3, n) if periods_and_weights else np.full(n, -1),
+        }
+        labels = ("2004, Q1", 'Q2 "late"', "c\r\nd")
+        ds = sl.Dataset.from_columns(outcomes, ("mixed", "a,b", "count"), columns, labels)
+        monkeypatch.setattr(sevlogit.io, "BLOCK_ROWS", block_rows)
+        write_csv(ds, tmp_path / "out.csv", note="note")
+        assert (tmp_path / "out.csv").read_bytes() == self._reference(ds, "note")
+        assert ingest_csv(tmp_path / "out.csv", outcomes) == ds
 
 
 class TestAtomicWrite:
