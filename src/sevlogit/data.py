@@ -325,7 +325,8 @@ class Dataset:
         return np.bincount(self.outcome_indices, minlength=self.outcome_set.n_outcomes)
 
     def take(self, rows) -> "Dataset":
-        """Sub-dataset of the rows selected by an index array or boolean mask, in that order."""
+        """Sub-dataset of the rows selected by an index array (in its order, repeats kept) or a
+        boolean mask with one entry per row (in file order; another length is an IndexError)."""
         rows = np.asarray(rows)
         if rows.dtype == bool:  # one mask scan, then one gather per column
             if rows.shape != (self.n_obs,):

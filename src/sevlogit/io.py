@@ -570,7 +570,7 @@ def generator_model_path(path) -> Optional[Path]:
     """The model spec a generator config names, against its directory; None if none or unread."""
     try:
         model = json.loads(Path(path).read_text(encoding="utf-8")).get("model")
-    except (OSError, ValueError, AttributeError, RecursionError):  # AttributeError: no object
+    except (OSError, ValueError, AttributeError, RecursionError):  # AttributeError: not a dict
         return None
     return Path(path).parent / model if isinstance(model, str) else None
 
