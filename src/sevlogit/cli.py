@@ -170,7 +170,8 @@ def _report(args, config: dict, records: list) -> int:
 def _dataset(args, outcome_set: OutcomeSet):
     """The dataset of the CSV at args.data, and the command's fitter. The store beside the CSV
     gives the columns if their key matches, else the CSV is ingested; the fitter rebuilds a
-    fit the store holds under the fit's key, else fits the model. When the command ends, the
+    fit the store holds under the fit's key, else fits the model. A fit on the dataset given
+    here is keyed by the column key's digest, not by its arrays. When the command ends, the
     store is written once if the CSV was ingested or a new fit converged, with the fits the
     command used and the newest others. A store holds what the ingest and fits gave, so no
     record depends on it."""
@@ -183,7 +184,8 @@ def _dataset(args, outcome_set: OutcomeSet):
 
     def fit(model, data, options: EstimateOptions) -> EstimationResult:
         nonlocal changed
-        fkey = fit_key(model, data, options) if key else None  # no store, no fit to look up
+        # no store, no fit to look up; the dataset loaded here is what the column key certifies
+        fkey = fit_key(model, data, options, key[0] if data is dataset else None) if key else None
         result = read_fit(stored.get(fkey), model, options)
         if result is None:
             result = estimate(model, data, options)

@@ -24,6 +24,7 @@ from functools import lru_cache, partial
 from itertools import compress, islice, repeat
 from operator import itemgetter
 from pathlib import Path
+from threading import Thread
 from typing import Optional
 
 try:  # as the random module does: hashlib loads OpenSSL (3.5 MB of RSS); its blake2b is this one
@@ -349,22 +350,83 @@ def _code_digest() -> bytes:
     return blake2b(b"".join(blake2b(p.read_bytes()).digest() for p in sources)).digest()
 
 
+LEAF_BYTES = 1 << 18  # the part of a key's input one thread hashes at a time: 256 KiB
+
+
+def _hash_threads() -> int:
+    """The most threads one key hashes on: the CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call off Linux
+        return os.cpu_count() or 1
+
+
+def _hash_leaves(root, size: int, leaf) -> None:
+    """Update `root` with `size` and then the BLAKE2b digest of each LEAF_BYTES leaf of an input
+    of `size` bytes, in order, so the result does not depend on the number of threads.
+    `leaf(offset, buffer)` gives the leaf at `offset`; `buffer` is a LEAF_BYTES bytearray the
+    calling thread owns. The leaves are hashed on min(usable CPUs, leaves) threads, this one
+    among them (blake2b and os.preadv release the GIL); every thread has ended when this
+    returns, and the first exception one of them met is raised here."""
+    offsets = range(0, size, LEAF_BYTES)
+    digests, errors, todo = [b""] * len(offsets), [], iter(range(len(offsets)))
+
+    def work() -> None:
+        buffer = bytearray(LEAF_BYTES)
+        try:
+            for i in todo:  # next() holds the GIL: each leaf goes to one thread
+                digests[i] = blake2b(leaf(offsets[i], buffer)).digest()
+        except BaseException as exc:  # raised by the caller, never left to the thread
+            errors.append(exc)
+
+    threads = []
+    try:
+        for _ in range(1, min(_hash_threads(), len(offsets))):
+            thread = Thread(target=work)
+            thread.start()
+            threads.append(thread)
+    except RuntimeError:  # no thread to spare: the others take its leaves
+        pass
+    work()
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+    root.update(size.to_bytes(8, "little") + b"".join(digests))
+
+
+def _read_leaf(fd: int, size: int, offset: int, buffer: bytearray) -> memoryview:
+    """The leaf of a file of `size` bytes at `offset`, read into `buffer`."""
+    view = memoryview(buffer)[: min(LEAF_BYTES, size - offset)]
+    if os.preadv(fd, [view], offset) != len(view):
+        raise OSError("the file shrank while it was hashed")
+    return view
+
+
+def _hash_array(root, array: np.ndarray) -> None:
+    """Update `root` with an array's dtype, shape and bytes in C order, hashed by leaves read
+    from the array's own buffer (a C-order array is not copied)."""
+    flat = np.ascontiguousarray(array).reshape(-1).view(np.uint8)
+    root.update(f"{array.dtype.str}{array.shape}".encode())
+    _hash_leaves(root, flat.size, lambda offset, _: flat[offset : offset + LEAF_BYTES])
+
+
 def store_path(path) -> Path:
     return Path(path).with_name(f".{Path(path).name}.sevlogit.npz")
 
 
 def store_key(path, outcome_set: OutcomeSet) -> Optional[tuple]:
-    """(digest of the CSV's bytes, outcome labels and the package's code; the CSV's owner;
-    its size and mtime), read in one pass. None off POSIX (a store is trusted by owner and
-    mode), or if the CSV or the package's sources (a zip install has none) cannot be read."""
+    """(digest of the outcome labels, the package's code and the CSV's bytes, hashed by leaves;
+    the CSV's owner; its size and mtime when it was opened). None off POSIX (a store is trusted
+    by owner and mode), or if the CSV or the package's sources (a zip install has none) cannot
+    be read."""
     if os.name != "posix":
         return None
     try:
         digest = blake2b(_code_digest() + json.dumps(outcome_set.labels).encode())
         with open(path, "rb") as raw:
             status = os.fstat(raw.fileno())
-            for chunk in iter(partial(raw.read, 1 << 20), b""):
-                digest.update(chunk)
+            _hash_leaves(digest, status.st_size, partial(_read_leaf, raw.fileno(), status.st_size))
     except OSError:
         return None
     return digest.hexdigest(), status.st_uid, (status.st_size, status.st_mtime_ns)
@@ -417,17 +479,19 @@ _FIT_SCALARS = {"ll_converged": float, "ll_null": float, "ll_zero": float,
                 "iterations": int, "gradient_max": float, "n_obs": int}
 
 
-def fit_key(model: ModelSpec, dataset: Dataset, options: EstimateOptions) -> str:
+def fit_key(model: ModelSpec, dataset: Dataset, options: EstimateOptions,
+            columns: Optional[str] = None) -> str:
     """Digest of all that `estimate` reads: the package's code, numpy's version and the
     machine (kernel bits repeat per machine only), the model, variable names and options, and
-    the shape, dtype and bytes of X, y and w. Taken only for a CSV with a store_key."""
+    X, y and w: their shape, dtype and bytes, or else `columns`, a digest that certifies them
+    (the CLI passes its store key's for the dataset it loaded). Taken only for a CSV with a
+    store_key."""
     head = [_code_digest().hex(), np.__version__, os.uname().machine,
-            model_spec_to_dict(model), dataset.variable_names, asdict(options)]
+            model_spec_to_dict(model), dataset.variable_names, asdict(options), columns]
     digest = blake2b(json.dumps(head).encode())
-    for array in (dataset.columns[name] for name in ("X", "y", "w")):
-        digest.update(f"{array.dtype.str}{array.shape}".encode())
-        for start in range(0, len(array), BLOCK_ROWS):  # row blocks: no copy of a C-order array
-            digest.update(np.ascontiguousarray(array[start : start + BLOCK_ROWS]))
+    if columns is None:
+        for name in ("X", "y", "w"):
+            _hash_array(digest, dataset.columns[name])
     return digest.hexdigest()
 
 
@@ -479,7 +543,7 @@ def load_model_spec(path) -> ModelSpec:
     path = Path(path)
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
         raise ModelSpecError(f"{path}: not valid JSON ({exc})") from None
     return model_spec_from_dict(doc, source=str(path))
 
@@ -580,7 +644,7 @@ def load_generator_config(path) -> tuple[GeneratorConfig, Optional[str]]:
     path = Path(path)
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: expected a JSON object")

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -113,6 +114,24 @@ class TestExitCodes:
         bad = workdir / "bad.json"
         bad.write_text("{")
         assert run("estimate", "--data", workdir / "data.csv", "--model", bad) == 2
+
+    @pytest.mark.parametrize("deep", ["spec", "config", "spec-of-config"])
+    def test_json_nested_too_deeply_is_config_error(self, workdir, deep, capsys):
+        (workdir / "deep.json").write_text("[" * 100_000)
+        (workdir / "gen.json").write_text(json.dumps({"model": "deep.json"}))
+        if deep == "spec":
+            with pytest.raises(sl.ModelSpecError):
+                sevlogit.io.load_model_spec(workdir / "deep.json")
+            argv = ("estimate", "--data", workdir / "data.csv", "--model", workdir / "deep.json")
+        else:
+            config = workdir / ("deep.json" if deep == "config" else "gen.json")
+            with pytest.raises(sl.ConfigError if deep == "config" else sl.ModelSpecError):
+                sevlogit.io.load_generator_config(config)
+            argv = ("simulate", "--config", config, "--out", workdir / "new.csv")
+        assert run(*argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {workdir / 'deep.json'}: not valid JSON (")
+        assert err.count("\n") == 1 and not (workdir / "new.csv").exists()
 
     def test_malformed_data_is_ingestion_error(self, workdir, capsys):
         bad = workdir / "bad.csv"
@@ -1018,6 +1037,37 @@ class TestFitStore:
         assert len(fits) == 44 and len(stored) == sevlogit.io.FIT_STORE_ENTRIES
         assert len(set(stored)) == len(stored)
 
+    def test_the_loaded_dataset_is_keyed_by_its_column_digest(self, files, parses, fits,
+                                                               monkeypatch, capsys):
+        def unread(*args):
+            raise AssertionError("the pooled fit key read the arrays")
+
+        monkeypatch.setattr(sevlogit.io, "_hash_array", unread)
+        estimate, elasticities = (self.argv(files, (command,), "--format", "records")
+                                  for command in ("estimate", "elasticities"))
+        assert run(*estimate) == 0  # a column miss
+        assert run(*elasticities) == 0  # a column hit: the same fit key
+        assert run("summarize", "--data", files / "data.csv", "--bins", "35,45,55",
+                   "--outcomes", "fatality,injury,property-damage-only") == 0  # other columns
+        assert run(*elasticities) == 0  # a column miss again: still the same fit key
+        capsys.readouterr()
+        assert parses == ["data.csv"] * 3 and fits == [2000]
+
+    @pytest.mark.parametrize("column", ["X", "y", "w"])
+    def test_same_shape_cells_that_differ_in_one_value_get_different_keys(self, files,
+                                                                          speed_model, column):
+        dataset = sl.ingest_csv(files / "data.csv", speed_model.outcome_set)
+        cell = dataset.take(np.arange(500))
+        columns = {**cell.columns, column: cell.columns[column].copy()}
+        columns[column].flat[123] = {"X": 99.5, "y": (columns["y"][123] + 1) % 3, "w": 2.0}[column]
+        other = sl.Dataset.from_columns(cell.outcome_set, cell.variable_names, columns,
+                                        cell.period_labels)
+
+        def key(data):
+            return sevlogit.io.fit_key(speed_model, data, sl.EstimateOptions())
+
+        assert key(other) != key(cell) == key(dataset.take(np.arange(500)))
+
     @pytest.mark.parametrize("change", ["edited-csv", "spec", "tol", "max-iter", "fit-code"])
     def test_a_changed_key_misses_and_rewrites(self, files, fits, change, monkeypatch, capsys):
         argv = self.argv(files, ("estimate",), "--format", "records")
@@ -1202,6 +1252,34 @@ class TestFitStore:
         capsys.readouterr()
         assert _store_meta(_store(files))["fits"] == []
         assert sorted(os.listdir(files)) == sorted([*before, _store(files).name, "gen.json", "new.csv"])
+
+
+@pytest.mark.parametrize("command", [*TestColumnSidecar.COMMANDS, ("simulate",)],
+                         ids=lambda command: command[0])
+def test_no_command_leaves_a_thread_running(tmp_path, speed_model, speed_theta, command,
+                                            hashing_threads, monkeypatch, capsys):
+    files = _two_period_files(tmp_path, speed_model, speed_theta)
+    monkeypatch.setattr(sevlogit.io, "LEAF_BYTES", 4096)  # leaves enough for every thread
+    monkeypatch.setattr(sevlogit.io, "_hash_threads", lambda: 4)
+    argv = TestColumnSidecar.argv(files, command)
+    if command[0] == "simulate":
+        config = {
+            "model": "spec.json",
+            "theta": [-1.8, -4.0, 0.03, 0.7],
+            "n": 2000,
+            "covariates": {
+                "speed_limit": {"dist": "uniform", "low": 25, "high": 70},
+                "curve": {"dist": "indicator", "p": 0.3},
+            },
+        }
+        (files / "gen.json").write_text(json.dumps(config))
+        argv = ("simulate", "--config", files / "gen.json", "--out", files / "new.csv")
+    running = threading.active_count()
+    for _ in ("miss", "hit"):
+        assert run(*argv) == 0
+        assert threading.active_count() == running
+    capsys.readouterr()
+    assert bool(hashing_threads) == (command[0] != "simulate")
 
 
 @pytest.mark.parametrize("umask", [0o022, 0o077])
