@@ -9,9 +9,12 @@ referenced outcome pair, is (xᵀ·w·p_j·(δ_jk − p_k)) @ x; both are gather
 entries and summed into slots. x ends in the constant-1 column and is
 column-major, so xᵀ is contiguous. Over ROWS rows, a pass splits at the largest
 power-of-two multiple of ROWS below n and adds the two sides' LL, score and
-information: blocks of ROWS rows, whose (J, rows) temporaries fit in cache, are
+information: blocks of ROWS rows, whose (J, rows) arrays fit in cache, are
 summed pairwise before the gather. Reductions run in a fixed order, so results
 are bit-reproducible per machine.
+A pass writes its blocks' arrays into a ``Scratch``, which a fit reuses for all
+of its passes, so a pass allocates nothing of a block's size; the probability
+matrix is filled in ROWS-row blocks with no (J, n) temporaries.
 Probabilities are floored at the smallest positive normal before logs; the
 floored count flags quasi-separation.
 """
@@ -19,7 +22,7 @@ floored count flags quasi-separation.
 import numpy as np
 
 _LOG_FLOOR = float(np.log(np.finfo(np.float64).tiny))
-ROWS = 16384  # rows per block of a likelihood pass: its (J, rows) temporaries stay in cache
+ROWS = 16384  # rows per block of a likelihood pass: its (J, rows) arrays stay in cache
 
 
 def _coefficients(design, theta, cols):
@@ -29,26 +32,75 @@ def _coefficients(design, theta, cols):
     return coef
 
 
-def _softmax(util):
-    """(J, n) probabilities and the log-sum-exp of each observation's utilities."""
-    top = util.max(axis=0)
-    prob = np.exp(util - top)
-    total = prob.sum(axis=0)
+class Scratch:
+    """Work space of one fit or one call, reused by each of its passes: a float and an int
+    buffer, grown to the largest block met and carved into views once per block size, and
+    the tables of the last design and column count seen."""
+
+    def __init__(self):
+        self._floats, self._ints = np.empty(0), np.empty((2, 0), np.intp)
+        self._views = {}
+        self._design = self._cols = None
+
+    def views(self, n_outcomes, cols, rows):
+        """(util, prob, product, vec, total, observed, index) for a block of rows."""
+        key = (n_outcomes, cols, rows)
+        if key not in self._views:
+            shapes = [(n_outcomes, rows)] * 2 + [(cols, rows), rows, rows]
+            ends = np.cumsum([0] + [np.prod(shape) for shape in shapes])
+            if ends[-1] > self._floats.size or rows > self._ints.shape[1]:
+                self._floats = np.empty(max(ends[-1], self._floats.size))
+                self._ints = np.tile(np.arange(max(rows, self._ints.shape[1])), (2, 1))
+                self._views.clear()
+            flat = [self._floats[a:b] for a, b in zip(ends[:-1], ends[1:])]
+            self._views[key] = (*map(np.reshape, flat, shapes), *self._ints[:, :rows])
+        return self._views[key]
+
+    def tables(self, design, cols):
+        """Referenced outcome pairs (j ≤ k), each entry's flat (J, cols) position, and each
+        (entry, entry) pair's flat (J, J, cols, cols) block position and Hessian slot pair."""
+        if self._design is not design or self._cols != cols:
+            slot, outcome, col = design.entry_slot, design.entry_outcome, design.entry_col
+            n_params, n_outcomes = design.n_params, design.n_outcomes
+            referenced = np.flatnonzero(np.bincount(outcome, minlength=n_outcomes)).tolist()
+            block = (outcome[:, None] * n_outcomes + outcome) * cols + col[:, None]
+            self._tables = (
+                [(j, k) for a, j in enumerate(referenced) for k in referenced[a:]],
+                outcome * cols + col,
+                (block * cols + col).ravel(),
+                (slot[:, None] * n_params + slot).ravel(),
+            )
+            self._design, self._cols = design, cols
+        return self._tables
+
+
+def _softmax(util, prob, top, total):
+    """(J, n) probabilities into prob, which may be util; returns, in total, the log-sum-exp
+    of each observation's utilities. top and total hold n values each."""
+    util.max(axis=0, out=top)
+    np.subtract(util, top, out=prob)
+    np.exp(prob, out=prob)
+    prob.sum(axis=0, out=total)
     prob /= total
-    return prob, top + np.log(total)
+    return np.add(top, np.log(total, out=total), out=total)
 
 
-def _forward(coef, x, y, w):
-    """A block's (J, n) probabilities, weighted floored LL, floored count, observed flat indices."""
-    util = coef @ x.T
-    prob, lse = _softmax(util)
-    observed = y * util.shape[1] + np.arange(util.shape[1])
-    logp = np.take(util, observed) - lse
-    n_floored = int((logp < _LOG_FLOOR).sum())
+def _forward(coef, x, y, w, scratch):
+    """A block's weighted floored LL, floored count, and its scratch views, which hold its
+    (J, n) probabilities and observed flat indices."""
+    views = scratch.views(*coef.shape, x.shape[0])
+    util, prob, _, vec, total, observed, index = views
+    np.matmul(coef, x.T, out=util)
+    lse = _softmax(util, prob, vec, total)
+    np.multiply(y, util.shape[1], out=observed)
+    observed += index
+    logp = np.take(util, observed, out=vec)
+    logp -= lse
+    n_floored = int(np.count_nonzero(logp < _LOG_FLOOR))
     np.maximum(logp, _LOG_FLOOR, out=logp)
     logp *= w
     # numpy's pairwise sum, not a BLAS dot, whose order changes with the thread count
-    return prob, float(logp.sum()), n_floored, observed
+    return float(logp.sum()), n_floored, views
 
 
 def _pairwise(block, x, y, w):
@@ -63,38 +115,49 @@ def _pairwise(block, x, y, w):
 
 def prob_matrix(x, design, theta):
     """(n, J) outcome probabilities, a transposed view of the (J, n) result."""
-    return _softmax(_coefficients(design, theta, x.shape[1]) @ x.T)[0].T
-
-
-def loglik(x, y, w, design, theta):
-    coef = _coefficients(design, theta, x.shape[1])
-    return _pairwise(lambda xb, yb, wb: _forward(coef, xb, yb, wb)[1:3], x, y, w)
-
-
-def loglik_grad_hess(x, y, w, design, theta):
-    n_params, n_outcomes, cols = theta.shape[0], design.n_outcomes, x.shape[1]
-    entry_slot, entry_outcome, entry_col = design.entry_slot, design.entry_outcome, design.entry_col
+    n, cols = x.shape
     coef = _coefficients(design, theta, cols)
-    referenced = np.flatnonzero(np.bincount(entry_outcome, minlength=n_outcomes)).tolist()
-    upper = [(j, k) for a, j in enumerate(referenced) for k in referenced[a:]]
+    prob = np.empty((design.n_outcomes, n))
+    top, total = np.empty((2, min(n, ROWS)))
+    for start in range(0, n, ROWS):
+        block = prob[:, start : start + ROWS]
+        np.matmul(coef, x[start : start + ROWS].T, out=block)
+        _softmax(block, block, top[: block.shape[1]], total[: block.shape[1]])
+    return prob.T
+
+
+def loglik(x, y, w, design, theta, scratch=None):
+    scratch = Scratch() if scratch is None else scratch
+    coef = _coefficients(design, theta, x.shape[1])
+    return _pairwise(lambda xb, yb, wb: _forward(coef, xb, yb, wb, scratch)[:2], x, y, w)
+
+
+def loglik_grad_hess(x, y, w, design, theta, scratch=None):
+    scratch = Scratch() if scratch is None else scratch
+    n_params, n_outcomes, cols = theta.shape[0], design.n_outcomes, x.shape[1]
+    coef = _coefficients(design, theta, cols)
+    upper, flat, info_index, pairs = scratch.tables(design, cols)
 
     def block(xb, yb, wb):
-        prob, value, n_floored, observed = _forward(coef, xb, yb, wb)
-        wprob = prob * wb
-        resid = -wprob  # w·(Y − P), C-ordered like prob
-        resid.ravel()[observed] += wb
+        value, n_floored, views = _forward(coef, xb, yb, wb, scratch)
+        wprob, prob, product, vec, _, observed, _ = views  # w·P in the utilities' dead buffer
+        np.multiply(prob, wb, out=wprob)
         blocks = np.zeros((n_outcomes, n_outcomes, cols, cols))
         for j, k in upper:
-            blocks[j, k] = (xb.T * (wprob[j] * ((j == k) - prob[k]))) @ xb
+            np.subtract(j == k, prob[k], out=vec)
+            np.multiply(wprob[j], vec, out=vec)
+            np.multiply(xb.T, vec, out=product)  # row-major for either order of x: same sums
+            np.matmul(product, xb, out=blocks[j, k])
+        resid = np.negative(wprob, out=wprob)  # w·(Y − P)
+        resid.ravel()[observed] += wb
         return value, n_floored, resid @ xb, blocks
 
     value, n_floored, score, blocks = _pairwise(block, x, y, w)
-    gradient = np.bincount(entry_slot, weights=score[entry_outcome, entry_col], minlength=n_params)
+    gradient = np.bincount(design.entry_slot, weights=np.take(score, flat), minlength=n_params)
     for j, k in upper:
         blocks[k, j] = blocks[j, k].T
-    info = blocks[entry_outcome[:, None], entry_outcome, entry_col[:, None], entry_col]
-    pairs = (entry_slot[:, None] * n_params + entry_slot).ravel()
-    hessian = np.bincount(pairs, weights=info.ravel(), minlength=n_params**2).reshape(n_params, -1)
+    info = np.take(blocks, info_index)
+    hessian = np.bincount(pairs, weights=info, minlength=n_params**2).reshape(n_params, -1)
     hessian = -0.5 * (hessian + hessian.T)
     return value, gradient, hessian, n_floored
 

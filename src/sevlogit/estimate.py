@@ -134,10 +134,11 @@ def estimate(
         if counts[out] == 0
     ]
     max_floored = 0
+    scratch = _kernels.Scratch()  # every pass of this fit reuses its buffers
 
     def evaluate(values: np.ndarray):
         nonlocal max_floored
-        ll, grad, hess, n_floored = _kernels.loglik_grad_hess(*inputs, design, values)
+        ll, grad, hess, n_floored = _kernels.loglik_grad_hess(*inputs, design, values, scratch)
         max_floored = max(max_floored, n_floored)
         return ll, grad, hess
 

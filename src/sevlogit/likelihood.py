@@ -33,7 +33,9 @@ def probabilities_from_utilities(utilities: np.ndarray) -> np.ndarray:
     u = np.asarray(utilities, dtype=np.float64)
     if not np.isfinite(u).all():
         raise NumericError("non-finite utility")
-    return _kernels._softmax(u.T)[0].T
+    prob = np.empty_like(u.T)
+    _kernels._softmax(u.T, prob, np.empty(prob.shape[1:]), np.empty(prob.shape[1:]))
+    return prob.T
 
 
 def _data_inputs(dataset: Dataset):

@@ -1,4 +1,5 @@
 import threading
+import tracemalloc
 
 import pytest
 
@@ -64,6 +65,22 @@ def dataset_from_outcomes(outcome_indices, outcome_set=None, covariates=None):
     covariates = covariates or {}
     obs = tuple(sl.Observation(dict(covariates), int(o)) for o in outcome_indices)
     return sl.Dataset(outcome_set, obs, tuple(covariates))
+
+
+def allocated_peak(fn):
+    """Peak bytes that fn() allocates above what was held when it started, as tracemalloc
+    sees them; numpy reports its array buffers to tracemalloc."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not tracing:
+            tracemalloc.stop()
 
 
 @pytest.fixture

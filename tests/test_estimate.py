@@ -182,6 +182,24 @@ class TestNewtonLoop:
         assert result.iterations >= 3
         assert full_passes == [result.iterations + 1]
 
+    def test_one_scratch_per_fit(self, speed_model, speed_dataset, monkeypatch):
+        real = _kernels.loglik_grad_hess
+        scratches = []
+
+        def recorded(*args):
+            scratches.append(args[-1])
+            return real(*args)
+
+        monkeypatch.setattr(_kernels, "loglik_grad_hess", recorded)
+        sl.estimate(speed_model, speed_dataset)
+        passes = len(scratches)
+        sl.estimate(speed_model, speed_dataset)
+        assert len(scratches) == 2 * passes
+        assert isinstance(scratches[0], _kernels.Scratch)
+        assert all(s is scratches[0] for s in scratches[:passes])
+        assert all(s is scratches[passes] for s in scratches[passes:])
+        assert scratches[passes] is not scratches[0]
+
     def test_nonfinite_trial_is_halved_not_raised(self, speed_model, speed_dataset, monkeypatch):
         expected = sl.estimate(speed_model, speed_dataset, TIGHT).theta_hat.values
         real = _kernels.loglik_grad_hess

@@ -4,13 +4,15 @@ The oracle works per design entry: (n, E) arrays of entry covariates and
 probabilities, a dense entry-to-outcome one-hot table and an entry-to-slot
 scatter table. It is slow and memory-hungry but reads straight off the MNL
 derivatives, so the outcome-major kernel in ``sevlogit._kernels`` must
-agree with it.
+agree with it. It computes in ``np.longdouble``, so its own rounding error is
+well below the float64 kernel's and the bounds measure the kernel alone.
 """
 
 import numpy as np
 import pytest
 
 import sevlogit as sl
+from conftest import allocated_peak
 from sevlogit import _kernels
 from sevlogit._kernels import _LOG_FLOOR
 from sevlogit.modelspec import augmented_matrix, bind_design
@@ -26,9 +28,9 @@ def _entry_tables(entry_slot, entry_outcome, n_outcomes, n_params):
 
 
 def _oracle_utilities(x, entry_slot, entry_outcome, entry_col, theta, n_outcomes):
-    xe = x[:, entry_col]
+    xe = x[:, entry_col].astype(np.longdouble)
     onehot, _ = _entry_tables(entry_slot, entry_outcome, n_outcomes, theta.shape[0])
-    return (xe * theta[entry_slot]) @ onehot, xe
+    return (xe * theta[entry_slot].astype(np.longdouble)) @ onehot, xe
 
 
 def oracle_prob_matrix(x, entry_slot, entry_outcome, entry_col, theta, n_outcomes):
@@ -41,23 +43,24 @@ def oracle_prob_matrix(x, entry_slot, entry_outcome, entry_col, theta, n_outcome
 
 def oracle_loglik_grad_hess(x, y, w, entry_slot, entry_outcome, entry_col, theta, n_outcomes):
     n_params = theta.shape[0]
+    w = w.astype(np.longdouble)
     util, xe = _oracle_utilities(x, entry_slot, entry_outcome, entry_col, theta, n_outcomes)
     top = util.max(axis=1)
     lse = top + np.log(np.exp(util - top[:, None]).sum(axis=1))
     logp = util[np.arange(util.shape[0]), y] - lse
     n_floored = int((logp < _LOG_FLOOR).sum())
-    value = float(w @ np.maximum(logp, _LOG_FLOOR))
+    value = w @ np.maximum(logp, _LOG_FLOOR)
 
     prob = np.exp(util - lse[:, None])
     pe = prob[:, entry_outcome]  # per-entry outcome probability, (n, E)
-    observed = (y[:, None] == entry_outcome[None, :]).astype(np.float64)
+    observed = (y[:, None] == entry_outcome[None, :]).astype(np.longdouble)
     g_entry = (w[:, None] * (observed - pe) * xe).sum(axis=0)
-    gradient = np.bincount(entry_slot, weights=g_entry, minlength=n_params)
+    _, scatter = _entry_tables(entry_slot, entry_outcome, n_outcomes, n_params)
+    gradient = scatter @ g_entry  # a matrix product: np.bincount would round to float64
 
     wpx = w[:, None] * pe * xe
-    same = (entry_outcome[:, None] == entry_outcome[None, :]).astype(np.float64)
+    same = (entry_outcome[:, None] == entry_outcome[None, :]).astype(np.longdouble)
     info_entry = same * (wpx.T @ xe) - wpx.T @ (pe * xe)
-    _, scatter = _entry_tables(entry_slot, entry_outcome, n_outcomes, n_params)
     hessian = -(scatter @ info_entry @ scatter.T)
     hessian = 0.5 * (hessian + hessian.T)
     return value, gradient, hessian, n_floored
@@ -85,10 +88,9 @@ CASES = {
 }
 
 
-def _case(name, order):
+def _case(name, order, n=2000):
     outcome_set, terms, weighted, scale = CASES[name]
     rng = np.random.default_rng(sorted(CASES).index(name))
-    n = 2000
     names = ("curve", "dark", "speed")
     x = np.column_stack([
         rng.random(n) < 0.3, rng.random(n) < 0.25, rng.uniform(25, 70, n),
@@ -136,6 +138,59 @@ def test_agrees_with_per_entry_oracle_across_blocks(name, order, monkeypatch):
     # n = 2000 runs as three blocks of 512 rows and a ragged fourth of 464
     monkeypatch.setattr(_kernels, "ROWS", 512)
     test_agrees_with_per_entry_oracle(name, order)
+
+
+@pytest.mark.parametrize("rows", [400, 433, 466, 499])
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_agrees_with_per_entry_oracle_in_five_blocks(name, order, rows, monkeypatch):
+    # n = 2000 runs as five blocks, the last one ragged unless rows divides 2000, so a pass
+    # carves the scratch's views for two block sizes; each scratch is made after the patch
+    monkeypatch.setattr(_kernels, "ROWS", rows)
+    test_agrees_with_per_entry_oracle(name, order)
+
+
+def _bit_equal(a, b):
+    return len(a) == len(b) and all(np.array_equal(p, q) for p, q in zip(a, b))
+
+
+@pytest.mark.parametrize("rows", [_kernels.ROWS, 512])
+def test_a_reused_scratch_gives_what_a_fresh_one_gives(rows, monkeypatch):
+    # one scratch through designs of 4 and 3 outcomes and datasets that grow and shrink: one
+    # block, or with 512-row blocks up to ten, the last one ragged; 700 rows of 4 outcomes
+    # leave room in the float buffer for 800 rows of 3, but not in the int buffer
+    monkeypatch.setattr(_kernels, "ROWS", rows)
+    scratch = _kernels.Scratch()
+    for name, n in [
+        ("unreferenced-outcome", 700),
+        ("shared-and-specific", 800),
+        ("non-unit-weights", 5000),
+        ("floored", 2000),
+        ("shared-and-specific", 300),
+    ]:
+        (x, y, w), design, theta = _case(name, "F", n)
+        for m in (n, n // 3):  # two datasets of one design
+            args = (x[:m], y[:m], w[:m], design, theta)
+            for kernel in (_kernels.loglik_grad_hess, _kernels.loglik):
+                assert _bit_equal(kernel(*args, scratch), kernel(*args, _kernels.Scratch()))
+
+
+@pytest.mark.parametrize("n", [5000, 40001])
+def test_a_warm_pass_allocates_less_than_one_block(n):
+    (x, y, w), design, theta = _case("non-unit-weights", "F", n)
+    block = design.n_outcomes * min(n, _kernels.ROWS) * 8  # bytes of one (J, rows) array
+    scratch = _kernels.Scratch()
+    _kernels.loglik_grad_hess(x, y, w, design, theta, scratch)
+    assert allocated_peak(lambda: _kernels.loglik_grad_hess(x, y, w, design, theta, scratch)) < block
+    assert allocated_peak(lambda: _kernels.loglik(x, y, w, design, theta, scratch)) < block
+
+
+@pytest.mark.parametrize("n", [5000, 40001])
+def test_prob_matrix_allocates_its_output_and_less_than_one_block(n):
+    (x, _, _), design, theta = _case("shared-and-specific", "F", n)
+    output = design.n_outcomes * n * 8
+    block = design.n_outcomes * min(n, _kernels.ROWS) * 8
+    assert allocated_peak(lambda: _kernels.prob_matrix(x, design, theta)) < output + block
 
 
 @pytest.mark.parametrize("rows, half", [(512, 1024), (400, 1600)])
