@@ -12,9 +12,10 @@ power-of-two multiple of ROWS below n and adds the two sides' LL, score and
 information: blocks of ROWS rows, whose (J, rows) arrays fit in cache, are
 summed pairwise before the gather. Reductions run in a fixed order, so results
 are bit-reproducible per machine.
-A pass writes its blocks' arrays into a ``Scratch``, which a fit reuses for all
-of its passes, so a pass allocates nothing of a block's size; the probability
-matrix is filled in ROWS-row blocks with no (J, n) temporaries.
+A pass writes its blocks' arrays into a ``Scratch`` built for one fit (its design
+and its x), which all of the fit's passes reuse, so a pass allocates nothing of a
+block's size; the probability matrix is filled in ROWS-row blocks with no (J, n)
+temporaries.
 Probabilities are floored at the smallest positive normal before logs; the
 floored count flags quasi-separation.
 """
@@ -33,45 +34,35 @@ def _coefficients(design, theta, cols):
 
 
 class Scratch:
-    """Work space of one fit or one call, reused by each of its passes: a float and an int
-    buffer, grown to the largest block met and carved into views once per block size, and
-    the tables of the last design and column count seen."""
+    """Work space of one fit, reused by each of its passes over x: a float and an int buffer
+    for min(n, ROWS) rows, carved into views once per block size, and the design's tables:
+    referenced outcome pairs (j ≤ k), each entry's flat (J, cols) position, and each
+    (entry, entry) pair's flat (J, J, cols, cols) block position and Hessian slot pair."""
 
-    def __init__(self):
-        self._floats, self._ints = np.empty(0), np.empty((2, 0), np.intp)
-        self._views = {}
-        self._design = self._cols = None
+    def __init__(self, design, x):
+        n, cols = x.shape
+        rows, n_outcomes, n_params = min(n, ROWS), design.n_outcomes, design.n_params
+        self._floats = np.empty((2 * n_outcomes + cols + 2) * rows)
+        self._ints = np.tile(np.arange(rows), (2, 1))
+        self._outcomes, self._cols, self._views = n_outcomes, cols, {}
+        slot, outcome, col = design.entry_slot, design.entry_outcome, design.entry_col
+        referenced = np.flatnonzero(np.bincount(outcome, minlength=n_outcomes)).tolist()
+        block = (outcome[:, None] * n_outcomes + outcome) * cols + col[:, None]
+        self.tables = (
+            [(j, k) for a, j in enumerate(referenced) for k in referenced[a:]],
+            outcome * cols + col,
+            (block * cols + col).ravel(),
+            (slot[:, None] * n_params + slot).ravel(),
+        )
 
-    def views(self, n_outcomes, cols, rows):
+    def views(self, rows):
         """(util, prob, product, vec, total, observed, index) for a block of rows."""
-        key = (n_outcomes, cols, rows)
-        if key not in self._views:
-            shapes = [(n_outcomes, rows)] * 2 + [(cols, rows), rows, rows]
+        if rows not in self._views:
+            shapes = [(self._outcomes, rows)] * 2 + [(self._cols, rows), rows, rows]
             ends = np.cumsum([0] + [np.prod(shape) for shape in shapes])
-            if ends[-1] > self._floats.size or rows > self._ints.shape[1]:
-                self._floats = np.empty(max(ends[-1], self._floats.size))
-                self._ints = np.tile(np.arange(max(rows, self._ints.shape[1])), (2, 1))
-                self._views.clear()
             flat = [self._floats[a:b] for a, b in zip(ends[:-1], ends[1:])]
-            self._views[key] = (*map(np.reshape, flat, shapes), *self._ints[:, :rows])
-        return self._views[key]
-
-    def tables(self, design, cols):
-        """Referenced outcome pairs (j ≤ k), each entry's flat (J, cols) position, and each
-        (entry, entry) pair's flat (J, J, cols, cols) block position and Hessian slot pair."""
-        if self._design is not design or self._cols != cols:
-            slot, outcome, col = design.entry_slot, design.entry_outcome, design.entry_col
-            n_params, n_outcomes = design.n_params, design.n_outcomes
-            referenced = np.flatnonzero(np.bincount(outcome, minlength=n_outcomes)).tolist()
-            block = (outcome[:, None] * n_outcomes + outcome) * cols + col[:, None]
-            self._tables = (
-                [(j, k) for a, j in enumerate(referenced) for k in referenced[a:]],
-                outcome * cols + col,
-                (block * cols + col).ravel(),
-                (slot[:, None] * n_params + slot).ravel(),
-            )
-            self._design, self._cols = design, cols
-        return self._tables
+            self._views[rows] = (*map(np.reshape, flat, shapes), *self._ints[:, :rows])
+        return self._views[rows]
 
 
 def _softmax(util, prob, top, total):
@@ -88,7 +79,7 @@ def _softmax(util, prob, top, total):
 def _forward(coef, x, y, w, scratch):
     """A block's weighted floored LL, floored count, and its scratch views, which hold its
     (J, n) probabilities and observed flat indices."""
-    views = scratch.views(*coef.shape, x.shape[0])
+    views = scratch.views(x.shape[0])
     util, prob, _, vec, total, observed, index = views
     np.matmul(coef, x.T, out=util)
     lse = _softmax(util, prob, vec, total)
@@ -127,16 +118,16 @@ def prob_matrix(x, design, theta):
 
 
 def loglik(x, y, w, design, theta, scratch=None):
-    scratch = Scratch() if scratch is None else scratch
+    scratch = Scratch(design, x) if scratch is None else scratch
     coef = _coefficients(design, theta, x.shape[1])
     return _pairwise(lambda xb, yb, wb: _forward(coef, xb, yb, wb, scratch)[:2], x, y, w)
 
 
 def loglik_grad_hess(x, y, w, design, theta, scratch=None):
-    scratch = Scratch() if scratch is None else scratch
+    scratch = Scratch(design, x) if scratch is None else scratch
     n_params, n_outcomes, cols = theta.shape[0], design.n_outcomes, x.shape[1]
     coef = _coefficients(design, theta, cols)
-    upper, flat, info_index, pairs = scratch.tables(design, cols)
+    upper, flat, info_index, pairs = scratch.tables
 
     def block(xb, yb, wb):
         value, n_floored, views = _forward(coef, xb, yb, wb, scratch)

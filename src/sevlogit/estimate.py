@@ -134,7 +134,7 @@ def estimate(
         if counts[out] == 0
     ]
     max_floored = 0
-    scratch = _kernels.Scratch()  # every pass of this fit reuses its buffers
+    scratch = _kernels.Scratch(design, inputs[0])  # every pass of this fit reuses it
 
     def evaluate(values: np.ndarray):
         nonlocal max_floored

@@ -154,32 +154,29 @@ def _bit_equal(a, b):
     return len(a) == len(b) and all(np.array_equal(p, q) for p, q in zip(a, b))
 
 
+@pytest.mark.parametrize("name", sorted(CASES))
 @pytest.mark.parametrize("rows", [_kernels.ROWS, 512])
-def test_a_reused_scratch_gives_what_a_fresh_one_gives(rows, monkeypatch):
-    # one scratch through designs of 4 and 3 outcomes and datasets that grow and shrink: one
-    # block, or with 512-row blocks up to ten, the last one ragged; 700 rows of 4 outcomes
-    # leave room in the float buffer for 800 rows of 3, but not in the int buffer
+def test_a_fits_scratch_gives_on_every_pass_what_a_fresh_one_gives(rows, name, monkeypatch):
+    # one scratch through the passes of one fit, at θ moving as Newton steps would and through
+    # both kernels; n = 2000 is one block, or with 512-row blocks three and a ragged 464, so
+    # the scratch carves views for two block sizes
     monkeypatch.setattr(_kernels, "ROWS", rows)
-    scratch = _kernels.Scratch()
-    for name, n in [
-        ("unreferenced-outcome", 700),
-        ("shared-and-specific", 800),
-        ("non-unit-weights", 5000),
-        ("floored", 2000),
-        ("shared-and-specific", 300),
-    ]:
-        (x, y, w), design, theta = _case(name, "F", n)
-        for m in (n, n // 3):  # two datasets of one design
-            args = (x[:m], y[:m], w[:m], design, theta)
-            for kernel in (_kernels.loglik_grad_hess, _kernels.loglik):
-                assert _bit_equal(kernel(*args, scratch), kernel(*args, _kernels.Scratch()))
+    (x, y, w), design, theta = _case(name, "F")
+    scratch = _kernels.Scratch(design, x)
+    steps = np.random.default_rng(rows).normal(0.0, 0.05, (6, theta.shape[0]))
+    for step in steps:
+        theta = theta + step
+        for kernel in (_kernels.loglik_grad_hess, _kernels.loglik):
+            args = (x, y, w, design, theta)
+            assert _bit_equal(kernel(*args, scratch), kernel(*args, _kernels.Scratch(design, x)))
+    assert sorted(scratch._views) == ([464, 512] if rows == 512 else [2000])
 
 
 @pytest.mark.parametrize("n", [5000, 40001])
 def test_a_warm_pass_allocates_less_than_one_block(n):
     (x, y, w), design, theta = _case("non-unit-weights", "F", n)
     block = design.n_outcomes * min(n, _kernels.ROWS) * 8  # bytes of one (J, rows) array
-    scratch = _kernels.Scratch()
+    scratch = _kernels.Scratch(design, x)
     _kernels.loglik_grad_hess(x, y, w, design, theta, scratch)
     assert allocated_peak(lambda: _kernels.loglik_grad_hess(x, y, w, design, theta, scratch)) < block
     assert allocated_peak(lambda: _kernels.loglik(x, y, w, design, theta, scratch)) < block
