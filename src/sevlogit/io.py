@@ -12,6 +12,7 @@ on the CSV's data (fit_key) in one store beside the CSV.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import json
 import math
@@ -61,10 +62,20 @@ def ingest_csv(path, outcome_set: Optional[OutcomeSet] = None) -> Dataset:
     an unknown label codes -1 and a number that does not parse reads nan, so every bad
     cell is named from those masks, with the physical line its row starts on. The error's
     message spells out the first LISTED_PROBLEMS problems in line order and counts the
-    rest; its `lines` holds the line of every problem.
+    rest; its `lines` holds the line of every problem. A file that is not UTF-8 is an
+    IngestionError at the line of its first undecodable byte; one that cannot be read is a
+    ConfigError.
     """
-    outcome_set = outcome_set or OutcomeSet()
     path = Path(path)
+    try:
+        return _ingest(path, outcome_set or OutcomeSet())
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path} ({exc.strerror or exc})") from None
+    except UnicodeDecodeError:
+        raise _decode_error(path) from None
+
+
+def _ingest(path: Path, outcome_set: OutcomeSet) -> Dataset:
     with path.open(newline="", encoding="utf-8-sig") as handle:
         head = [handle.readline()]  # comment lines, then the header
         while head[-1].startswith("#"):
@@ -108,6 +119,30 @@ def ingest_csv(path, outcome_set: Optional[OutcomeSet] = None) -> Dataset:
         )
     columns = {key: np.concatenate([block[key] for block in blocks]) for key in COLUMNS}
     return Dataset.from_columns(outcome_set, covariate_names, columns, periods)
+
+
+def _decode_error(path) -> IngestionError:
+    """The error of a CSV that is not UTF-8, at the physical line of its first undecodable byte
+    (LF, CRLF and a lone CR each end a line, as the tokenisers count them)."""
+    decoder, line, cr = codecs.getincrementaldecoder("utf-8")(), 1, False
+
+    def ends(data: bytes) -> int:  # a CRLF split across two reads is one line end too
+        return (data.count(b"\n") + data.count(b"\r") - data.count(b"\r\n")
+                - (cr and data[:1] == b"\n"))
+
+    try:
+        with open(path, "rb") as raw:
+            for chunk in iter(partial(raw.read, 1 << 20), b""):
+                decoder.decode(chunk)
+                line, cr = line + ends(chunk), chunk.endswith(b"\r")
+            decoder.decode(b"", final=True)
+    except UnicodeDecodeError as exc:  # exc.object: the bytes the decoder held, then the read
+        line += ends(exc.object[: exc.start])
+        byte = exc.object[exc.start]
+        return IngestionError(
+            f"{path}: line {line}: byte 0x{byte:02x} is not UTF-8 ({exc.reason})", lines=[line]
+        )
+    return IngestionError(f"{path}: not UTF-8 text")  # it changed since it was read
 
 
 def _quote_bytes(path) -> int:
@@ -538,14 +573,23 @@ def fit_entry(key: str, result: EstimationResult) -> dict:
     }
 
 
+def _read_json(path: Path, error: type):
+    """The JSON document in a file. One that cannot be read, is not UTF-8 or is not JSON (or is
+    nested too deeply to parse) raises `error`, naming the file."""
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise error(f"cannot read {path} ({exc.strerror or exc})") from None
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text ({exc})") from None
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise error(f"{path}: not valid JSON ({exc})") from None
+
+
 def load_model_spec(path) -> ModelSpec:
     """Parse a model-spec JSON file: outcomes (base first) and terms."""
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
-        raise ModelSpecError(f"{path}: not valid JSON ({exc})") from None
-    return model_spec_from_dict(doc, source=str(path))
+    return model_spec_from_dict(_read_json(path, ModelSpecError), source=str(path))
 
 
 def model_spec_from_dict(doc: dict, source: str = "<inline>") -> ModelSpec:
@@ -642,10 +686,7 @@ def generator_model_path(path) -> Optional[Path]:
 def load_generator_config(path) -> tuple[GeneratorConfig, Optional[str]]:
     """Parse a generator-config JSON file; returns the config and an optional period label."""
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise ConfigError(f"{path}: not valid JSON ({exc})") from None
+    doc = _read_json(path, ConfigError)
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: expected a JSON object")
 

@@ -54,6 +54,23 @@ class TestEstimateCommand:
         assert f"Iterations: {iterations}    Converged: yes\n" in out
         assert "max |gradient|" not in out
 
+    def test_a_floored_probability_is_noted_in_the_record_and_the_table(self, workdir, capsys):
+        # a row of negligible weight whose observed outcome the fit makes impossible: its
+        # probability is floored, and the fit is the one without it
+        data = workdir / "data.csv"
+        lines = data.read_text().splitlines()
+        rows = [f"{lines[0]},weight", *(f"{line},1" for line in lines[1:]),
+                "property-damage-only,other,other,other,1000000,0,1e-300"]
+        data.write_text("\n".join(rows) + "\n")
+        argv = ("estimate", "--data", data, "--model", workdir / "spec.json")
+        note = ("observed-outcome probability floored for 1 observation(s) during optimization "
+                "(possible quasi-separation)")
+        assert run(*argv, "--format", "records") == 0
+        assert _records_of(capsys)[1]["diagnostics"] == [note]
+        assert run(*argv) == 0
+        out = capsys.readouterr().out
+        assert out.endswith(f"Converged: yes\nNote: {note}\n")
+
     def test_unconverged_table_shows_gradient(self, speed_model, speed_dataset):
         with pytest.raises(sl.NonConvergenceError) as err:
             sl.estimate(speed_model, speed_dataset, sl.EstimateOptions(max_iterations=1))
@@ -142,6 +159,116 @@ class TestExitCodes:
         code = run("estimate", "--data", bad, "--model", workdir / "spec.json")
         assert code == 3
         assert "line 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("quoted", [False, True], ids=["split", "csv-reader"])
+    def test_data_that_is_not_utf8_is_ingestion_error(self, workdir, quoted, capsys):
+        bad = workdir / "bad.csv"
+        rows = (workdir / "data.csv").read_bytes().splitlines(keepends=True)[:6]
+        rows[4] = rows[4].replace(b",", b",\xff", 1)  # physical line 5
+        if quoted:
+            rows[2] = rows[2].replace(b"other", b'"other"', 1)
+        bad.write_bytes(b"".join(rows))
+        code = run("estimate", "--data", bad, "--model", workdir / "spec.json")
+        assert code == 3
+        assert capsys.readouterr() == (
+            "", f"error: {bad}: line 5: byte 0xff is not UTF-8 (invalid start byte)\n"
+        )
+
+    @pytest.mark.parametrize("which", ["data", "model", "summarize-data", "config",
+                                       "spec-of-config"])
+    def test_an_unreadable_input_exits_2_with_one_line(self, workdir, which, monkeypatch,
+                                                        capsys):
+        gen = workdir / "gen.json"
+        gen.write_text(json.dumps({
+            "model": "spec.json", "theta": [-1.8, -4.0, 0.7, 0.03], "n": 20,
+            "covariates": {"speed_limit": {"dist": "uniform", "low": 25, "high": 70},
+                           "curve": {"dist": "indicator", "p": 0.3}},
+        }))
+        data, spec, out = workdir / "data.csv", workdir / "spec.json", workdir / "out.csv"
+        argv, unreadable = {
+            "data": (("estimate", "--data", data, "--model", spec), data),
+            "model": (("estimate", "--data", data, "--model", spec), spec),
+            "summarize-data": (("summarize", "--data", data, "--bins", "30"), data),
+            "config": (("simulate", "--config", gen, "--out", out), gen),
+            "spec-of-config": (("simulate", "--config", gen, "--out", out), spec),
+        }[which]
+        opened = Path.open
+
+        def refused(path, *args, **kwargs):  # as a file of mode 000 to a user who is not root
+            if path == unreadable:
+                raise PermissionError(13, "Permission denied", str(path))
+            return opened(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "open", refused)
+        assert run(*argv) == 2
+        assert capsys.readouterr() == ("", f"error: cannot read {unreadable} (Permission denied)\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("which", ["spec", "config", "spec-of-config"])
+    def test_a_spec_or_config_that_is_not_utf8_is_named(self, workdir, which, capsys):
+        bad = workdir / "bad.json"
+        bad.write_bytes(b'{"outcomes": ["a", "b\xff"]}')
+        (workdir / "gen.json").write_text(json.dumps({"model": "bad.json"}))
+        if which == "spec":
+            argv = ("estimate", "--data", workdir / "data.csv", "--model", bad)
+        else:
+            config = bad if which == "config" else workdir / "gen.json"
+            argv = ("simulate", "--config", config, "--out", workdir / "new.csv")
+        assert run(*argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {bad}: not UTF-8 text (")
+        assert err.count("\n") == 1 and not (workdir / "new.csv").exists()
+
+    @pytest.mark.parametrize(
+        "text, problem",
+        [("", "no header row found"),
+         ("outcome,road_class,location,accident_type,x,x\ninjury,other,other,other,1,2\n",
+          "duplicate column names in header"),
+         ("outcome,road_class,location,accident_type,weight\ninjury,other,other,other,heavy\n",
+          "1 problem(s) while ingesting:\n  line 2: non-numeric weight 'heavy'")],
+        ids=["empty", "duplicate-header", "non-numeric-weight"],
+    )
+    def test_an_ingest_problem_exits_3_and_is_named(self, workdir, text, problem, capsys):
+        bad = workdir / "bad.csv"
+        bad.write_text(text)
+        assert run("estimate", "--data", bad, "--model", workdir / "spec.json") == 3
+        assert capsys.readouterr() == ("", f"error: {bad}: {problem}\n")
+
+    @pytest.mark.parametrize(
+        "doc, problem",
+        [([1, 2], "{path}: expected a JSON object"),
+         ({"model": 3}, "{path}: 'model' must be a spec object or a path to one"),
+         ({"theta": None}, "{path}: missing required key 'theta'"),
+         ({"n": None}, "{path}: missing required key 'n'"),
+         ({"covariates": None}, "{path}: missing required key 'covariates'"),
+         ({"covariates": {"x": {"low": 1}}}, "covariate 'x': expected an object with a 'dist' key"),
+         ({"covariates": {"x": {"dist": "uniform", "low": 1}}},
+          "covariate 'x': missing distribution parameter 'high'")],
+        ids=["not-an-object", "model-of-another-type", "no-theta", "no-n", "no-covariates",
+             "no-dist", "no-parameter"],
+    )
+    def test_a_bad_generator_config_exits_2(self, tmp_path, doc, problem, capsys):
+        gen, out = tmp_path / "gen.json", tmp_path / "sim.csv"
+        if isinstance(doc, dict):
+            model = {"outcomes": ["a", "b"], "terms": [{"variable": "constant", "outcomes": [1]}]}
+            doc = {"model": model, "theta": [0.1], "n": 20, "covariates": {}, **doc}
+            doc = {key: value for key, value in doc.items() if value is not None}
+        gen.write_text(json.dumps(doc))
+        assert run("simulate", "--config", gen, "--out", out) == 2
+        assert capsys.readouterr() == ("", f"error: {problem.format(path=gen)}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "terms, problem",
+        [([{"variable": "x", "outcomes": []}], "{path}: term 0: term 'x' lists no outcomes"),
+         ([], "model spec needs at least one term")],
+        ids=["term-without-outcomes", "no-terms"],
+    )
+    def test_a_bad_model_spec_exits_2(self, workdir, terms, problem, capsys):
+        spec = workdir / "bad.json"
+        spec.write_text(json.dumps({"outcomes": ["a", "b"], "terms": terms}))
+        assert run("estimate", "--data", workdir / "data.csv", "--model", spec) == 2
+        assert capsys.readouterr() == ("", f"error: {problem.format(path=spec)}\n")
 
     def test_iteration_cap_is_nonconvergence(self, workdir):
         code = run(
@@ -498,6 +625,40 @@ class TestOtherCommands:
         assert code == 0
         assert "temporal" in out
         assert "70%" in out
+
+    @pytest.mark.parametrize("flag", ["--period-a", "--period-b"])
+    def test_temporal_test_period_not_in_the_data_exits_2(self, tmp_path, speed_model,
+                                                          speed_theta, flag, capsys):
+        files = _two_period_files(tmp_path, speed_model, speed_theta)
+        periods = {"--period-a": "2004", "--period-b": "2006", flag: "2005"}
+        argv = ("--data", files / "data.csv", "--model", files / "spec.json")
+        assert run("temporal-test", *argv, *(item for pair in periods.items() for item in pair)) == 2
+        assert capsys.readouterr() == (
+            "", "error: period '2005' not present in the data (found ['2004', '2006'])\n"
+        )
+
+    def test_simulate_seed_and_period_override_the_config(self, tmp_path, capsys):
+        gen, out = tmp_path / "gen.json", tmp_path / "sim.csv"
+        model = {"outcomes": ["a", "b"], "terms": [{"variable": "constant", "outcomes": [1]}]}
+        doc = {"model": model, "theta": [0.3], "n": 50, "seed": 5, "covariates": {},
+               "period": "2004"}
+        gen.write_text(json.dumps(doc))
+        assert run("simulate", "--config", gen, "--out", out, "--seed", 8, "--period", "2006") == 0
+        assert "(PCG64 seed 8;" in capsys.readouterr().out
+        note, header, *rows = out.read_text().splitlines()
+        assert note == "# generator: numpy PCG64, seed=8"
+        period = header.split(",").index("period")
+        assert len(rows) == 50 and {row.split(",")[period] for row in rows} == {"2006"}
+        gen.write_text(json.dumps({**doc, "seed": 8, "period": "2006"}))
+        assert run("simulate", "--config", gen, "--out", tmp_path / "same.csv") == 0
+        assert (tmp_path / "same.csv").read_bytes() == out.read_bytes()
+
+    def test_summarize_renders_an_empty_band_as_a_dash(self, workdir, capsys):
+        assert run("summarize", "--data", workdir / "data.csv", "--bins", "30,50,200,300") == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert [row.split() for row in rows if row.startswith(("(200", "> 300"))] == [
+            ["(200,", "300]", "-", "-", "-"], [">", "300", "-", "-", "-"]
+        ]
 
     def test_temporal_test_needs_two_periods(self, workdir, capsys):
         code = run(

@@ -223,6 +223,52 @@ class TestIngestCSV:
             "  line 12: non-finite value 'nan' for covariate 'x'",
         ]
 
+    @pytest.mark.parametrize("quoted", [False, True], ids=["split", "csv-reader"])
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_a_byte_that_is_not_utf8_names_its_line(self, tmp_path, monkeypatch, quoted,
+                                                     newline):
+        path = tmp_path / "latin1.csv"
+        lines = ["# seed=7", "outcome,road_class,location,accident_type,period,x",
+                 "injury,other,other,other,2004,1", "Injury,other,other,other,2004,2",
+                 "injury,other,other,other,2004,3", "injury,other,other,other,2004,4"]
+        if quoted:
+            lines[3] = 'Injury,other,other,other,"2004",2'
+        data = newline.join(lines).encode() + newline.encode()
+        path.write_bytes(data.replace(b",3", b",\xe9", 1))  # line 5 holds a Latin-1 é
+        monkeypatch.setattr(sl.io, "BLOCK_ROWS", 2)
+        # each file must take its own tokeniser
+        monkeypatch.setattr(sl.io, "_split_blocks" if quoted else "_csv_blocks", None)
+        with pytest.raises(sl.IngestionError) as err:
+            sl.ingest_csv(path)
+        assert err.value.lines == (5,)
+        assert str(err.value) == f"{path}: line 5: byte 0xe9 is not UTF-8 (invalid continuation byte)"
+
+    def test_an_undecodable_line_is_counted_across_reads(self, tmp_path):
+        # the file is read in 1 MiB pieces: one CRLF straddles the first two, and the bad byte
+        # is the first of an incomplete sequence that ends the file
+        head, row = b"outcome,road_class,location,accident_type,x\r\n", b"injury,other,other,other,1\r\n"
+        rows = 30_000
+        size = (1 << 20) + 1 - len(head) - (rows - 1) * len(row)  # of a first row padded with 0s
+        first = row[:-3] + b"0" * (size - len(row)) + row[-3:]
+        path = tmp_path / "long.csv"
+        path.write_bytes(head + first + row * rows + b"\xe2\x82")
+        assert path.read_bytes()[(1 << 20) - 1 : (1 << 20) + 1] == b"\r\n"
+        with pytest.raises(sl.IngestionError) as err:
+            sl.ingest_csv(path)
+        assert err.value.lines == (rows + 3,)
+        assert f"line {rows + 3}: byte 0xe2 is not UTF-8 (unexpected end of data)" in str(err.value)
+
+    def test_a_file_that_cannot_be_read_is_config_error(self, tmp_path, monkeypatch):
+        path = tmp_path / "locked.csv"
+        path.write_text("outcome,road_class,location,accident_type\n")
+
+        def refused(*args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr(type(path), "open", refused)
+        with pytest.raises(sl.ConfigError, match=f"^cannot read {path} \\(Permission denied\\)$"):
+            sl.ingest_csv(path)
+
     def test_blocks_join_into_one_dataset(self, tmp_path, monkeypatch):
         path = tmp_path / "clean.csv"
         path.write_text(
