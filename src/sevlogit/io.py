@@ -12,7 +12,6 @@ on the CSV's data (fit_key) in one store beside the CSV.
 
 from __future__ import annotations
 
-import codecs
 import csv
 import json
 import math
@@ -37,7 +36,8 @@ import numpy as np
 
 from .data import (COLUMNS, RESERVED_NAMES, SEGMENT_LEVELS, Dataset, OutcomeSet, SegmentKey,
                    period_label, unknown_level)
-from .errors import ConfigError, IngestionError, ModelSpecError, NumericError, SchemaError
+from .errors import (ConfigError, IngestionError, ModelSpecError, NumericError, SchemaError,
+                     SevlogitError)
 from .estimate import EstimateOptions, EstimationResult
 from .modelspec import CONSTANT, ModelSpec, ParameterVector, TermSpec, build_layout
 from .simulate import (
@@ -64,15 +64,31 @@ def ingest_csv(path, outcome_set: Optional[OutcomeSet] = None) -> Dataset:
     message spells out the first LISTED_PROBLEMS problems in line order and counts the
     rest; its `lines` holds the line of every problem. A file that is not UTF-8 is an
     IngestionError at the line of its first undecodable byte; one that cannot be read is a
-    ConfigError.
+    ConfigError. Every error names the file.
     """
     path = Path(path)
+    with _reading(path):
+        try:
+            return _ingest(path, outcome_set or OutcomeSet())
+        except UnicodeDecodeError:  # before _reading makes it a ConfigError
+            raise _decode_error(path) from None
+
+
+@contextmanager
+def _reading(source, error: type = ConfigError):
+    """The one rule that names an input's errors by `source`, for the block it wraps: an OSError
+    becomes `error("cannot read SOURCE (…)")`, a SevlogitError keeps its type and fields (an
+    IngestionError its lines) behind the prefix 'SOURCE: ', and a ValueError becomes
+    `error("SOURCE: …")`. Nested blocks prefix from the outside in: 'gen.json: segment 0: …'."""
     try:
-        return _ingest(path, outcome_set or OutcomeSet())
+        yield
     except OSError as exc:
-        raise ConfigError(f"cannot read {path} ({exc.strerror or exc})") from None
-    except UnicodeDecodeError:
-        raise _decode_error(path) from None
+        raise error(f"cannot read {source} ({exc.strerror or exc})") from None
+    except SevlogitError as exc:
+        exc.args = (f"{source}: {exc}", *exc.args[1:])
+        raise
+    except ValueError as exc:
+        raise error(f"{source}: {exc}") from None
 
 
 def _ingest(path: Path, outcome_set: OutcomeSet) -> Dataset:
@@ -82,15 +98,15 @@ def _ingest(path: Path, outcome_set: OutcomeSet) -> Dataset:
             head.append(handle.readline())
         line, first = head[-1], len(head) + 1  # first: the physical line of the first row
         if not line:
-            raise SchemaError(f"{path}: no header row found")
+            raise SchemaError("no header row found")
         header = next(csv.reader([line]))
         missing = [c for c in REQUIRED_COLUMNS if c not in header]
         if missing:
-            raise SchemaError(f"{path}: missing required column(s) {missing}")
+            raise SchemaError(f"missing required column(s) {missing}")
         if len(set(header)) != len(header):
-            raise SchemaError(f"{path}: duplicate column names in header")
+            raise SchemaError("duplicate column names in header")
         if CONSTANT in header:
-            raise SchemaError(f"{path}: column {CONSTANT!r} is reserved for the model's intercept")
+            raise SchemaError(f"column {CONSTANT!r} is reserved for the model's intercept")
         covariate_names = tuple(name for name in header if name not in RESERVED_NAMES)
 
         if _quote_bytes(path) == "".join(head).count('"'):
@@ -114,7 +130,7 @@ def _ingest(path: Path, outcome_set: OutcomeSet) -> Dataset:
         if len(bad_lines) > len(listed):
             listing.append(f"  … and {len(bad_lines) - len(listed)} more problem(s)")
         raise IngestionError(
-            f"{path}: {len(bad_lines)} problem(s) while ingesting:\n" + "\n".join(listing),
+            f"{len(bad_lines)} problem(s) while ingesting:\n" + "\n".join(listing),
             lines=bad_lines,
         )
     columns = {key: np.concatenate([block[key] for block in blocks]) for key in COLUMNS}
@@ -122,27 +138,18 @@ def _ingest(path: Path, outcome_set: OutcomeSet) -> Dataset:
 
 
 def _decode_error(path) -> IngestionError:
-    """The error of a CSV that is not UTF-8, at the physical line of its first undecodable byte
-    (LF, CRLF and a lone CR each end a line, as the tokenisers count them)."""
-    decoder, line, cr = codecs.getincrementaldecoder("utf-8")(), 1, False
-
-    def ends(data: bytes) -> int:  # a CRLF split across two reads is one line end too
-        return (data.count(b"\n") + data.count(b"\r") - data.count(b"\r\n")
-                - (cr and data[:1] == b"\n"))
-
-    try:
-        with open(path, "rb") as raw:
-            for chunk in iter(partial(raw.read, 1 << 20), b""):
-                decoder.decode(chunk)
-                line, cr = line + ends(chunk), chunk.endswith(b"\r")
-            decoder.decode(b"", final=True)
-    except UnicodeDecodeError as exc:  # exc.object: the bytes the decoder held, then the read
-        line += ends(exc.object[: exc.start])
-        byte = exc.object[exc.start]
-        return IngestionError(
-            f"{path}: line {line}: byte 0x{byte:02x} is not UTF-8 ({exc.reason})", lines=[line]
-        )
-    return IngestionError(f"{path}: not UTF-8 text")  # it changed since it was read
+    """The error of a CSV that is not UTF-8, at the physical line of its first undecodable byte.
+    The file is read in universal newlines, as the tokenisers read it, with each such byte
+    escaped; the first line holding one is decoded again for the byte and the reason."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
+        for line, text in enumerate(handle, 1):
+            data = text.encode("utf-8", "surrogateescape")
+            try:
+                data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return IngestionError(f"line {line}: byte 0x{data[exc.start]:02x} is not UTF-8 "
+                                      f"({exc.reason})", lines=[line])
+    return IngestionError("not UTF-8 text")  # it changed since it was read
 
 
 def _quote_bytes(path) -> int:
@@ -576,50 +583,46 @@ def fit_entry(key: str, result: EstimationResult) -> dict:
 def _read_json(path: Path, error: type):
     """The JSON document in a file. One that cannot be read, is not UTF-8 or is not JSON (or is
     nested too deeply to parse) raises `error`, naming the file."""
-    try:
-        return json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise error(f"cannot read {path} ({exc.strerror or exc})") from None
-    except UnicodeDecodeError as exc:
-        raise error(f"{path}: not UTF-8 text ({exc})") from None
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise error(f"{path}: not valid JSON ({exc})") from None
+    with _reading(path, error):
+        try:
+            return json.loads(path.read_text(encoding="utf-8"))
+        except UnicodeDecodeError as exc:  # before _reading takes it for a ValueError
+            raise error(f"not UTF-8 text ({exc})") from None
+        except (json.JSONDecodeError, RecursionError) as exc:
+            raise error(f"not valid JSON ({exc})") from None
 
 
 def load_model_spec(path) -> ModelSpec:
-    """Parse a model-spec JSON file: outcomes (base first) and terms."""
+    """Parse a model-spec JSON file: outcomes (base first) and terms. Every error names the file."""
     path = Path(path)
-    return model_spec_from_dict(_read_json(path, ModelSpecError), source=str(path))
+    doc = _read_json(path, ModelSpecError)
+    with _reading(path, ModelSpecError):
+        return model_spec_from_dict(doc)
 
 
-def model_spec_from_dict(doc: dict, source: str = "<inline>") -> ModelSpec:
+def model_spec_from_dict(doc: dict) -> ModelSpec:
+    """A model spec from its JSON document; an error names the term it is in, if any."""
     if not isinstance(doc, dict) or "outcomes" not in doc or "terms" not in doc:
-        raise ModelSpecError(f"{source}: expected an object with 'outcomes' and 'terms'")
+        raise ModelSpecError("expected an object with 'outcomes' and 'terms'")
     if not isinstance(doc["outcomes"], list):
-        raise ModelSpecError(f"{source}: 'outcomes' must be a list of labels, base first")
+        raise ModelSpecError("'outcomes' must be a list of labels, base first")
     try:
         outcome_set = OutcomeSet(doc["outcomes"])
     except ValueError as exc:
-        raise ModelSpecError(f"{source}: {exc}") from None
+        raise ModelSpecError(str(exc)) from None
 
     terms = []
     for i, raw in enumerate(doc["terms"]):
         listed = isinstance(raw, dict) and isinstance(raw.get("outcomes"), list)
         if not listed or "variable" not in raw:
-            raise ModelSpecError(f"{source}: term {i} needs 'variable' and a list of 'outcomes'")
-        outs = []
-        for item in raw["outcomes"]:
-            if isinstance(item, str):
-                try:
-                    outs.append(outcome_set.index_of(item))
-                except KeyError as exc:
-                    raise ModelSpecError(f"{source}: term {i}: {exc}") from None
-            else:
-                outs.append(item)
-        try:
+            raise ModelSpecError(f"term {i} needs 'variable' and a list of 'outcomes'")
+        with _reading(f"term {i}", ModelSpecError):
+            try:
+                outs = [outcome_set.index_of(o) if isinstance(o, str) else o
+                        for o in raw["outcomes"]]
+            except KeyError as exc:
+                raise ModelSpecError(str(exc)) from None
             terms.append(TermSpec(raw["variable"], tuple(outs), raw.get("shared", False)))
-        except ModelSpecError as exc:
-            raise ModelSpecError(f"{source}: term {i}: {exc}") from None
     return ModelSpec(outcome_set, tuple(terms))
 
 
@@ -645,22 +648,19 @@ _DISTRIBUTIONS = {  # each takes its fields' values as the JSON object's keys of
 }
 
 
-def _parse_distribution(name: str, raw: dict):
+def _parse_distribution(raw: dict):
     if not isinstance(raw, dict) or "dist" not in raw:
-        raise ConfigError(f"covariate {name!r}: expected an object with a 'dist' key")
+        raise ConfigError("expected an object with a 'dist' key")
     kind = raw["dist"]
-    dist = _DISTRIBUTIONS.get(kind)
+    dist = _DISTRIBUTIONS.get(kind) if isinstance(kind, str) else None
     if dist is None:
         raise ConfigError(
-            f"covariate {name!r}: unknown distribution {kind!r} "
-            f"(expected one of {sorted(_DISTRIBUTIONS)})"
+            f"unknown distribution {kind!r} (expected one of {sorted(_DISTRIBUTIONS)})"
         )
     try:
         return dist(*(raw[f.name] for f in fields(dist)))
     except KeyError as exc:
-        raise ConfigError(f"covariate {name!r}: missing distribution parameter {exc}") from None
-    except ConfigError as exc:
-        raise ConfigError(f"covariate {name!r}: {exc}") from None
+        raise ConfigError(f"missing distribution parameter {exc}") from None
 
 
 def _parse_theta(raw, model: ModelSpec) -> ParameterVector:
@@ -684,51 +684,50 @@ def generator_model_path(path) -> Optional[Path]:
 
 
 def load_generator_config(path) -> tuple[GeneratorConfig, Optional[str]]:
-    """Parse a generator-config JSON file; returns the config and an optional period label."""
+    """Parse a generator-config JSON file; returns the config and an optional period label.
+    Every error names the file, and the field if it is in one. The model spec is an input of
+    its own: one the config names by path is named by that path, an inline one 'PATH#model'."""
     path = Path(path)
     doc = _read_json(path, ConfigError)
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: expected a JSON object")
-
-    model_raw = doc.get("model")
+    model_raw = doc.get("model") if isinstance(doc, dict) else None
     if isinstance(model_raw, str):
         model = load_model_spec(path.parent / model_raw)
     elif isinstance(model_raw, dict):
-        model = model_spec_from_dict(model_raw, source=f"{path}#model")
-    else:
-        raise ConfigError(f"{path}: 'model' must be a spec object or a path to one")
+        with _reading(f"{path}#model", ModelSpecError):
+            model = model_spec_from_dict(model_raw)
 
-    for key in ("theta", "n", "covariates"):
-        if key not in doc:
-            raise ConfigError(f"{path}: missing required key {key!r}")
+    with _reading(path):
+        if not isinstance(doc, dict):
+            raise ConfigError("expected a JSON object")
+        if not isinstance(model_raw, (str, dict)):
+            raise ConfigError("'model' must be a spec object or a path to one")
+        for key in ("theta", "n", "covariates"):
+            if key not in doc:
+                raise ConfigError(f"missing required key {key!r}")
 
-    if not isinstance(doc["covariates"], dict):
-        raise ConfigError(f"{path}: 'covariates' must be an object of name: distribution")
-    covariates = {
-        name: _parse_distribution(name, raw) for name, raw in doc["covariates"].items()
-    }
+        if not isinstance(doc["covariates"], dict):
+            raise ConfigError("'covariates' must be an object of name: distribution")
+        covariates = {}
+        for name, raw in doc["covariates"].items():
+            with _reading(f"covariate {name!r}"):
+                covariates[name] = _parse_distribution(raw)
 
-    segments_raw = doc.get("segments", [])
-    if not isinstance(segments_raw, list) or not all(isinstance(raw, dict) for raw in segments_raw):
-        raise ConfigError(f"{path}: 'segments' must be a list of objects")
-    segments = []
-    for i, raw in enumerate(segments_raw):
-        try:
-            key = SegmentKey(**{dim: raw.get(dim, "other") for dim in SEGMENT_LEVELS})
-            theta = _parse_theta(raw["theta"], model) if "theta" in raw else None
-            segments.append(SegmentComponent(key, raw.get("weight", 1.0), theta))
-        except (ValueError, ConfigError) as exc:
-            raise ConfigError(f"{path}: segment {i}: {exc}") from None
+        segments_raw = doc.get("segments", [])
+        if not isinstance(segments_raw, list) or not all(isinstance(r, dict) for r in segments_raw):
+            raise ConfigError("'segments' must be a list of objects")
+        segments = []
+        for i, raw in enumerate(segments_raw):
+            with _reading(f"segment {i}"):
+                key = SegmentKey(**{dim: raw.get(dim, "other") for dim in SEGMENT_LEVELS})
+                theta = _parse_theta(raw["theta"], model) if "theta" in raw else None
+                segments.append(SegmentComponent(key, raw.get("weight", 1.0), theta))
 
-    config = GeneratorConfig(
-        model=model,
-        true_theta=_parse_theta(doc["theta"], model),
-        n_obs=doc["n"],
-        covariates=covariates,
-        segments=tuple(segments),
-        seed=doc.get("seed", 0),
-    )
-    try:
+        config = GeneratorConfig(
+            model=model,
+            true_theta=_parse_theta(doc["theta"], model),
+            n_obs=doc["n"],
+            covariates=covariates,
+            segments=tuple(segments),
+            seed=doc.get("seed", 0),
+        )
         return config, period_label(doc.get("period"))
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None

@@ -241,11 +241,25 @@ class TestExitCodes:
          ({"theta": None}, "{path}: missing required key 'theta'"),
          ({"n": None}, "{path}: missing required key 'n'"),
          ({"covariates": None}, "{path}: missing required key 'covariates'"),
-         ({"covariates": {"x": {"low": 1}}}, "covariate 'x': expected an object with a 'dist' key"),
+         ({"covariates": {"x": {"low": 1}}},
+          "{path}: covariate 'x': expected an object with a 'dist' key"),
          ({"covariates": {"x": {"dist": "uniform", "low": 1}}},
-          "covariate 'x': missing distribution parameter 'high'")],
+          "{path}: covariate 'x': missing distribution parameter 'high'"),
+         ({"theta": [0.1, 0.2]}, "{path}: theta: expected 1 parameter values, got shape (2,) "
+                                 "(slot order ['constant:b'])"),
+         ({"model": {"outcomes": ["a", "b"], "terms": [{"variable": "x", "outcomes": [1]}]}},
+          "{path}: no covariate distribution for model variables ['x']"),
+         ({"n": 0}, "{path}: n_obs (config key 'n') must be an integer >= 1, got 0"),
+         ({"segments": [{"weight": 0.3}, {"weight": 0.3}]},
+          "{path}: segment weights must sum to 1, got 0.6"),
+         ({"segments": [{"theta": [0.1, 0.2]}]},
+          "{path}: segment 0: theta: expected 1 parameter values, got shape (2,) "
+          "(slot order ['constant:b'])"),
+         ({"model": {"outcomes": ["a", "b"], "terms": []}},
+          "{path}#model: model spec needs at least one term")],
         ids=["not-an-object", "model-of-another-type", "no-theta", "no-n", "no-covariates",
-             "no-dist", "no-parameter"],
+             "no-dist", "no-parameter", "theta-length", "no-distribution-for-a-variable",
+             "n-zero", "segment-weights", "segment-theta-length", "inline-spec-without-terms"],
     )
     def test_a_bad_generator_config_exits_2(self, tmp_path, doc, problem, capsys):
         gen, out = tmp_path / "gen.json", tmp_path / "sim.csv"
@@ -261,8 +275,12 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "terms, problem",
         [([{"variable": "x", "outcomes": []}], "{path}: term 0: term 'x' lists no outcomes"),
-         ([], "model spec needs at least one term")],
-        ids=["term-without-outcomes", "no-terms"],
+         ([], "{path}: model spec needs at least one term"),
+         ([{"variable": "x", "outcomes": [1]}, {"variable": "x", "outcomes": ["b"]}],
+          "{path}: duplicate (variable, outcome) pair: 'x' on outcome 1"),
+         ([{"variable": "x", "outcomes": [5]}],
+          "{path}: term 'x' references outcome 5, but the outcome set has only 2 outcomes")],
+        ids=["term-without-outcomes", "no-terms", "duplicate-pair", "outcome-out-of-range"],
     )
     def test_a_bad_model_spec_exits_2(self, workdir, terms, problem, capsys):
         spec = workdir / "bad.json"
@@ -555,7 +573,9 @@ class TestOtherCommands:
         out = tmp_path / "sim.csv"
         assert run("simulate", "--config", gen, "--out", out) == 2
         captured = capsys.readouterr()
-        assert captured.err == "error: n_obs (config key 'n') must be an integer >= 1, got 20.7\n"
+        assert captured.err == (
+            f"error: {gen}: n_obs (config key 'n') must be an integer >= 1, got 20.7\n"
+        )
         assert captured.out == ""
         assert os.listdir(tmp_path) == ["gen.json"]
 

@@ -78,6 +78,20 @@ class TestIngestCSV:
             ingest_csv(path)
         assert set(err.value.lines) == {3, 4, 5}
 
+    def test_the_file_name_keeps_the_errors_type_and_lines(self, tmp_path):
+        path = tmp_path / "two.csv"
+        path.write_text("outcome,road_class,location,accident_type,speed_limit\n"
+                        "Injury,other,other,other,40\n"
+                        "injury,other,other,other,fast\n")
+        with pytest.raises(sl.IngestionError) as err:
+            ingest_csv(path)
+        assert type(err.value) is sl.IngestionError and err.value.lines == (2, 3)
+        assert str(err.value).startswith(f"{path}: 2 problem(s) while ingesting:\n  line 2: ")
+        path.write_text("outcome,road_class,location\n")
+        with pytest.raises(sl.SchemaError) as err:
+            ingest_csv(path)
+        assert str(err.value) == f"{path}: missing required column(s) ['accident_type']"
+
     def test_missing_required_column(self, tmp_path):
         path = tmp_path / "no_outcome.csv"
         path.write_text("road_class,location,accident_type,x\nother,other,other,1\n")
@@ -737,6 +751,14 @@ class TestGeneratorConfigFile:
         }
         with pytest.raises(sl.ConfigError, match="unknown distribution"):
             load_generator_config(self._write(tmp_path, doc))
+
+    def test_a_distribution_name_that_is_not_a_string_is_unknown(self, tmp_path):
+        doc = {"model": {"outcomes": ["a", "b"], "terms": [{"variable": "x", "outcomes": ["b"]}]},
+               "theta": [0.1], "n": 5, "covariates": {"x": {"dist": ["uniform"]}}}
+        path = self._write(tmp_path, doc)
+        with pytest.raises(sl.ConfigError) as err:
+            load_generator_config(path)
+        assert str(err.value).startswith(f"{path}: covariate 'x': unknown distribution ['uniform']")
 
 
 class TestLeafHash:
