@@ -109,9 +109,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_inputs(*paths) -> None:
+    """Refuse an input that does not exist, or that is not a regular file (a FIFO would block
+    the store's hash)."""
     for path in map(Path, paths):
-        if not path.is_file():
+        if not path.exists():
             raise ConfigError(f"input file not found: {path}")
+        if not path.is_file():
+            raise ConfigError(f"cannot read {path} (not a regular file)")
 
 
 def _check_out(args) -> None:

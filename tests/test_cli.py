@@ -127,6 +127,21 @@ class TestExitCodes:
         assert code == 2
         assert "not found" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["directory", "fifo", "summarize-directory"])
+    def test_an_input_that_is_not_a_regular_file_exits_2(self, workdir, kind, capsys):
+        path = workdir / ("fifo.csv" if kind == "fifo" else "adir")
+        if kind == "fifo":
+            if not hasattr(os, "mkfifo"):
+                pytest.skip("no FIFOs on this platform")
+            os.mkfifo(path)
+        else:
+            path.mkdir()
+        argv = ("estimate", "--data", path, "--model", workdir / "spec.json")
+        if kind.startswith("summarize"):
+            argv = ("summarize", "--data", path, "--bins", "30")
+        assert run(*argv) == 2
+        assert capsys.readouterr() == ("", f"error: cannot read {path} (not a regular file)\n")
+
     def test_bad_spec_is_config_error(self, workdir):
         bad = workdir / "bad.json"
         bad.write_text("{")
