@@ -14,9 +14,9 @@ from typing import Mapping, Optional, Sequence, Union
 import numpy as np
 
 from .data import SEGMENT_LEVELS, Dataset, SegmentKey, checked_real, checked_reals, integral
-from .errors import ConfigError
+from .errors import ConfigError, NumericError
 from .modelspec import (ModelSpec, ParameterVector, ThetaLike, _theta_values, augmented_matrix,
-                        bind_design)
+                        bind_design, build_layout)
 from .likelihood import _probabilities
 
 RNG_ALGORITHM = "PCG64"
@@ -66,7 +66,8 @@ class IndicatorDist:
             raise ConfigError(f"indicator probability must be in [0, 1], got {self.p}")
 
 
-Distribution = Union[ConstantDist, UniformDist, CategoricalDist, IndicatorDist]
+_DISTRIBUTION_TYPES = (ConstantDist, UniformDist, CategoricalDist, IndicatorDist)
+Distribution = Union[_DISTRIBUTION_TYPES]
 
 
 def generator_seed(seed: int) -> int:
@@ -123,6 +124,18 @@ class GeneratorConfig:
             total = sum(c.weight for c in self.segments)
             if abs(total - 1.0) > 1e-9:
                 raise ConfigError(f"segment weights must sum to 1, got {total}")
+        for name, dist in self.covariates.items():
+            if not isinstance(dist, _DISTRIBUTION_TYPES):
+                raise ConfigError(f"covariate {name!r}: expected a distribution, got {dist!r}")
+        layout = build_layout(self.model)
+        thetas = {"true_theta (config key 'theta')": self.true_theta}
+        thetas.update((f"segment {i}: theta", c.theta)
+                      for i, c in enumerate(self.segments) if c.theta is not None)
+        for field, theta in thetas.items():
+            try:
+                _theta_values(theta, layout)
+            except (TypeError, ValueError, NumericError) as exc:
+                raise ConfigError(f"{field}: {exc}") from None
 
 
 def _draw_column(dist: Distribution, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -133,9 +146,7 @@ def _draw_column(dist: Distribution, n: int, rng: np.random.Generator) -> np.nda
     if isinstance(dist, CategoricalDist):
         idx = rng.choice(len(dist.values), size=n, p=np.asarray(dist.probs))
         return np.asarray(dist.values)[idx]
-    if isinstance(dist, IndicatorDist):
-        return (rng.random(n) < dist.p).astype(np.float64)
-    raise ConfigError(f"unknown distribution {dist!r}")
+    return (rng.random(n) < dist.p).astype(np.float64)  # IndicatorDist: GeneratorConfig saw to it
 
 
 def simulate(config: GeneratorConfig) -> Dataset:

@@ -180,6 +180,21 @@ class TestGeneratorConfigValidation:
         with pytest.raises(sl.ConfigError, match="seed must be a non-negative integer, got"):
             sl.GeneratorConfig(constants_model, np.zeros(2), 10, {}, seed=seed)
 
+    def test_theta_must_fit_the_model(self, constants_model):
+        with pytest.raises(sl.ConfigError, match=r"^true_theta \(config key 'theta'\): expected 2 "
+                                                 r"parameter values, got shape \(3,\)$"):
+            sl.GeneratorConfig(constants_model, np.zeros(3), 10, {}, seed=0)
+
+    def test_a_segment_theta_must_fit_the_model(self, constants_model):
+        segments = (sl.SegmentComponent(sl.SegmentKey(), 1.0, [0.1]),)
+        with pytest.raises(sl.ConfigError, match=r"^segment 0: theta: expected 2 parameter "
+                                                 r"values, got shape \(1,\)$"):
+            sl.GeneratorConfig(constants_model, np.zeros(2), 10, {}, segments=segments, seed=0)
+
+    def test_covariates_must_be_distributions(self, constants_model):
+        with pytest.raises(sl.ConfigError, match="^covariate 'x': expected a distribution, got 5$"):
+            sl.GeneratorConfig(constants_model, np.zeros(2), 10, {"x": 5}, seed=0)
+
     def test_covariates_must_be_a_mapping(self, constants_model):
         with pytest.raises(sl.ConfigError, match="covariates must map names to distributions"):
             sl.GeneratorConfig(constants_model, np.zeros(2), 10, ["x"], seed=0)
