@@ -6,6 +6,7 @@ it read null, so it must fail here instead.
 """
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -13,8 +14,10 @@ import numpy as np
 import sevlogit as sl
 import sevlogit.cli
 import sevlogit.data
+import sevlogit.io
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+CHILD = TRACING.with_name("child.py")
 
 
 def _load_tracing():
@@ -34,6 +37,25 @@ def test_every_call_site_is_found():
     finally:
         tracer.uninstall()
     assert sevlogit.cli.partition is sevlogit.data.partition
+
+
+def test_the_benchmark_builds_its_model_from_the_package():
+    # perfbench/child.py calls the package (io.model_spec_from_dict among others) by name; it
+    # puts src/ and perfbench/ on sys.path and imports perfbench's run and tracing modules
+    path, modules = list(sys.path), dict(sys.modules)
+    try:
+        spec = importlib.util.spec_from_file_location("perfbench_child", CHILD)
+        child = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(child)
+        model, theta, covariates = child.recovery_model(sl)
+    finally:
+        sys.path[:] = path
+        for name in set(sys.modules) - set(modules):
+            del sys.modules[name]
+        sys.modules.update(modules)
+    assert sevlogit.io.model_spec_to_dict(model)["outcomes"] == child.run.SPEC["outcomes"]
+    assert dict(zip(theta.layout.slot_names(), theta.values.tolist())) == child.run.THETA
+    assert set(covariates) == set(model.variables()) - {"constant"}
 
 
 def _results(model, config):
