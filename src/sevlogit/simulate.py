@@ -146,7 +146,7 @@ def _draw_column(dist: Distribution, n: int, rng: np.random.Generator) -> np.nda
     if isinstance(dist, CategoricalDist):
         idx = rng.choice(len(dist.values), size=n, p=np.asarray(dist.probs))
         return np.asarray(dist.values)[idx]
-    return (rng.random(n) < dist.p).astype(np.float64)  # IndicatorDist: GeneratorConfig saw to it
+    return (rng.random(n) < dist.p).astype(np.float64)  # the last type GeneratorConfig admits
 
 
 def simulate(config: GeneratorConfig) -> Dataset:
