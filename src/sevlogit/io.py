@@ -24,7 +24,6 @@ from functools import lru_cache, partial
 from itertools import compress, islice, repeat
 from operator import itemgetter
 from pathlib import Path
-from threading import Thread
 from typing import Optional
 
 try:  # as the random module does: hashlib loads OpenSSL (3.5 MB of RSS); its blake2b is this one
@@ -99,7 +98,10 @@ def _ingest(path: Path, outcome_set: OutcomeSet) -> Dataset:
         line, first = head[-1], len(head) + 1  # first: the physical line of the first row
         if not line:
             raise SchemaError("no header row found")
-        header = next(csv.reader([line]))
+        try:
+            header = next(csv.reader([line]))
+        except csv.Error as exc:
+            raise SchemaError(f"line {len(head)}: {exc}", lines=[len(head)]) from None
         missing = [c for c in REQUIRED_COLUMNS if c not in header]
         if missing:
             raise SchemaError(f"missing required column(s) {missing}")
@@ -180,14 +182,17 @@ def _split_blocks(path, first: int, width: int):
 
 
 def _csv_blocks(handle, first: int, width: int):
-    """Blocks of csv.reader rows."""
+    """Blocks of csv.reader rows; a row the reader refuses is an error at the line it starts on."""
     reader, line = csv.reader(handle), first
     while True:
         rows, starts = [], []
-        for row in islice(reader, BLOCK_ROWS):
-            rows.append(row)
-            starts.append(line)
-            line = first + reader.line_num  # a quoted field may span lines
+        try:
+            for row in islice(reader, BLOCK_ROWS):
+                rows.append(row)
+                starts.append(line)
+                line = first + reader.line_num  # a quoted field may span lines
+        except csv.Error as exc:  # such as a field over csv.field_size_limit()
+            raise IngestionError(f"line {line}: {exc}", lines=[line]) from None
         counts = np.fromiter(map(len, rows), np.int64, len(rows))
         blank = ~np.fromiter(map(any, rows), bool, len(rows))
         columns = list(zip(*compress(rows, ~blank & (counts == width)))) or [()] * width
@@ -381,6 +386,7 @@ def _trusted(path, owner: int):
 # its place; RecursionError: metadata nested too deeply to parse).
 _STORE_ERRORS = (OSError, ValueError, KeyError, TypeError, RecursionError, zipfile.BadZipFile)
 FIT_STORE_ENTRIES = 32  # fits a write keeps, or as many as the writing command used if more
+READ_BYTES = 1 << 18  # the CSV bytes store_key reads and hashes at a time: 256 KiB
 
 
 @lru_cache(maxsize=None)
@@ -392,65 +398,10 @@ def _code_digest() -> bytes:
     return blake2b(b"".join(blake2b(p.read_bytes()).digest() for p in sources)).digest()
 
 
-LEAF_BYTES = 1 << 18  # the part of a key's input one thread hashes at a time: 256 KiB
-
-
-def _hash_threads() -> int:
-    """The most threads one key hashes on: the CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call off Linux
-        return os.cpu_count() or 1
-
-
-def _hash_leaves(root, size: int, leaf) -> None:
-    """Update `root` with `size` and then the BLAKE2b digest of each LEAF_BYTES leaf of an input
-    of `size` bytes, in order, so the result does not depend on the number of threads.
-    `leaf(offset, buffer)` gives the leaf at `offset`; `buffer` is a LEAF_BYTES bytearray the
-    calling thread owns. The leaves are hashed on min(usable CPUs, leaves) threads, this one
-    among them (blake2b and os.preadv release the GIL); every thread has ended when this
-    returns, and the first exception one of them met is raised here."""
-    offsets = range(0, size, LEAF_BYTES)
-    digests, errors, todo = [b""] * len(offsets), [], iter(range(len(offsets)))
-
-    def work() -> None:
-        buffer = bytearray(LEAF_BYTES)
-        try:
-            for i in todo:  # next() holds the GIL: each leaf goes to one thread
-                digests[i] = blake2b(leaf(offsets[i], buffer)).digest()
-        except BaseException as exc:  # raised by the caller, never left to the thread
-            errors.append(exc)
-
-    threads = []
-    try:
-        for _ in range(1, min(_hash_threads(), len(offsets))):
-            thread = Thread(target=work)
-            thread.start()
-            threads.append(thread)
-    except RuntimeError:  # no thread to spare: the others take its leaves
-        pass
-    work()
-    for thread in threads:
-        thread.join()
-    if errors:
-        raise errors[0]
-    root.update(size.to_bytes(8, "little") + b"".join(digests))
-
-
-def _read_leaf(fd: int, size: int, offset: int, buffer: bytearray) -> memoryview:
-    """The leaf of a file of `size` bytes at `offset`, read into `buffer`."""
-    view = memoryview(buffer)[: min(LEAF_BYTES, size - offset)]
-    if os.preadv(fd, [view], offset) != len(view):
-        raise OSError("the file shrank while it was hashed")
-    return view
-
-
 def _hash_array(root, array: np.ndarray) -> None:
-    """Update `root` with an array's dtype, shape and bytes in C order, hashed by leaves read
-    from the array's own buffer (a C-order array is not copied)."""
-    flat = np.ascontiguousarray(array).reshape(-1).view(np.uint8)
+    """Update `root` with an array's dtype, shape and bytes in C order."""
     root.update(f"{array.dtype.str}{array.shape}".encode())
-    _hash_leaves(root, flat.size, lambda offset, _: flat[offset : offset + LEAF_BYTES])
+    root.update(np.ascontiguousarray(array))
 
 
 def store_path(path) -> Path:
@@ -458,18 +409,22 @@ def store_path(path) -> Path:
 
 
 def store_key(path, outcome_set: OutcomeSet) -> Optional[tuple]:
-    """(digest of the outcome labels, the package's code and the CSV's bytes, hashed by leaves;
-    the CSV's owner; its size and mtime when it was opened). None off POSIX (a store is trusted
-    by owner and mode), or if the CSV or the package's sources (a zip install has none) cannot
-    be read."""
+    """(digest of the outcome labels, the package's code and the CSV's bytes; the CSV's owner;
+    its size and mtime when it was opened). None off POSIX (a store is trusted by owner and
+    mode), if the CSV or the package's sources (a zip install has none) cannot be read, or if
+    the CSV's length changes while it is hashed."""
     if os.name != "posix":
         return None
     try:
         digest = blake2b(_code_digest() + json.dumps(outcome_set.labels).encode())
-        with open(path, "rb") as raw:
-            status = os.fstat(raw.fileno())
-            _hash_leaves(digest, status.st_size, partial(_read_leaf, raw.fileno(), status.st_size))
+        with open(path, "rb", buffering=0) as raw:
+            status, buffer, read = os.fstat(raw.fileno()), memoryview(bytearray(READ_BYTES)), 0
+            while n := raw.readinto(buffer):  # one buffer: RSS does not grow with the file
+                digest.update(buffer[:n])
+                read += n
     except OSError:
+        return None
+    if read != status.st_size:  # it was rewritten while it was hashed
         return None
     return digest.hexdigest(), status.st_uid, (status.st_size, status.st_mtime_ns)
 

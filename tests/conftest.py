@@ -1,10 +1,8 @@
-import threading
 import tracemalloc
 
 import pytest
 
 import sevlogit as sl
-import sevlogit.io
 
 
 @pytest.fixture(scope="session")
@@ -131,17 +129,3 @@ def dark_gap_dataset(dark_gap_model):
     interstate = draw("interstate", sl.IndicatorDist(0.3), 21)
     county = draw("county-road", sl.ConstantDist(0.0), 22)
     return sl.concatenate([interstate, county])
-
-
-@pytest.fixture
-def hashing_threads(monkeypatch):
-    """The threads io's leaf hasher started, in order."""
-    started = []
-
-    class Counted(threading.Thread):
-        def start(self):
-            started.append(self)
-            super().start()
-
-    monkeypatch.setattr(sevlogit.io, "Thread", Counted)
-    return started

@@ -189,6 +189,25 @@ class TestExitCodes:
             "", f"error: {bad}: line 5: byte 0xff is not UTF-8 (invalid start byte)\n"
         )
 
+    @pytest.mark.parametrize("where", ["row", "header"])
+    def test_a_field_over_the_csv_field_limit_is_ingestion_error(self, workdir, where, capsys):
+        bad, out = workdir / "bad.csv", workdir / "out.txt"
+        huge = '"' + "1" * 140_000 + '"'
+        header = "outcome,road_class,location,accident_type,speed_limit,curve"
+        if where == "header":
+            bad.write_text(f"# a comment\n{header.replace('curve', huge)}\n"
+                           "injury,other,other,other,50,0\n")
+        else:
+            bad.write_text(f"{header}\ninjury,other,other,other,50,0\n"
+                           f'"injury",other,other,other,{huge},0\n')
+        argv = ("estimate", "--data", bad, "--model", workdir / "spec.json", "--out", out)
+        assert run(*argv) == 3
+        out_text, err = capsys.readouterr()
+        line = {"header": 2, "row": 3}[where]
+        assert out_text == "" and err.count("\n") == 1
+        assert err.startswith(f"error: {bad}: line {line}: field larger than field limit (")
+        assert not out.exists()
+
     @pytest.mark.parametrize("which", ["data", "model", "summarize-data", "config",
                                        "spec-of-config"])
     def test_an_unreadable_input_exits_2_with_one_line(self, workdir, which, monkeypatch,
@@ -1453,10 +1472,8 @@ class TestFitStore:
 @pytest.mark.parametrize("command", [*TestColumnSidecar.COMMANDS, ("simulate",)],
                          ids=lambda command: command[0])
 def test_no_command_leaves_a_thread_running(tmp_path, speed_model, speed_theta, command,
-                                            hashing_threads, monkeypatch, capsys):
+                                            capsys):
     files = _two_period_files(tmp_path, speed_model, speed_theta)
-    monkeypatch.setattr(sevlogit.io, "LEAF_BYTES", 4096)  # leaves enough for every thread
-    monkeypatch.setattr(sevlogit.io, "_hash_threads", lambda: 4)
     argv = TestColumnSidecar.argv(files, command)
     if command[0] == "simulate":
         config = {
@@ -1475,7 +1492,6 @@ def test_no_command_leaves_a_thread_running(tmp_path, speed_model, speed_theta, 
         assert run(*argv) == 0
         assert threading.active_count() == running
     capsys.readouterr()
-    assert bool(hashing_threads) == (command[0] != "simulate")
 
 
 @pytest.mark.parametrize("umask", [0o022, 0o077])

@@ -4,11 +4,9 @@ import csv
 import json
 import math
 import os
-import sys
-import threading
 import tracemalloc
 from hashlib import blake2b
-from io import StringIO
+from io import FileIO, StringIO
 
 import numpy as np
 import pytest
@@ -761,21 +759,18 @@ class TestGeneratorConfigFile:
         assert str(err.value).startswith(f"{path}: covariate 'x': unknown distribution ['uniform']")
 
 
-class TestLeafHash:
-    """store_key and fit_key hash their input by LEAF_BYTES leaves on up to one thread per
-    usable CPU; a root BLAKE2b then hashes the length and the leaf digests in order."""
+class TestKeyHash:
+    """store_key hashes the code digest, the outcome labels and the CSV's bytes with one BLAKE2b,
+    reading READ_BYTES at a time; fit_key hashes each array's dtype, shape and C-order bytes."""
 
-    LEAF = sevlogit.io.LEAF_BYTES
+    CHUNK = sevlogit.io.READ_BYTES
     LABELS = sl.OutcomeSet()
 
     @classmethod
-    def reference(cls, data: bytes, leaf: int = LEAF) -> str:
-        """The column key's digest of a CSV holding `data`, hashed one leaf after another."""
-        root = blake2b(sevlogit.io._code_digest() + json.dumps(cls.LABELS.labels).encode())
-        root.update(len(data).to_bytes(8, "little"))
-        for offset in range(0, len(data), leaf):
-            root.update(blake2b(data[offset : offset + leaf]).digest())
-        return root.hexdigest()
+    def reference(cls, data: bytes) -> str:
+        """The column key's digest of a CSV holding `data`."""
+        prefix = sevlogit.io._code_digest() + json.dumps(cls.LABELS.labels).encode()
+        return blake2b(prefix + data).hexdigest()
 
     def write(self, tmp_path, size: int) -> tuple:
         data = np.random.default_rng(size).bytes(size)
@@ -783,91 +778,69 @@ class TestLeafHash:
         path.write_bytes(data)
         return path, data
 
-    @pytest.mark.parametrize("size", [0, 1, LEAF - 1, LEAF, LEAF + 1, 5 * LEAF + 777])
-    @pytest.mark.parametrize("threads", [1, 2, 4])
-    def test_the_key_is_the_leaf_tree_whatever_the_thread_count(self, tmp_path, size, threads,
-                                                                 hashing_threads, monkeypatch):
+    @staticmethod
+    def read_through(monkeypatch, readinto) -> None:
+        """Make store_key's reads `readinto(file, buffer)`."""
+
+        class Patched(FileIO):
+            def readinto(self, buffer):
+                return readinto(super(), buffer)
+
+        monkeypatch.setattr(sevlogit.io, "open", lambda path, *_, **__: Patched(path),
+                            raising=False)
+
+    @pytest.mark.parametrize("size", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 5 * CHUNK + 777])
+    def test_the_key_is_one_digest_of_the_code_the_labels_and_the_bytes(self, tmp_path, size):
         path, data = self.write(tmp_path, size)
-        monkeypatch.setattr(sevlogit.io, "_hash_threads", lambda: threads)
         digest, owner, stamp = sevlogit.io.store_key(path, self.LABELS)
         assert digest == self.reference(data)
         assert (owner, stamp) == (os.getuid(), (size, path.stat().st_mtime_ns))
-        leaves = -(-size // self.LEAF)
-        assert len(hashing_threads) == max(min(threads, leaves) - 1, 0)
-
-    def test_more_threads_than_cores_take_each_leaf_once(self, tmp_path, monkeypatch):
-        path, data = self.write(tmp_path, 2000 * 64 + 7)
-        threads = sevlogit.io._hash_threads() + 2
-        monkeypatch.setattr(sevlogit.io, "LEAF_BYTES", 64)  # too small to release the GIL
-        monkeypatch.setattr(sevlogit.io, "_hash_threads", lambda: threads)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            keys = {sevlogit.io.store_key(path, self.LABELS)[0] for _ in range(5)}
-        finally:
-            sys.setswitchinterval(interval)
-        assert keys == {self.reference(data, leaf=64)}
 
     @pytest.mark.parametrize("where", ["first", "middle", "last-partial"])
-    def test_a_one_byte_edit_in_any_leaf_changes_the_key(self, tmp_path, where, monkeypatch):
-        monkeypatch.setattr(sevlogit.io, "_hash_threads", lambda: 4)
-        path, data = self.write(tmp_path, 4 * self.LEAF + 100)
+    def test_a_one_byte_edit_in_any_leaf_changes_the_key(self, tmp_path, where):
+        path, data = self.write(tmp_path, 4 * self.CHUNK + 100)
         before = sevlogit.io.store_key(path, self.LABELS)
-        at = {"first": 0, "middle": 2 * self.LEAF + 5, "last-partial": len(data) - 1}[where]
+        at = {"first": 0, "middle": 2 * self.CHUNK + 5, "last-partial": len(data) - 1}[where]
         path.write_bytes(data[:at] + bytes([data[at] ^ 1]) + data[at + 1 :])
         os.utime(path, ns=(0, before[2][1]))  # same size and mtime: only the bytes differ
         after = sevlogit.io.store_key(path, self.LABELS)
         assert after[0] != before[0] and after[1:] == before[1:]
 
-    @pytest.mark.parametrize("thread", ["worker", "caller"])
-    def test_a_read_error_on_any_thread_is_a_silent_miss(self, tmp_path, thread, monkeypatch):
-        path, _ = self.write(tmp_path, 3 * self.LEAF)
-        monkeypatch.setattr(sevlogit.io, "_hash_threads", lambda: 2)
-        unhandled = []
-        monkeypatch.setattr(threading, "excepthook", unhandled.append)
-        failed, real = threading.Event(), os.preadv
+    def test_a_read_error_is_a_silent_miss(self, tmp_path, monkeypatch):
+        path, _ = self.write(tmp_path, 3 * self.CHUNK)
+        reads = []
 
-        def preadv(fd, buffers, offset):
-            if (threading.current_thread() is threading.main_thread()) == (thread == "caller"):
-                failed.set()
+        def readinto(file, buffer):
+            reads.append(len(buffer))
+            if len(reads) == 2:  # after the first chunk was hashed
                 raise OSError(5, "Input/output error")
-            assert failed.wait(10)  # the other thread takes a leaf and fails first
-            return real(fd, buffers, offset)
+            return file.readinto(buffer)
 
-        monkeypatch.setattr(sevlogit.io.os, "preadv", preadv)
-        running = threading.active_count()
+        self.read_through(monkeypatch, readinto)
         assert sevlogit.io.store_key(path, self.LABELS) is None
-        assert threading.active_count() == running and unhandled == []
+        assert reads == [self.CHUNK] * 2
 
     def test_a_file_that_shrinks_while_it_is_hashed_is_a_silent_miss(self, tmp_path,
                                                                       monkeypatch):
-        path, _ = self.write(tmp_path, 3 * self.LEAF)
-        real = os.preadv
+        path, _ = self.write(tmp_path, 3 * self.CHUNK)
 
-        def preadv(fd, buffers, offset):
-            os.truncate(path, self.LEAF + 1)  # as if rewritten after its size was taken
-            return real(fd, buffers, offset)
+        def readinto(file, buffer):
+            os.truncate(path, self.CHUNK + 1)  # as if rewritten after its size was taken
+            return file.readinto(buffer)
 
-        monkeypatch.setattr(sevlogit.io.os, "preadv", preadv)
+        self.read_through(monkeypatch, readinto)
         assert sevlogit.io.store_key(path, self.LABELS) is None
 
-    def test_a_thread_that_cannot_start_leaves_its_leaves_to_the_others(self, tmp_path,
-                                                                        monkeypatch):
-        path, data = self.write(tmp_path, 3 * self.LEAF)
+    def test_a_fortran_order_array_is_keyed_as_its_c_order_copy(self, speed_model,
+                                                                  speed_dataset):
+        def with_x(x):
+            columns = {**speed_dataset.columns, "X": x}
+            return sl.Dataset.from_columns(speed_dataset.outcome_set, speed_dataset.variable_names,
+                                           columns, speed_dataset.period_labels)
 
-        class Refused(threading.Thread):
-            def start(self):
-                raise RuntimeError("can't start new thread")
-
-        monkeypatch.setattr(sevlogit.io, "_hash_threads", lambda: 4)
-        monkeypatch.setattr(sevlogit.io, "Thread", Refused)
-        assert sevlogit.io.store_key(path, self.LABELS)[0] == self.reference(data)
-
-    def test_arrays_are_hashed_by_the_same_leaves(self, speed_model, speed_dataset,
-                                                  hashing_threads, monkeypatch):
-        keys = set()
-        monkeypatch.setattr(sevlogit.io, "LEAF_BYTES", 4096)  # speed_dataset's X: 16 leaves
-        for threads in (1, 4):
-            monkeypatch.setattr(sevlogit.io, "_hash_threads", lambda: threads)
-            keys.add(sevlogit.io.fit_key(speed_model, speed_dataset, sl.EstimateOptions()))
-        assert len(keys) == 1 and hashing_threads
+        x = speed_dataset.columns["X"]
+        fortran, c_order = with_x(np.asfortranarray(x)), with_x(np.ascontiguousarray(x))
+        assert x.shape[1] > 1 and not fortran.columns["X"].flags.c_contiguous
+        assert c_order.columns["X"].flags.c_contiguous
+        key = lambda dataset: sevlogit.io.fit_key(speed_model, dataset, sl.EstimateOptions())
+        assert key(fortran) == key(c_order)
