@@ -208,6 +208,24 @@ class TestExitCodes:
         assert err.startswith(f"error: {bad}: line {line}: field larger than field limit (")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [("elasticities",), ("split-test", "--by", "road_class"),
+                                         ("partition", "--by", "road_class"), ("temporal-test",),
+                                         ("summarize", "--bins", "35,45,55")],
+                             ids=lambda command: command[0])
+    def test_every_command_names_a_field_over_the_csv_field_limit(self, workdir, command, capsys):
+        bad, out = workdir / "bad.csv", workdir / "out.txt"
+        rows = (workdir / "data.csv").read_text().splitlines(keepends=True)[:5]
+        rows[3] = rows[3].replace(",", ',"' + "1" * 140_000 + '",', 1)  # physical line 4
+        bad.write_text("".join(rows))
+        argv = (*command, "--data", bad, "--out", out)
+        if command[0] != "summarize":
+            argv += ("--model", workdir / "spec.json")
+        assert run(*argv) == 3
+        out_text, err = capsys.readouterr()
+        assert out_text == "" and err.count("\n") == 1
+        assert err.startswith(f"error: {bad}: line 4: field larger than field limit (")
+        assert not out.exists()
+
     @pytest.mark.parametrize("which", ["data", "model", "summarize-data", "config",
                                        "spec-of-config"])
     def test_an_unreadable_input_exits_2_with_one_line(self, workdir, which, monkeypatch,

@@ -255,6 +255,28 @@ class TestIngestCSV:
         assert err.value.lines == (5,)
         assert str(err.value) == f"{path}: line 5: byte 0xe9 is not UTF-8 (invalid continuation byte)"
 
+    @pytest.mark.parametrize("where", ["header", "first-row", "spanning-lines", "later-block"])
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_a_field_over_the_csv_field_limit_names_its_line(self, tmp_path, monkeypatch, where,
+                                                              newline):
+        path, limit = tmp_path / "huge.csv", csv.field_size_limit()
+        lines = ["# seed=7", "outcome,road_class,location,accident_type,period,x",
+                 "injury,other,other,other,2004,1", f'injury,other,other,other,"a{newline}b",2',
+                 "injury,other,other,other,2004,3", "injury,other,other,other,2004,4"]
+        huge = '"' + "1" * (limit + 1) + '"'
+        at, line = {"header": (1, 2), "first-row": (2, 3), "spanning-lines": (3, 4),
+                    "later-block": (5, 7)}[where]  # the row's index, the line it starts on
+        if where == "spanning-lines":  # the row starts on line 4; the limit is passed on line 5
+            lines[at] = f'injury,other,other,other,"a{newline}{huge[1:]},2'
+        else:
+            lines[at] = lines[at].rsplit(",", 1)[0] + "," + huge
+        path.write_text(newline.join(lines) + newline, encoding="utf-8", newline="")
+        monkeypatch.setattr(sl.io, "BLOCK_ROWS", 2)  # lines 3-5 are block 1, lines 6-7 block 2
+        with pytest.raises(sl.IngestionError) as err:
+            ingest_csv(path)
+        assert err.value.lines == (line,)
+        assert str(err.value) == f"{path}: line {line}: field larger than field limit ({limit})"
+
     def test_an_undecodable_line_is_counted_across_reads(self, tmp_path):
         # the file is read in 1 MiB pieces: one CRLF straddles the first two, and the bad byte
         # is the first of an incomplete sequence that ends the file
@@ -830,6 +852,47 @@ class TestKeyHash:
 
         self.read_through(monkeypatch, readinto)
         assert sevlogit.io.store_key(path, self.LABELS) is None
+
+    def test_a_file_that_grows_while_it_is_hashed_is_a_silent_miss(self, tmp_path, monkeypatch):
+        path, _ = self.write(tmp_path, 3 * self.CHUNK)
+        reads = []
+
+        def readinto(file, buffer):
+            if not reads:  # as if appended to once after its size was taken
+                with open(path, "ab") as handle:
+                    handle.write(b"\n")
+            reads.append(len(buffer))
+            return file.readinto(buffer)
+
+        self.read_through(monkeypatch, readinto)
+        assert sevlogit.io.store_key(path, self.LABELS) is None
+
+    def test_the_bytes_are_read_through_one_buffer_whatever_the_size(self, tmp_path):
+        path, data = self.write(tmp_path, 8 * self.CHUNK + 3)
+        sevlogit.io.store_key(path, self.LABELS)  # the code digest is taken once per process
+        tracemalloc.start()
+        try:
+            digest = sevlogit.io.store_key(path, self.LABELS)[0]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert digest == self.reference(data)
+        assert peak < 2 * self.CHUNK, f"peak {peak / self.CHUNK:.1f} read buffers"
+
+    @pytest.mark.parametrize("name", ["X", "y", "w"])
+    def test_a_strided_array_is_keyed_as_its_copy(self, speed_model, speed_dataset, name):
+        def with_column(array):
+            columns = {**speed_dataset.columns, name: array}
+            return sl.Dataset.from_columns(speed_dataset.outcome_set, speed_dataset.variable_names,
+                                           columns, speed_dataset.period_labels)
+
+        column = speed_dataset.columns[name]
+        strided = with_column(np.repeat(column, 2, axis=0)[::2])  # every other row of a copy
+        copied = with_column(column.copy())
+        assert not strided.columns[name].flags.c_contiguous
+        assert np.array_equal(strided.columns[name], copied.columns[name])
+        key = lambda dataset: sevlogit.io.fit_key(speed_model, dataset, sl.EstimateOptions())
+        assert key(strided) == key(copied)
 
     def test_a_fortran_order_array_is_keyed_as_its_c_order_copy(self, speed_model,
                                                                   speed_dataset):
