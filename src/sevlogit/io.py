@@ -56,14 +56,14 @@ LISTED_PROBLEMS = 100  # problems an ingest error spells out; the rest are count
 def ingest_csv(path, outcome_set: Optional[OutcomeSet] = None) -> Dataset:
     """Read an accident CSV into a Dataset, reporting every malformed line at once.
 
-    Rows are tokenised (by str methods if no '"' follows the header, else by csv.reader),
-    converted and checked in one pass, BLOCK_ROWS at a time and a whole column at once:
-    an unknown label codes -1 and a number that does not parse reads nan, so every bad
-    cell is named from those masks, with the physical line its row starts on. The error's
-    message spells out the first LISTED_PROBLEMS problems in line order and counts the
-    rest; its `lines` holds the line of every problem. A file that is not UTF-8 is an
-    IngestionError at the line of its first undecodable byte; one that cannot be read is a
-    ConfigError. Every error names the file.
+    Rows are tokenised (by str methods, by csv.reader from the first block that holds a '"'),
+    converted and checked in one pass, BLOCK_ROWS at a time and a whole column at once: an
+    unknown label codes -1 and a number that does not parse reads nan, so every bad cell is
+    named from those masks, with the physical line its row starts on. The error's message
+    spells out the first LISTED_PROBLEMS problems in line order and counts the rest; its
+    `lines` holds the line of every problem. A file that is not UTF-8 is an IngestionError
+    at the line of its first undecodable byte; one that cannot be read is a ConfigError.
+    Every error names the file.
     """
     path = Path(path)
     with _reading(path):
@@ -91,7 +91,8 @@ def _reading(source, error: type = ConfigError):
 
 
 def _ingest(path: Path, outcome_set: OutcomeSet) -> Dataset:
-    with path.open(newline="", encoding="utf-8-sig") as handle:
+    # universal newlines: CRLF and a lone CR each end one line, as csv.reader counts them
+    with path.open(encoding="utf-8-sig") as handle:
         head = [handle.readline()]  # comment lines, then the header
         while head[-1].startswith("#"):
             head.append(handle.readline())
@@ -111,12 +112,8 @@ def _ingest(path: Path, outcome_set: OutcomeSet) -> Dataset:
             raise SchemaError(f"column {CONSTANT!r} is reserved for the model's intercept")
         covariate_names = tuple(name for name in header if name not in RESERVED_NAMES)
 
-        if _quote_bytes(path) == "".join(head).count('"'):
-            tokenised = _split_blocks(path, first, len(header))
-        else:
-            tokenised = _csv_blocks(handle, first, len(header))
         blocks, periods, listed, bad_lines = [], [], [], []
-        for block in tokenised:
+        for block in _split_blocks(handle, path, first, len(header)):
             problems = []
             blocks.append(
                 _convert_block(*block, header, covariate_names, outcome_set, periods, problems)
@@ -154,51 +151,50 @@ def _decode_error(path) -> IngestionError:
     return IngestionError("not UTF-8 text")  # it changed since it was read
 
 
-def _quote_bytes(path) -> int:
-    """Number of '"' bytes in a file, read in binary chunks ('"' is one byte in UTF-8)."""
-    with open(path, "rb") as raw:
-        return sum(chunk.count(b'"') for chunk in iter(partial(raw.read, 1 << 20), b""))
-
-
-def _split_blocks(path, first: int, width: int):
-    """Blocks of a quote-free file, split with str methods: no Python object per row."""
-    # universal newlines: CRLF and a lone CR each end one line, as csv.reader counts them
-    with path.open(encoding="utf-8-sig") as handle:
-        lines = islice(handle, first - 1, None)
-        while True:
-            block = list(islice(lines, BLOCK_ROWS))
-            if block and not block[-1].endswith("\n"):
-                block[-1] += "\n"
-            counts = 1 + np.fromiter(map(str.count, block, repeat(",")), np.int64, len(block))
-            blank = counts == np.fromiter(map(len, block), np.int64, len(block))  # commas only
-            flat = "".join(compress(block, ~blank & (counts == width))).replace("\n", ",").split(",")
-            flat.pop()  # the empty cell after the last newline
-            columns, n = [flat[j::width] for j in range(width)], len(block)
-            del block, flat  # only the columns' cells stay alive while the block is converted
-            yield range(first, first + n), blank, counts, columns
-            first += n
-            if n < BLOCK_ROWS:
-                return
-
-
-def _csv_blocks(handle, first: int, width: int):
-    """Blocks of csv.reader rows; a row the reader refuses is an error at the line it starts on."""
-    reader, line = csv.reader(handle), first
+def _split_blocks(handle, path: Path, first: int, width: int):
+    """Blocks of the rows left in `handle`, split with str methods (no Python object per row)
+    up to the first block that holds a '"'; csv.reader tokenises that block and the rest."""
     while True:
-        rows, starts = [], []
-        try:
-            for row in islice(reader, BLOCK_ROWS):
-                rows.append(row)
-                starts.append(line)
-                line = first + reader.line_num  # a quoted field may span lines
-        except csv.Error as exc:  # such as a field over csv.field_size_limit()
-            raise IngestionError(f"line {line}: {exc}", lines=[line]) from None
-        counts = np.fromiter(map(len, rows), np.int64, len(rows))
-        blank = ~np.fromiter(map(any, rows), bool, len(rows))
-        columns = list(zip(*compress(rows, ~blank & (counts == width)))) or [()] * width
-        yield starts, blank, counts, columns
-        if len(rows) < BLOCK_ROWS:
+        block = list(islice(handle, BLOCK_ROWS))
+        if '"' in "".join(block):  # the rows before it were one line each: a row starts here
+            del block
+            yield from _csv_blocks(path, first, width)
             return
+        if block and not block[-1].endswith("\n"):
+            block[-1] += "\n"
+        counts = 1 + np.fromiter(map(str.count, block, repeat(",")), np.int64, len(block))
+        blank = counts == np.fromiter(map(len, block), np.int64, len(block))  # commas only
+        flat = "".join(compress(block, ~blank & (counts == width))).replace("\n", ",").split(",")
+        flat.pop()  # the empty cell after the last newline
+        columns, n = [flat[j::width] for j in range(width)], len(block)
+        del block, flat  # only the columns' cells stay alive while the block is converted
+        yield range(first, first + n), blank, counts, columns
+        first += n
+        if n < BLOCK_ROWS:
+            return
+
+
+def _csv_blocks(path: Path, first: int, width: int):
+    """Blocks of csv.reader rows from physical line `first` on; a row the reader refuses is an
+    error at the line it starts on."""
+    # newline="": a line end inside a quoted field reaches csv.reader as the file holds it
+    with path.open(newline="", encoding="utf-8-sig") as handle:
+        reader, line = csv.reader(islice(handle, first - 1, None)), first
+        while True:
+            rows, starts = [], []
+            try:
+                for row in islice(reader, BLOCK_ROWS):
+                    rows.append(row)
+                    starts.append(line)
+                    line = first + reader.line_num  # a quoted field may span lines
+            except csv.Error as exc:  # such as a field over csv.field_size_limit()
+                raise IngestionError(f"line {line}: {exc}", lines=[line]) from None
+            counts = np.fromiter(map(len, rows), np.int64, len(rows))
+            blank = ~np.fromiter(map(any, rows), bool, len(rows))
+            columns = list(zip(*compress(rows, ~blank & (counts == width)))) or [()] * width
+            yield starts, blank, counts, columns
+            if len(rows) < BLOCK_ROWS:
+                return
 
 
 def _codes(cells, labels) -> np.ndarray:
@@ -561,6 +557,8 @@ def model_spec_from_dict(doc: dict) -> ModelSpec:
         raise ModelSpecError("expected an object with 'outcomes' and 'terms'")
     if not isinstance(doc["outcomes"], list):
         raise ModelSpecError("'outcomes' must be a list of labels, base first")
+    if not isinstance(doc["terms"], list):
+        raise ModelSpecError("'terms' must be a list of term objects")
     try:
         outcome_set = OutcomeSet(doc["outcomes"])
     except ValueError as exc:

@@ -38,6 +38,9 @@ class TermSpec:
             raise ModelSpecError(
                 f"term {self.variable!r}: outcomes must be integer indices, got {tuple(self.outcomes)}"
             )
+        if min(outcomes, default=0) < 0:
+            raise ModelSpecError(f"term {self.variable!r}: outcome indices must be >= 0, "
+                                 f"got {tuple(self.outcomes)}")
         object.__setattr__(self, "outcomes", tuple(sorted(set(outcomes))))
         if not isinstance(self.shared, bool):
             raise ModelSpecError(

@@ -8,6 +8,7 @@ over the probability vector in outcome-index order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Union
 
@@ -40,6 +41,8 @@ class UniformDist:
         object.__setattr__(self, "high", checked_real("'high'", self.high, ConfigError))
         if not self.low < self.high:
             raise ConfigError(f"uniform bounds must satisfy low < high, got ({self.low}, {self.high})")
+        if not math.isfinite(self.high - self.low):  # numpy's draw needs a finite range
+            raise ConfigError(f"uniform range high - low must be finite, got ({self.low}, {self.high})")
 
 
 @dataclass(frozen=True)

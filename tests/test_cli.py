@@ -308,10 +308,13 @@ class TestExitCodes:
           "{path}: segment 0: theta: expected 1 parameter values, got shape (2,) "
           "(slot order ['constant:b'])"),
          ({"model": {"outcomes": ["a", "b"], "terms": []}},
-          "{path}#model: model spec needs at least one term")],
+          "{path}#model: model spec needs at least one term"),
+         ({"covariates": {"x": {"dist": "uniform", "low": -1e308, "high": 1e308}}},
+          "{path}: covariate 'x': uniform range high - low must be finite, got (-1e+308, 1e+308)")],
         ids=["not-an-object", "model-of-another-type", "no-theta", "no-n", "no-covariates",
              "no-dist", "no-parameter", "theta-length", "no-distribution-for-a-variable",
-             "n-zero", "segment-weights", "segment-theta-length", "inline-spec-without-terms"],
+             "n-zero", "segment-weights", "segment-theta-length", "inline-spec-without-terms",
+             "uniform-range-overflows"],
     )
     def test_a_bad_generator_config_exits_2(self, tmp_path, doc, problem, capsys):
         gen, out = tmp_path / "gen.json", tmp_path / "sim.csv"
@@ -331,14 +334,20 @@ class TestExitCodes:
          ([{"variable": "x", "outcomes": [1]}, {"variable": "x", "outcomes": ["b"]}],
           "{path}: duplicate (variable, outcome) pair: 'x' on outcome 1"),
          ([{"variable": "x", "outcomes": [5]}],
-          "{path}: term 'x' references outcome 5, but the outcome set has only 2 outcomes")],
-        ids=["term-without-outcomes", "no-terms", "duplicate-pair", "outcome-out-of-range"],
+          "{path}: term 'x' references outcome 5, but the outcome set has only 2 outcomes"),
+         ([{"variable": "x", "outcomes": [-1]}],
+          "{path}: term 0: term 'x': outcome indices must be >= 0, got (-1,)"),
+         (5, "{path}: 'terms' must be a list of term objects"),
+         (None, "{path}: 'terms' must be a list of term objects")],
+        ids=["term-without-outcomes", "no-terms", "duplicate-pair", "outcome-out-of-range",
+             "negative-outcome", "terms-a-number", "terms-null"],
     )
     def test_a_bad_model_spec_exits_2(self, workdir, terms, problem, capsys):
-        spec = workdir / "bad.json"
+        spec, out = workdir / "bad.json", workdir / "out.txt"
         spec.write_text(json.dumps({"outcomes": ["a", "b"], "terms": terms}))
-        assert run("estimate", "--data", workdir / "data.csv", "--model", spec) == 2
+        assert run("estimate", "--data", workdir / "data.csv", "--model", spec, "--out", out) == 2
         assert capsys.readouterr() == ("", f"error: {problem.format(path=spec)}\n")
+        assert not out.exists()
 
     def test_iteration_cap_is_nonconvergence(self, workdir):
         code = run(

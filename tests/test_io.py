@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import os
+import sys
 import tracemalloc
 from hashlib import blake2b
 from io import FileIO, StringIO
@@ -35,6 +36,19 @@ def csv_fixture(tmp_path):
         encoding="utf-8",
     )
     return path
+
+
+def csv_reader_only(handle, path, first, width):
+    """io._split_blocks as if the first block held a '"': csv.reader tokenises every row."""
+    return sl.io._csv_blocks(path, first, width)
+
+
+def ingest_outcome(path):
+    """The dataset of a clean CSV, else its IngestionError's message and lines."""
+    try:
+        return ingest_csv(path)
+    except sl.IngestionError as err:
+        return str(err), err.lines
 
 
 class TestIngestCSV:
@@ -249,7 +263,10 @@ class TestIngestCSV:
         path.write_bytes(data.replace(b",3", b",\xe9", 1))  # line 5 holds a Latin-1 é
         monkeypatch.setattr(sl.io, "BLOCK_ROWS", 2)
         # each file must take its own tokeniser
-        monkeypatch.setattr(sl.io, "_split_blocks" if quoted else "_csv_blocks", None)
+        if quoted:
+            monkeypatch.setattr(sl.io, "_split_blocks", csv_reader_only)
+        else:
+            monkeypatch.setattr(sl.io, "_csv_blocks", None)
         with pytest.raises(sl.IngestionError) as err:
             sl.ingest_csv(path)
         assert err.value.lines == (5,)
@@ -326,6 +343,29 @@ class TestIngestCSV:
         ]
         assert blocked.weights.tolist() == [1.0, 2.0, 1.0, 1.0, 0.5, 1.0]
 
+    @pytest.mark.parametrize("quoted, opens", [(False, 1), (True, 2)], ids=["quote-free", "quoted"])
+    def test_the_csv_is_opened_once_and_again_only_for_csv_reader(self, tmp_path, monkeypatch,
+                                                                   quoted, opens):
+        path = tmp_path / "data.csv"
+        rows = [f"injury,other,other,other,{i}" for i in range(7)]
+        if quoted:
+            rows[5] = 'injury,other,other,"other",5'  # in the second block
+        path.write_text("outcome,road_class,location,accident_type,x\n" + "\n".join(rows) + "\n")
+        monkeypatch.setattr(sl.io, "BLOCK_ROWS", 3)
+        opened = []
+
+        def record(event, args):  # an audit hook stays for the process: it records until None
+            if event == "open" and opened is not None:
+                opened.append(str(args[0]))
+
+        sys.addaudithook(record)
+        try:
+            ds = ingest_csv(path)
+        finally:
+            recorded, opened = opened, None
+        assert ds.n_obs == 7
+        assert recorded.count(str(path)) == opens
+
     def test_custom_outcome_set(self, tmp_path):
         path = tmp_path / "two.csv"
         path.write_text(
@@ -379,26 +419,61 @@ class TestTokeniserEquivalence:
         text = newline.join(lines + rows) + (newline if final else "")
         path.write_bytes(text.encode("utf-8"))
         monkeypatch.setattr(sl.io, "BLOCK_ROWS", 3)
-
-        def outcome():
-            try:
-                return ingest_csv(path)
-            except sl.IngestionError as err:
-                return str(err), err.lines
-
         with monkeypatch.context() as patched:
             patched.setattr(sl.io, "_csv_blocks", None)  # the split path must not need it
-            split = outcome()
+            split = ingest_outcome(path)
         with monkeypatch.context() as patched:
-            patched.setattr(sl.io, "_split_blocks", None)
-            patched.setattr(sl.io, "_quote_bytes", lambda path: -1)  # as if the data held a quote
-            oracle = outcome()
+            patched.setattr(sl.io, "_split_blocks", csv_reader_only)
+            oracle = ingest_outcome(path)
         assert split == oracle
         if rows is CLEAN_ROWS:
             assert split.n_obs == len(GOOD_ROWS)
             assert all(split.columns[k].dtype == oracle.columns[k].dtype for k in split.columns)
         else:
             assert len(split[1]) == 10
+
+    @pytest.mark.parametrize("bad", [False, True], ids=["clean", "bad"])
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_csv_reader_takes_over_at_the_first_block_that_holds_a_quote(
+        self, tmp_path, monkeypatch, bad, newline
+    ):
+        rows = [  # BLOCK_ROWS = 3: blocks 1 and 2 are quote-free; block 3 starts on line 9
+            GOOD_ROWS[0], "", GOOD_ROWS[1],
+            ",,,,,,", GOOD_ROWS[2], GOOD_ROWS[3],
+            # a label that spans three lines: a bare CR, then the file's own line end
+            GOOD_ROWS[4], f'fatality,other,other,other,"a\rb{newline}c",,2', ",",
+            '"injury",other,other,other,2004,,3', "", GOOD_ROWS[0],
+        ]
+        if bad:
+            rows[0] = "Injury,other,other,other,2004,,1"  # line 3: before the quote
+            rows[5] = "injury,other,other,other,2004,1"  # line 8: ragged, the block before it
+            rows[6] = "injury,freeway,other,other,2004,,x5"  # line 9: in the quote's block
+            rows[9] = '"injury",other,other,other,2004,,3,4'  # line 14: ragged, after it
+            rows[11] = "injury,other,other,other,2004,inf,"  # line 16
+        lines = ['# note "quoted"', "outcome,road_class,location,accident_type,period,weight,x"]
+        path = tmp_path / "late.csv"
+        path.write_text(newline.join(lines + rows) + newline, encoding="utf-8", newline="")
+        monkeypatch.setattr(sl.io, "BLOCK_ROWS", 3)
+        real, handed_over = sl.io._csv_blocks, []
+
+        def csv_blocks(path, first, width):
+            handed_over.append(first)
+            return real(path, first, width)
+
+        with monkeypatch.context() as patched:
+            patched.setattr(sl.io, "_csv_blocks", csv_blocks)
+            mixed = ingest_outcome(path)
+        with monkeypatch.context() as patched:
+            patched.setattr(sl.io, "_split_blocks", csv_reader_only)
+            oracle = ingest_outcome(path)
+        assert handed_over == [9]  # the str split took blocks 1 and 2
+        assert mixed == oracle
+        if bad:
+            assert mixed[1] == (3, 8, 9, 9, 14, 16, 16)
+        else:
+            assert mixed.n_obs == 8
+            assert mixed.period_labels == ("2001", "2004", "2006", f"a\rb{newline}c")
+            assert all(mixed.columns[k].dtype == oracle.columns[k].dtype for k in mixed.columns)
 
 
 class TestWriteCSV:

@@ -1,5 +1,7 @@
 """Term specs, parameter layout, and utility evaluation."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,13 @@ class TestTermSpec:
     def test_outcome_indices_must_be_integers(self, outcome):
         with pytest.raises(sl.ModelSpecError, match="'x': outcomes must be integer indices"):
             sl.TermSpec("x", (outcome, 2))
+
+    @pytest.mark.parametrize("outcomes", [(-1,), (2, -3)])
+    def test_outcome_indices_must_not_be_negative(self, outcomes):
+        # -1 would otherwise name the slot of the last outcome and index numpy arrays from the end
+        with pytest.raises(sl.ModelSpecError, match=r"^term 'x': outcome indices must be >= 0, "
+                                                    rf"got {re.escape(str(outcomes))}$"):
+            sl.TermSpec("x", outcomes)
 
     def test_integral_outcome_indices_become_ints(self):
         term = sl.TermSpec("x", (2.0, np.int64(1)))

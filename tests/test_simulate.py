@@ -128,6 +128,14 @@ class TestGeneratorConfigValidation:
         with pytest.raises(sl.ConfigError):
             sl.UniformDist(5, 5)
 
+    def test_a_uniform_range_that_overflows_is_refused(self, constants_model):
+        with pytest.raises(sl.ConfigError, match=r"^uniform range high - low must be finite, "
+                                                 r"got \(-1e\+308, 1e\+308\)$"):
+            sl.UniformDist(-1e308, 1e308)
+        widest = {"x": sl.UniformDist(-8e307, 8e307)}  # high - low is 1.6e308: finite
+        ds = sl.simulate(sl.GeneratorConfig(constants_model, np.zeros(2), 50, widest, seed=1))
+        assert np.all(np.abs(ds.columns["X"]) <= 8e307)
+
     def test_bad_categorical(self):
         with pytest.raises(sl.ConfigError):
             sl.CategoricalDist((1.0, 2.0), (0.6, 0.6))
