@@ -1,8 +1,10 @@
 """Maximum-likelihood estimation of one MNL model on one dataset.
 
-Newton iterations on the exact Hessian with step-halving, starting from
-theta = 0 (the objective is globally concave, so the start only affects the
-iteration count). Every iterate's information matrix is checked for
+Newton iterations on the exact Hessian with step-halving, starting from the
+closed-form constants-only optimum, every other slot 0 (the objective is
+globally concave, so the start only affects the iteration count; Train,
+*Discrete Choice Methods with Simulation*, 2nd ed., 2009, ch. 8). Every
+iterate's information matrix, the start's included, is checked for
 singularity before a step is taken from it. Covariance comes from the
 observed information (inverse negative Hessian) at the optimum.
 """
@@ -22,7 +24,7 @@ from .errors import (
     NumericError,
     UndefinedStatisticError,
 )
-from .modelspec import ModelSpec, ParameterVector, bind_design
+from .modelspec import CONSTANT, ModelSpec, ParameterLayout, ParameterVector, bind_design
 from .likelihood import _data_inputs
 
 
@@ -86,6 +88,23 @@ def null_log_likelihood(dataset: Dataset) -> float:
     return sum(w_i * math.log(w_i / total) for w_i in by_outcome if w_i > 0.0)
 
 
+def _start(layout: ParameterLayout, by_outcome: list[float]) -> np.ndarray:
+    """The constants-only MLE, every other slot 0: outcomes sharing a constant slot form one
+    group, those with none (the base among them) the reference, and each constant is ln of
+    its group's mean weight over the reference's. Zeros without a constant or with a group
+    of no weight."""
+    groups: dict[int | None, list[float]] = {}
+    for out, weight in enumerate(by_outcome):
+        groups.setdefault(layout.slot_of.get((CONSTANT, out)), []).append(weight)
+    means = {slot: sum(weights) / len(weights) for slot, weights in groups.items()}
+    theta = np.zeros(layout.n_params)
+    if len(means) > 1 and min(means.values()) > 0.0:  # None, the reference, holds the base
+        for slot, mean in means.items():
+            if slot is not None:
+                theta[slot] = math.log(mean / means[None])
+    return theta
+
+
 def _deficient_slots(eigvals: np.ndarray, eigvecs: np.ndarray) -> list[int]:
     """Slots loading on the eigenvectors of -Hessian at or below the condition cutoff."""
     cutoff = max(eigvals.max(), 0.0) / CONDITION_LIMIT
@@ -113,7 +132,7 @@ def estimate(
         singular past the condition limit; raised at that iterate, before a
         step is taken from it. The exception names the offending slots.
     NumericError
-        The log-likelihood at theta = 0 is not finite.
+        The log-likelihood at the start is not finite.
     ValueError
         The dataset is empty.
     """
@@ -126,12 +145,12 @@ def estimate(
     n_params = layout.n_params
     inputs = _data_inputs(dataset)
 
-    counts = dataset.outcome_counts()
+    by_outcome = np.bincount(inputs[1], weights=inputs[2], minlength=design.n_outcomes).tolist()
     diagnostics = [
         f"outcome {model.outcome_set.labels[out]!r} appears in the model "
         "but never in the data; its coefficients are not identified"
         for out in sorted({int(o) for o in design.entry_outcome})
-        if counts[out] == 0
+        if by_outcome[out] == 0.0
     ]
     max_floored = 0
     scratch = _kernels.Scratch(design, inputs[0])  # every pass of this fit reuses it
@@ -142,11 +161,12 @@ def estimate(
         max_floored = max(max_floored, n_floored)
         return ll, grad, hess
 
-    theta = np.zeros(n_params)
+    # at theta = 0 every probability is 1/J, so that LL needs no pass
+    ll_zero = -float(dataset.weights.sum()) * math.log(design.n_outcomes)
+    theta = _start(layout, by_outcome)
     ll, grad, hess = evaluate(theta)
     if not math.isfinite(ll):
         raise NumericError("log-likelihood is not finite")
-    ll_zero = ll
     ll_stalls = 0  # consecutive sub-threshold LL gains
     iterations = 0
     failure = None  # why the loop stopped short of an optimum

@@ -103,6 +103,9 @@ def _ingest(path: Path, outcome_set: OutcomeSet) -> Dataset:
             header = next(csv.reader([line]))
         except csv.Error as exc:
             raise SchemaError(f"line {len(head)}: {exc}", lines=[len(head)]) from None
+        if any("\n" in name for name in header):  # a quoted name ran past the header's line
+            raise SchemaError(f"line {len(head)}: a column name holds a line break",
+                              lines=[len(head)])
         missing = [c for c in REQUIRED_COLUMNS if c not in header]
         if missing:
             raise SchemaError(f"missing required column(s) {missing}")

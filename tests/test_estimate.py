@@ -1,5 +1,6 @@
 """Maximum-likelihood estimation: identities, equivariance, error paths."""
 
+import functools
 import math
 
 import numpy as np
@@ -8,7 +9,8 @@ import pytest
 import sevlogit as sl
 from sevlogit import _kernels
 from sevlogit.estimate import EstimateOptions, null_log_likelihood
-from sevlogit.likelihood import gradient_hessian
+from sevlogit.likelihood import _data_inputs, gradient_hessian
+from sevlogit.modelspec import bind_design
 
 from conftest import dataset_from_outcomes
 
@@ -119,12 +121,14 @@ class TestEstimate:
         expected_t = result.theta_hat.values / np.sqrt(np.diag(result.covariance))
         assert np.allclose(result.t_ratios, expected_t, atol=0)
 
-    def test_missing_outcome_warns(self, three_outcomes):
+    def test_missing_outcome_warns(self, three_outcomes, monkeypatch):
         ds = dataset_from_outcomes([0, 1, 0, 1, 0, 1] * 20)  # fatality never occurs
         model = sl.ModelSpec(three_outcomes, (sl.TermSpec("constant", (1, 2)),))
+        thetas = _record_thetas(monkeypatch)
         result = sl.estimate(model, ds)
         assert any("never in the data" in d for d in result.diagnostics)
         assert any("'fatality'" in d for d in result.diagnostics)
+        assert np.array_equal(thetas[0], np.zeros(2))  # a group of no weight: no closed form
 
     def test_empty_dataset_rejected(self, constants_model):
         ds = sl.Dataset(sl.OutcomeSet(), (), ())
@@ -145,9 +149,10 @@ class TestEstimate:
             EstimateOptions(**{field: value})
         EstimateOptions(max_iterations=1)  # the edge is valid
 
-    def test_iteration_cap_raises_with_last_iterate(self, constants_model, share_dataset):
+    def test_iteration_cap_raises_with_last_iterate(self, speed_model, speed_dataset):
+        # a constants-only model starts at its optimum, so the cap needs slopes to fit
         with pytest.raises(sl.NonConvergenceError) as err:
-            sl.estimate(constants_model, share_dataset, EstimateOptions(max_iterations=1))
+            sl.estimate(speed_model, speed_dataset, EstimateOptions(max_iterations=1))
         partial = err.value.last_result
         assert partial is not None
         assert not partial.converged
@@ -167,6 +172,19 @@ def _count_full_passes(monkeypatch):
 
     monkeypatch.setattr(_kernels, "loglik_grad_hess", counted)
     return calls
+
+
+def _record_thetas(monkeypatch):
+    """Record a copy of the theta of each full kernel pass, in order."""
+    thetas = []
+    real = _kernels.loglik_grad_hess
+
+    def recorded(*args):
+        thetas.append(args[4].copy())
+        return real(*args)
+
+    monkeypatch.setattr(_kernels, "loglik_grad_hess", recorded)
+    return thetas
 
 
 class TestNewtonLoop:
@@ -208,7 +226,7 @@ class TestNewtonLoop:
         def first_trial_nan(*args):
             calls[0] += 1
             ll, grad, hess, n_floored = real(*args)
-            if calls[0] == 2:  # pass 1 is theta = 0, pass 2 the first full Newton step
+            if calls[0] == 2:  # pass 1 is the start, pass 2 the first full Newton step
                 ll = math.nan
             return ll, grad, hess, n_floored
 
@@ -243,11 +261,18 @@ class TestNewtonLoop:
         with pytest.raises(sl.NonConvergenceError) as err:
             sl.estimate(speed_model, speed_dataset)
         assert str(err.value).startswith("line search stalled after 30 halvings (gradient max-norm")
-        assert calls[0] == 1 + 1 + 30  # theta = 0, the full step, then every halving
+        assert calls[0] == 1 + 1 + 30  # the start, the full step, then every halving
         partial = err.value.last_result
         assert not partial.converged
         assert partial.iterations == 1
-        assert np.array_equal(partial.theta_hat.values, np.zeros(partial.n_params))
+        # the last iterate is the start: each constant at its outcome's log-odds on the base
+        counts = speed_dataset.outcome_counts()
+        start = np.zeros(partial.n_params)
+        for outcome in (1, 2):
+            start[partial.theta_hat.layout.slot_index("constant", outcome)] = math.log(
+                counts[outcome] / counts[0]
+            )
+        assert np.array_equal(partial.theta_hat.values, start)
         assert np.isnan(partial.covariance).all()
         assert np.isnan(partial.t_ratios).all()
 
@@ -263,6 +288,102 @@ class TestNewtonLoop:
             sl.estimate(speed_model, speed_dataset)
 
 
+def _weighted(outcome_set, weights_by_outcome):
+    """A dataset of no covariates: one row per weight, listed by outcome."""
+    obs = tuple(
+        sl.Observation({}, out, weight=w)
+        for out, weights in enumerate(weights_by_outcome)
+        for w in weights
+    )
+    return sl.Dataset(outcome_set, obs, ())
+
+
+def _calib_model():
+    """Criterion 06's six-slot model, its generating theta and its covariates."""
+    model = sl.ModelSpec(
+        sl.OutcomeSet(),
+        (
+            sl.TermSpec("constant", (1, 2)),
+            sl.TermSpec("speed_limit", (1, 2), shared=True),
+            sl.TermSpec("curve", (1, 2)),
+            sl.TermSpec("dark", (2,)),
+        ),
+    )
+    theta = sl.ParameterVector.from_dict(
+        sl.build_layout(model),
+        {
+            "constant:injury": -2.0,
+            "constant:fatality": -4.5,
+            "speed_limit:injury+fatality": 0.025,
+            "curve:injury": 0.35,
+            "curve:fatality": 0.6,
+            "dark:fatality": 0.8,
+        },
+    )
+    covariates = {
+        "speed_limit": sl.UniformDist(25, 70),
+        "curve": sl.IndicatorDist(0.3),
+        "dark": sl.IndicatorDist(0.25),
+    }
+    return model, theta, covariates
+
+
+class TestStart:
+    def test_constants_only_converges_at_the_start(self, constants_model, monkeypatch):
+        ds = _weighted(constants_model.outcome_set, [[2.5, 1.0] * 300, [0.5, 3.0] * 40, [1.75] * 9])
+        thetas = _record_thetas(monkeypatch)
+        result = sl.estimate(constants_model, ds, TIGHT)
+        assert result.converged
+        assert result.iterations == 0
+        assert len(thetas) == 1  # one full pass: the start is the optimum
+        by_outcome = np.bincount(ds.outcome_indices, weights=ds.weights)
+        assert np.allclose(
+            result.theta_hat.values, np.log(by_outcome[1:] / by_outcome[0]), rtol=1e-15, atol=0
+        )
+        assert result.ll_converged == pytest.approx(null_log_likelihood(ds), rel=1e-12)
+
+    def test_a_shared_constant_starts_at_the_grouped_closed_form(self, monkeypatch):
+        # outcomes 1 and 2 share a constant, 3 has its own, 0 and 4 have none: the reference
+        outs = sl.OutcomeSet(("none", "minor", "moderate", "serious", "other"))
+        ds = _weighted(outs, [[1.0] * 50, [2.0] * 10, [0.5] * 30, [1.5] * 7, [1.0] * 20])
+        model = sl.ModelSpec(
+            outs, (sl.TermSpec("constant", (1, 2), shared=True), sl.TermSpec("constant", (3,)))
+        )
+        layout = sl.build_layout(model)
+        mean_ref = (50.0 + 20.0) / 2
+        expected = np.zeros(layout.n_params)
+        expected[layout.slot_index("constant", 1)] = math.log((20.0 + 15.0) / 2 / mean_ref)
+        expected[layout.slot_index("constant", 3)] = math.log(10.5 / mean_ref)
+        thetas = _record_thetas(monkeypatch)
+        result = sl.estimate(model, ds, TIGHT)
+        assert np.allclose(thetas[0], expected, rtol=1e-15, atol=0)
+        assert result.iterations == 0  # the grouped closed form is this model's optimum
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_ll_zero_is_the_likelihood_at_zero(self, speed_model, speed_dataset, weighted):
+        ds = speed_dataset
+        if weighted:
+            rows = [sl.Observation(o.covariates, o.outcome, weight=1.0 + (i % 7) / 3)
+                    for i, o in enumerate(ds.observations)]
+            ds = sl.Dataset(ds.outcome_set, tuple(rows), ds.variable_names)
+        design = bind_design(speed_model, ds.variable_names)
+        at_zero, _ = _kernels.loglik(*_data_inputs(ds), design, np.zeros(design.n_params))
+        result = sl.estimate(speed_model, ds)
+        assert result.ll_zero == pytest.approx(at_zero, rel=1e-12)
+
+
+def test_full_passes_over_a_criterion_06_seed_block(monkeypatch):
+    # 16 fits of 2,500 rows took 116 full passes from theta = 0 and take 89 from the
+    # constants-only start; the bound between the two catches a return to the old start
+    model, theta, covariates = _calib_model()
+    full_passes = _count_full_passes(monkeypatch)
+    for seed in range(1000, 1016):
+        data = sl.simulate(sl.GeneratorConfig(model, theta, 2500, covariates, seed=seed))
+        assert sl.estimate(model, data).converged
+    assert full_passes[0] <= 102
+
+
+@functools.cache
 def separable_dataset(n):
     """Fatality occurs exactly when the indicator is on: a perfectly separated pattern."""
     outs = sl.OutcomeSet()
@@ -278,7 +399,7 @@ def separable_dataset(n):
 class TestNonIdentification:
     def test_collinear_covariates_raise_with_both_slots(self, three_outcomes, monkeypatch):
         # identical columns make the information matrix singular at every theta,
-        # so non-identification is declared at theta = 0, before any step
+        # so non-identification is declared at the start, before any step
         model = sl.ModelSpec(
             three_outcomes,
             (sl.TermSpec("constant", (1, 2)), sl.TermSpec("x1", (1,)), sl.TermSpec("x2", (1,))),
@@ -293,7 +414,7 @@ class TestNonIdentification:
         full_passes = _count_full_passes(monkeypatch)
         with pytest.raises(sl.NonIdentificationError) as err:
             sl.estimate(model, ds)
-        assert full_passes == [1]  # theta = 0 only
+        assert full_passes == [1]  # the start only
         layout = sl.build_layout(model)
         flagged = {layout.slot_names()[i] for i in err.value.slots}
         assert {"x1:injury", "x2:injury"} <= flagged
@@ -311,11 +432,38 @@ class TestNonIdentification:
         with pytest.raises(sl.NonIdentificationError):
             sl.estimate(model, ds)
 
-    def test_near_separation_flagged_not_silent(self):
-        # below the condition limit the fit is kept but carries a conditioning note
-        model, ds = separable_dataset(2000)
-        result = sl.estimate(model, ds)
-        assert any("ill-conditioned" in d for d in result.diagnostics)
+    @pytest.mark.parametrize("tol", [1e-6, 1e-9])
+    @pytest.mark.parametrize("n", [500, 2000, 5000, 20_000, 100_000])
+    def test_separation_raises_at_every_size_and_tolerance(self, n, tol):
+        # from the constants-only start the Newton path reaches the condition limit at
+        # the same iterate whatever the size or tolerance, so no separated fit is kept
+        model, ds = separable_dataset(n)
+        with pytest.raises(sl.NonIdentificationError, match="at iteration 16 ") as err:
+            sl.estimate(model, ds, EstimateOptions(gradient_tol=tol))
+        layout = sl.build_layout(model)
+        assert "z:fatality" in {layout.slot_names()[i] for i in err.value.slots}
+
+    def test_near_collinearity_flagged_not_silent(self, three_outcomes):
+        # identified but ill-conditioned: below the condition limit the fit is kept,
+        # with a conditioning note
+        model = sl.ModelSpec(
+            three_outcomes,
+            (sl.TermSpec("constant", (1, 2)), sl.TermSpec("x1", (1,)), sl.TermSpec("x2", (1,))),
+        )
+        rng = np.random.default_rng(0)
+        obs = []
+        for _ in range(500):
+            v = float(rng.uniform(0, 3))
+            p_injury = 0.9 / (1.0 + math.exp(1.0 - 0.5 * v))
+            outcome = int(rng.choice(3, p=[0.9 - p_injury, p_injury, 0.1]))
+            obs.append(sl.Observation({"x1": v, "x2": v + 1e-4 * rng.standard_normal()}, outcome))
+        result = sl.estimate(model, sl.Dataset(three_outcomes, tuple(obs), ("x1", "x2")))
+        eigvals = np.linalg.eigvalsh(np.linalg.inv(result.covariance))
+        assert 1e8 < eigvals.max() / eigvals.min() <= 1e10
+        assert result.converged
+        assert np.isfinite(result.std_errors).all()
+        notes = [d for d in result.diagnostics if "ill-conditioned" in d]
+        assert len(notes) == 1
 
 
 class TestFitStatistics:

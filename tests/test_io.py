@@ -294,6 +294,17 @@ class TestIngestCSV:
         assert err.value.lines == (line,)
         assert str(err.value) == f"{path}: line {line}: field larger than field limit ({limit})"
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_a_header_name_holding_a_line_break_is_refused(self, tmp_path, newline):
+        path = tmp_path / "broken.csv"
+        lines = ["# seed=7", f'outcome,road_class,location,accident_type,"x{newline}y"',
+                 "injury,other,other,other,1", "injury,other,other,other,2"]
+        path.write_text(newline.join(lines) + newline, encoding="utf-8", newline="")
+        with pytest.raises(sl.SchemaError) as err:
+            ingest_csv(path)
+        assert err.value.lines == (2,)
+        assert str(err.value) == f"{path}: line 2: a column name holds a line break"
+
     def test_an_undecodable_line_is_counted_across_reads(self, tmp_path):
         # the file is read in 1 MiB pieces: one CRLF straddles the first two, and the bad byte
         # is the first of an incomplete sequence that ends the file
