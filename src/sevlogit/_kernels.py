@@ -5,8 +5,9 @@ whole. Outcome-major numpy: the design's entries (slot, outcome, column) fill a
 (J, cols) matrix C; utilities are C @ xᵀ, (J, n), so outcome reductions run along
 contiguous length-n rows, not along n rows only J wide, which numpy reduces
 slowly. The score is (w·(Y − P)) @ x and each information block, one per
-referenced outcome pair, is (xᵀ·w·p_j·(δ_jk − p_k)) @ x; both are gathered to
-entries and summed into slots. x ends in the constant-1 column and is
+referenced outcome pair j ≤ k, is (xᵀ·w·p_j·(δ_jk − p_k)) @ x; both are gathered
+to entries and summed into slots, an entry pair in block (k, j) read from block
+(j, k) transposed, so no block is copied. x ends in the constant-1 column and is
 column-major, so xᵀ is contiguous. Over ROWS rows, a pass splits at the largest
 power-of-two multiple of ROWS below n and adds the two sides' LL, score and
 information: blocks of ROWS rows, whose (J, rows) arrays fit in cache, are
@@ -37,7 +38,8 @@ class Scratch:
     """Work space of one fit, reused by each of its passes over x: a float and an int buffer
     for min(n, ROWS) rows, carved into views once per block size, and the design's tables:
     referenced outcome pairs (j ≤ k), each entry's flat (J, cols) position, and each
-    (entry, entry) pair's flat (J, J, cols, cols) block position and Hessian slot pair."""
+    (entry, entry) pair's flat (J, J, cols, cols) position, in the block (j, k) with j ≤ k,
+    and Hessian slot pair."""
 
     def __init__(self, design, x):
         n, cols = x.shape
@@ -47,21 +49,22 @@ class Scratch:
         self._outcomes, self._cols, self._views = n_outcomes, cols, {}
         slot, outcome, col = design.entry_slot, design.entry_outcome, design.entry_col
         referenced = np.flatnonzero(np.bincount(outcome, minlength=n_outcomes)).tolist()
-        block = (outcome[:, None] * n_outcomes + outcome) * cols + col[:, None]
+        a, b = np.broadcast_arrays(*np.ix_(range(len(slot)), range(len(slot))))
+        a, b = np.where(outcome[a] > outcome[b], (b, a), (a, b))  # block (k, j) is (j, k)ᵀ
         self.tables = (
-            [(j, k) for a, j in enumerate(referenced) for k in referenced[a:]],
+            [(j, k) for i, j in enumerate(referenced) for k in referenced[i:]],
             outcome * cols + col,
-            (block * cols + col).ravel(),
+            (((outcome[a] * n_outcomes + outcome[b]) * cols + col[a]) * cols + col[b]).ravel(),
             (slot[:, None] * n_params + slot).ravel(),
         )
 
     def views(self, rows):
         """(util, prob, product, vec, total, observed, index) for a block of rows."""
         if rows not in self._views:
-            shapes = [(self._outcomes, rows)] * 2 + [(self._cols, rows), rows, rows]
-            ends = np.cumsum([0] + [np.prod(shape) for shape in shapes])
-            flat = [self._floats[a:b] for a, b in zip(ends[:-1], ends[1:])]
-            self._views[rows] = (*map(np.reshape, flat, shapes), *self._ints[:, :rows])
+            j, height = self._outcomes, 2 * self._outcomes + self._cols + 2
+            block = self._floats[: height * rows].reshape(height, rows)
+            self._views[rows] = (block[:j], block[j : 2 * j], block[2 * j : -2], *block[-2:],
+                                 *self._ints[:, :rows])
         return self._views[rows]
 
 
@@ -145,8 +148,6 @@ def loglik_grad_hess(x, y, w, design, theta, scratch=None):
 
     value, n_floored, score, blocks = _pairwise(block, x, y, w)
     gradient = np.bincount(design.entry_slot, weights=np.take(score, flat), minlength=n_params)
-    for j, k in upper:
-        blocks[k, j] = blocks[j, k].T
     info = np.take(blocks, info_index)
     hessian = np.bincount(pairs, weights=info, minlength=n_params**2).reshape(n_params, -1)
     hessian = -0.5 * (hessian + hessian.T)

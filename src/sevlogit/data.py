@@ -182,7 +182,8 @@ class Dataset:
     observation: ``X`` (n, k) covariates in ``variable_names`` order, ``y`` outcome
     indices, ``w`` weights, codes into ROAD_CLASSES, LOCATIONS and ACCIDENT_TYPES, and
     codes into ``period_labels`` (sorted, all in use) with -1 for no period. Producers
-    call ``from_columns``; this constructor converts Observation rows.
+    call ``from_columns``; this constructor converts Observation rows. ``take`` and
+    ``concatenate`` gather or join checked columns and do not check them again.
     """
 
     def __init__(self, outcome_set: OutcomeSet, observations, variable_names):
@@ -255,6 +256,13 @@ class Dataset:
             lambda i: f"weight must be positive and finite, got {c['w'][i]}",
         )
 
+        return cls._wrap(outcome_set, names, c, labels)
+
+    @classmethod
+    def _wrap(cls, outcome_set, names, c, labels) -> "Dataset":
+        """A dict of columns that passed ``from_columns``' checks, or were taken or joined from
+        columns that did, as a Dataset: period labels reduced to those in use and their codes
+        remapped, each column cast to its COLUMNS dtype (uncopied if it has it), read-only."""
         used = np.flatnonzero(np.bincount(c["period"] + 1, minlength=len(labels) + 1)[1:])
         kept = sorted({labels[i] for i in used} - {None})
         position = {label: j for j, label in enumerate(kept)}
@@ -333,9 +341,7 @@ class Dataset:
                 raise IndexError(f"mask of shape {rows.shape} for {self.n_obs} observations")
             rows = np.flatnonzero(rows)
         columns = {key: col.take(rows, axis=0) for key, col in self.columns.items()}
-        return Dataset.from_columns(
-            self.outcome_set, self.variable_names, columns, self.period_labels
-        )
+        return Dataset._wrap(self.outcome_set, self.variable_names, columns, self.period_labels)
 
     def with_period(self, period: Optional[str]) -> "Dataset":
         """Copy of the dataset with every observation relabelled to the given period."""
@@ -363,7 +369,7 @@ def concatenate(datasets: Sequence[Dataset]) -> Dataset:
         ]
     )
     labels = [label for ds in datasets for label in ds.period_labels]
-    return Dataset.from_columns(first.outcome_set, first.variable_names, columns, labels)
+    return Dataset._wrap(first.outcome_set, first.variable_names, columns, labels)
 
 
 def partition_dims(dims: Sequence[str]) -> tuple[str, ...]:

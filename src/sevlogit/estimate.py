@@ -84,7 +84,11 @@ class FitStatistics:
 def null_log_likelihood(dataset: Dataset) -> float:
     """Saturated constants-only LL: sum over outcomes of W_i * ln(W_i / W)."""
     by_outcome = np.bincount(dataset.outcome_indices, weights=dataset.weights).tolist()
-    total = float(dataset.weights.sum())
+    return _null_ll(by_outcome, float(dataset.weights.sum()))
+
+
+def _null_ll(by_outcome: list[float], total: float) -> float:
+    """``null_log_likelihood`` from the weighted outcome counts W_i and their total W."""
     return sum(w_i * math.log(w_i / total) for w_i in by_outcome if w_i > 0.0)
 
 
@@ -162,7 +166,8 @@ def estimate(
         return ll, grad, hess
 
     # at theta = 0 every probability is 1/J, so that LL needs no pass
-    ll_zero = -float(dataset.weights.sum()) * math.log(design.n_outcomes)
+    total = float(inputs[2].sum())
+    ll_zero = -total * math.log(design.n_outcomes)
     theta = _start(layout, by_outcome)
     ll, grad, hess = evaluate(theta)
     if not math.isfinite(ll):
@@ -251,7 +256,7 @@ def estimate(
         covariance=covariance,
         t_ratios=t_ratios,
         ll_converged=float(ll),
-        ll_null=null_log_likelihood(dataset),
+        ll_null=_null_ll(by_outcome, total),
         ll_zero=float(ll_zero),
         iterations=iterations,
         converged=failure is None,

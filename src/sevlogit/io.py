@@ -99,13 +99,10 @@ def _ingest(path: Path, outcome_set: OutcomeSet) -> Dataset:
         line, first = head[-1], len(head) + 1  # first: the physical line of the first row
         if not line:
             raise SchemaError("no header row found")
-        try:
-            header = next(csv.reader([line]))
+        try:  # strict: a quoted name that runs past the header's line is an error
+            header = next(csv.reader([line], strict=True))
         except csv.Error as exc:
             raise SchemaError(f"line {len(head)}: {exc}", lines=[len(head)]) from None
-        if any("\n" in name for name in header):  # a quoted name ran past the header's line
-            raise SchemaError(f"line {len(head)}: a column name holds a line break",
-                              lines=[len(head)])
         missing = [c for c in REQUIRED_COLUMNS if c not in header]
         if missing:
             raise SchemaError(f"missing required column(s) {missing}")
@@ -182,7 +179,9 @@ def _csv_blocks(path: Path, first: int, width: int):
     error at the line it starts on."""
     # newline="": a line end inside a quoted field reaches csv.reader as the file holds it
     with path.open(newline="", encoding="utf-8-sig") as handle:
-        reader, line = csv.reader(islice(handle, first - 1, None)), first
+        # strict: a quote left open at the end of the file, or text after a closing quote, is an
+        # error, not a field cut short or run on
+        reader, line = csv.reader(islice(handle, first - 1, None), strict=True), first
         while True:
             rows, starts = [], []
             try:

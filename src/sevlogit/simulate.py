@@ -178,19 +178,25 @@ def simulate(config: GeneratorConfig) -> Dataset:
 
     uniforms = rng.random(n)
 
-    prob = np.empty((n, config.model.outcome_set.n_outcomes))
+    # (J, n) probabilities, one pass per theta: components without their own share the config's
+    n_outcomes = config.model.outcome_set.n_outcomes
+    groups: dict[Optional[int], tuple] = {}  # theta's owner (None: the config) -> theta, members
     for idx, comp in enumerate(components):
-        rows = np.flatnonzero(component == idx)
-        if rows.size == 0:
-            continue
-        comp_theta = theta if comp.theta is None else comp.theta
-        prob[rows] = _probabilities(augmented_matrix(matrix[rows]), design, comp_theta)
+        owner, own = (None, theta) if comp.theta is None else (idx, comp.theta)
+        groups.setdefault(owner, (own, []))[1].append(idx)
+    if len(groups) == 1:  # every row: no gather, no scatter
+        [(group_theta, _)] = groups.values()
+        prob = _probabilities(augmented_matrix(matrix), design, group_theta).T
+    else:
+        prob = np.empty((n_outcomes, n))
+        for group_theta, members in groups.values():
+            rows = np.flatnonzero(np.isin(component, members))
+            if rows.size:
+                prob[:, rows] = _probabilities(augmented_matrix(matrix[rows]), design, group_theta).T
 
-    cumulative = np.cumsum(prob, axis=1)
-    outcome = np.minimum(
-        (uniforms[:, None] >= cumulative).sum(axis=1),
-        config.model.outcome_set.n_outcomes - 1,
-    ).astype(np.int64)
+    # cumsum adds in outcome order along either axis; along axis 0 it runs over length-n rows
+    cumulative = np.cumsum(prob, axis=0)
+    outcome = np.minimum((uniforms >= cumulative).sum(axis=0), n_outcomes - 1).astype(np.int64)
 
     return Dataset.from_columns(
         config.model.outcome_set,

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import sevlogit as sl
+import sevlogit.data
 from sevlogit.data import PARTITION_DIMS, ROAD_CLASSES, SEGMENT_LEVELS, real
 
 
@@ -367,6 +368,106 @@ class TestConcatenate:
             sl.concatenate([a, b])
         with pytest.raises(ValueError):
             sl.concatenate([])
+
+
+def _checked_dataset(n=60, seed=3):
+    """from_columns over random columns: 3 road classes, 2 locations, weights, and period codes
+    into a label table with an unused label and rows with no period."""
+    rng = np.random.default_rng(seed)
+    columns = {
+        "X": rng.normal(size=(n, 2)),
+        "y": rng.integers(0, 3, n),
+        "w": rng.uniform(0.5, 2.0, n),
+        "road_class": rng.choice([0, 3, 4], n),
+        "location": rng.integers(0, 2, n),
+        "accident_type": np.full(n, 6),
+        "period": rng.choice([-1, 0, 1, 3], n),
+    }
+    return sl.Dataset.from_columns(sl.OutcomeSet(), ("a", "b"), columns, ("2006", "2004", "x", "2005"))
+
+
+def _from_columns_over(dataset, rows):
+    """from_columns over the dataset's columns gathered at `rows`, each row keeping its own
+    period label: a construction that shares no step with take, partition or concatenate."""
+    labels = dataset.levels("period")
+    columns = {key: column[rows] for key, column in dataset.columns.items()}
+    row_labels = [labels[code] for code in columns["period"]]
+    columns["period"] = np.arange(len(row_labels))
+    return sl.Dataset.from_columns(dataset.outcome_set, dataset.variable_names, columns, row_labels)
+
+
+def _assert_same(got, expected):
+    """Equal values, dtypes, read-only flags and period labels."""
+    assert got == expected
+    assert got.period_labels == expected.period_labels
+    for key, column in expected.columns.items():
+        assert got.columns[key].dtype == column.dtype, key
+        assert got.columns[key].shape == column.shape, key
+        assert not got.columns[key].flags.writeable, key
+
+
+class TestSubsetsAreNotCheckedAgain:
+    """take, partition and concatenate give what from_columns gives over the same rows,
+    without re-running its checks; from_columns stays the one validating constructor."""
+
+    def test_take_by_index_equals_from_columns(self):
+        ds = _checked_dataset()
+        rows = np.array([5, 0, 0, 17, 59, 33, 5])
+        _assert_same(ds.take(rows), _from_columns_over(ds, rows))
+        _assert_same(ds.take(np.array([], dtype=np.int64)), _from_columns_over(ds, []))
+
+    def test_take_by_mask_equals_from_columns(self):
+        ds = _checked_dataset()
+        mask = ds.columns["period"] != 1  # drops every row of label "2005"
+        sub = ds.take(mask)
+        _assert_same(sub, _from_columns_over(ds, np.flatnonzero(mask)))
+        assert sub.period_labels == ("2004", "2006")
+
+    def test_partition_cells_equal_from_columns(self):
+        ds = _checked_dataset()
+        cells = sl.partition(ds, ("road_class", "period"))
+        for key, cell in cells.items():
+            rows = np.flatnonzero(
+                (np.asarray(ds.levels("road_class"))[ds.columns["road_class"]] == key[0])
+                & (np.asarray(ds.levels("period"), dtype=object)[ds.columns["period"]] == key[1])
+            )
+            _assert_same(cell, _from_columns_over(ds, rows))
+        assert sum(cell.n_obs for cell in cells.values()) == ds.n_obs
+
+    def test_concatenate_equals_from_columns(self):
+        ds = _checked_dataset()
+        parts = [ds.take(np.arange(0, 20)), ds.take(np.arange(20, 60)),
+                 ds.with_period("2001").take(np.arange(3))]
+        pooled = sl.concatenate(parts)
+        labels = [label for part in parts for label in map(part.levels("period").__getitem__,
+                                                            part.columns["period"])]
+        columns = {key: np.concatenate([p.columns[key] for p in parts]) for key in ds.columns}
+        columns["period"] = np.arange(len(labels))
+        expected = sl.Dataset.from_columns(ds.outcome_set, ds.variable_names, columns, labels)
+        _assert_same(pooled, expected)
+        assert pooled.period_labels == ("2001", "2004", "2005", "2006")
+
+    @pytest.mark.parametrize("rows", [np.ones((60, 1), dtype=bool), np.ones(59, dtype=bool),
+                                      np.array([0, 60])], ids=["2-d", "short", "out-of-range"])
+    def test_a_bad_mask_or_index_is_still_an_index_error(self, rows):
+        with pytest.raises(IndexError):
+            _checked_dataset().take(rows)
+
+    def test_only_from_columns_runs_the_checks(self, monkeypatch):
+        ds = _checked_dataset()
+        checks = []
+        require = sevlogit.data._require
+        monkeypatch.setattr(sevlogit.data, "_require",
+                            lambda ok, message: (checks.append(1), require(ok, message))[1])
+        cells = sl.partition(ds, ("road_class",))
+        assert len(cells) == 3
+        ds.take(ds.columns["location"] == 0)
+        ds.take(np.array([3, 1, 4]))
+        sl.concatenate(list(cells.values()))
+        assert checks == []
+        _from_columns_over(ds, np.arange(10))
+        # three segment codes, the period codes, finite covariates, outcomes and weights
+        assert len(checks) == 7
 
 
 class TestObservationOwnsItsValues:

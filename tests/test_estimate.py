@@ -541,6 +541,16 @@ class TestNullLogLikelihood:
         expected = 4 * math.log(0.5)
         assert null_log_likelihood(ds) == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+    def test_estimate_takes_the_same_value_from_its_outcome_counts(self, speed_model,
+                                                                  speed_dataset, weighted):
+        ds = speed_dataset
+        if weighted:
+            weights = np.random.default_rng(5).uniform(0.1, 3.0, ds.n_obs)
+            ds = sl.Dataset.from_columns(ds.outcome_set, ds.variable_names,
+                                         dict(ds.columns, w=weights), ds.period_labels)
+        assert sl.estimate(speed_model, ds).ll_null == null_log_likelihood(ds)
+
 
 class TestEstimateOptionsOwnTheirNumbers:
     @pytest.mark.parametrize("cap", [2.5, True, "200", None])

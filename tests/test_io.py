@@ -303,7 +303,45 @@ class TestIngestCSV:
         with pytest.raises(sl.SchemaError) as err:
             ingest_csv(path)
         assert err.value.lines == (2,)
-        assert str(err.value) == f"{path}: line 2: a column name holds a line break"
+        assert str(err.value) == f"{path}: line 2: unexpected end of data"  # the quote is open
+
+    @pytest.mark.parametrize("kind, line", [
+        pytest.param("open-quote", 3, id="open-quote-first-row"),  # runs on to the end of file
+        pytest.param("open-quote", 7, id="open-quote-last-row"),  # block 3: lines 3-4, 5-6, 7
+        pytest.param("text-after-quote", 3, id="text-after-quote-first-row"),
+        pytest.param("text-after-quote", 6, id="text-after-quote-later-block"),
+    ])
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_a_quote_left_open_or_followed_by_text_names_its_line(self, tmp_path, monkeypatch,
+                                                                  kind, line, newline):
+        path = tmp_path / "quotes.csv"
+        lines = ["# seed=7", "outcome,road_class,location,accident_type,period,x",
+                 *(f"injury,other,other,other,2004,{i}" for i in range(1, 6))]
+        lines[line - 1] = "injury,other,other,other,2004," + {"open-quote": '"2',
+                                                            "text-after-quote": '"1"2'}[kind]
+        path.write_text(newline.join(lines) + newline, encoding="utf-8", newline="")
+        monkeypatch.setattr(sl.io, "BLOCK_ROWS", 2)
+        with pytest.raises(sl.IngestionError) as err:
+            ingest_csv(path)
+        reason = {"open-quote": "unexpected end of data",
+                  "text-after-quote": "',' expected after '\"'"}[kind]
+        assert err.value.lines == (line,)
+        assert str(err.value) == f"{path}: line {line}: {reason}"
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_escaped_and_bare_quotes_load_as_the_csv_module_reads_them(self, tmp_path, newline):
+        lines = ["outcome,road_class,location,accident_type,period,x",
+                 'injury,other,other,other,"Q""1",1', 'injury,other,other,other,Q"1,2',
+                 'injury,other,other,other,"Q""1",3']
+        path = tmp_path / "quotes.csv"
+        path.write_text(newline.join(lines) + newline, encoding="utf-8", newline="")
+        with open(path, newline="", encoding="utf-8") as handle:
+            expected = [row[4] for row in csv.reader(handle)][1:]
+        dataset = ingest_csv(path)
+        assert expected == ['Q"1'] * 3
+        assert dataset.period_labels == ('Q"1',)
+        assert dataset.columns["period"].tolist() == [0, 0, 0]
+        assert dataset.covariate_matrix[:, 0].tolist() == [1.0, 2.0, 3.0]
 
     def test_an_undecodable_line_is_counted_across_reads(self, tmp_path):
         # the file is read in 1 MiB pieces: one CRLF straddles the first two, and the bad byte

@@ -1,5 +1,7 @@
 """Synthetic data generator: reproducibility and distributional fidelity."""
 
+from hashlib import blake2b
+
 import numpy as np
 import pytest
 
@@ -291,3 +293,63 @@ class TestConfigTypesOwnTheirNumbers:
 
         assert np.array_equal(draw(sl.UniformDist(25, 70)), draw(sl.UniformDist(25.0, 70.0)))
         assert sl.UniformDist(25, 70) == sl.UniformDist(25.0, 70.0)
+
+
+# BLAKE2b of every column simulate draws, recorded before the draw became outcome-major and
+# one probability pass per theta group: the draw must not change a bit. 40,000 rows span
+# more than one kernel block (_kernels.ROWS).
+DRAW_DIGESTS = {
+    ("shared", 1): "fa9ebc83e8beea203e89a3acf2fd7cb9",
+    ("shared", 7): "d6fb37c487364368f4a9ccc461e5c97f",
+    ("shared", 5000): "f9a3dcec46f27c37042f6f6778478f3e",
+    ("shared", 40000): "73fe6cf0805eb8f045fc47fce4663493",
+    ("one_own", 1): "86f6505d871359d768de5fa13edd2dd8",
+    ("one_own", 7): "a975126cd0970ddd620105e29d31176c",
+    ("one_own", 5000): "cf6c523db7c8ad6ed2dbb246c415efe8",
+    ("one_own", 40000): "1574224d9c52afd4db1a1cfc9760176b",
+    ("all_own", 1): "650a1c88fb2f114d7e617f81d7b15069",
+    ("all_own", 7): "ccbeb83e47477ff991cc92d347fa7d27",
+    ("all_own", 5000): "ee8e8c1eb6262a33ed82b03f27559b42",
+    ("all_own", 40000): "d23bf56d0cd45b9554b86f31df2a47e2",
+}
+
+
+def _identity_config(case: str, n: int) -> sl.GeneratorConfig:
+    """speed-limit model; no segments, one component of three with its own theta (two share
+    the config's), or two components each with its own theta."""
+    outcomes = sl.OutcomeSet()
+    model = sl.ModelSpec(outcomes, (
+        sl.TermSpec("constant", (1, 2)),
+        sl.TermSpec("speed_limit", (1, 2), shared=True),
+        sl.TermSpec("curve", (2,)),
+    ))
+    theta = np.array([-1.8, -4.0, 0.03, 0.7])
+    segments = {
+        "shared": (),
+        "one_own": (
+            sl.SegmentComponent(sl.SegmentKey(road_class="interstate"), 0.4),
+            sl.SegmentComponent(sl.SegmentKey(road_class="us-route"), 0.35),
+            sl.SegmentComponent(sl.SegmentKey(road_class="county-road"), 0.25, theta + 1.0),
+        ),
+        "all_own": (
+            sl.SegmentComponent(sl.SegmentKey(location="urban"), 0.5, theta - 0.5),
+            sl.SegmentComponent(sl.SegmentKey(location="rural"), 0.5, theta + 0.5),
+        ),
+    }[case]
+    covariates = {"speed_limit": sl.UniformDist(25, 70), "curve": sl.IndicatorDist(0.3)}
+    return sl.GeneratorConfig(model, theta, n, covariates, segments=segments, seed=2008 + n)
+
+
+def _draw_digest(dataset: sl.Dataset) -> str:
+    digest = blake2b(digest_size=16)
+    for key, column in dataset.columns.items():
+        digest.update(f"{key}:{column.dtype}:{column.shape}".encode())
+        digest.update(np.ascontiguousarray(column).tobytes())
+    digest.update(repr(dataset.period_labels).encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("case", ["shared", "one_own", "all_own"])
+@pytest.mark.parametrize("n", [1, 7, 5000, 40_000])
+def test_the_draw_is_bit_identical_to_its_recorded_digest(case, n):
+    assert _draw_digest(sl.simulate(_identity_config(case, n))) == DRAW_DIGESTS[case, n]
