@@ -16,10 +16,13 @@ are bit-reproducible per machine.
 A pass writes its blocks' arrays into a ``Scratch`` built for one fit (its design
 and its x), which all of the fit's passes reuse, so a pass allocates nothing of a
 block's size; the probability matrix is filled in ROWS-row blocks with no (J, n)
-temporaries.
+temporaries. The design's index tables are built once per design and shared
+read-only by every scratch, so a fit allocates only its buffers.
 Probabilities are floored at the smallest positive normal before logs; the
 floored count flags quasi-separation.
 """
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -34,29 +37,39 @@ def _coefficients(design, theta, cols):
     return coef
 
 
+@lru_cache(maxsize=32)
+def _tables(design, cols):
+    """A design's read-only tables for x of cols columns: referenced outcome pairs (j ≤ k),
+    each entry's flat (J, cols) position, and each (entry, entry) pair's flat
+    (J, J, cols, cols) position, in the block (j, k) with j ≤ k, and Hessian slot pair.
+    Cached per design, which hashes by identity, so the fits of one binding build them once."""
+    n_outcomes, n_params = design.n_outcomes, design.n_params
+    slot, outcome, col = design.entry_slot, design.entry_outcome, design.entry_col
+    referenced = np.flatnonzero(np.bincount(outcome, minlength=n_outcomes)).tolist()
+    a, b = np.broadcast_arrays(*np.ix_(range(len(slot)), range(len(slot))))
+    a, b = np.where(outcome[a] > outcome[b], (b, a), (a, b))  # block (k, j) is (j, k)ᵀ
+    arrays = (
+        outcome * cols + col,
+        (((outcome[a] * n_outcomes + outcome[b]) * cols + col[a]) * cols + col[b]).ravel(),
+        (slot[:, None] * n_params + slot).ravel(),
+    )
+    for array in arrays:
+        array.flags.writeable = False
+    return (tuple((j, k) for i, j in enumerate(referenced) for k in referenced[i:]), *arrays)
+
+
 class Scratch:
     """Work space of one fit, reused by each of its passes over x: a float and an int buffer
-    for min(n, ROWS) rows, carved into views once per block size, and the design's tables:
-    referenced outcome pairs (j ≤ k), each entry's flat (J, cols) position, and each
-    (entry, entry) pair's flat (J, J, cols, cols) position, in the block (j, k) with j ≤ k,
-    and Hessian slot pair."""
+    for min(n, ROWS) rows, carved into views once per block size, and the design's shared
+    tables (see ``_tables``)."""
 
     def __init__(self, design, x):
         n, cols = x.shape
-        rows, n_outcomes, n_params = min(n, ROWS), design.n_outcomes, design.n_params
+        rows, n_outcomes = min(n, ROWS), design.n_outcomes
         self._floats = np.empty((2 * n_outcomes + cols + 2) * rows)
         self._ints = np.tile(np.arange(rows), (2, 1))
         self._outcomes, self._cols, self._views = n_outcomes, cols, {}
-        slot, outcome, col = design.entry_slot, design.entry_outcome, design.entry_col
-        referenced = np.flatnonzero(np.bincount(outcome, minlength=n_outcomes)).tolist()
-        a, b = np.broadcast_arrays(*np.ix_(range(len(slot)), range(len(slot))))
-        a, b = np.where(outcome[a] > outcome[b], (b, a), (a, b))  # block (k, j) is (j, k)ᵀ
-        self.tables = (
-            [(j, k) for i, j in enumerate(referenced) for k in referenced[i:]],
-            outcome * cols + col,
-            (((outcome[a] * n_outcomes + outcome[b]) * cols + col[a]) * cols + col[b]).ravel(),
-            (slot[:, None] * n_params + slot).ravel(),
-        )
+        self.tables = _tables(design, cols)
 
     def views(self, rows):
         """(util, prob, product, vec, total, observed, index) for a block of rows."""

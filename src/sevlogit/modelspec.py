@@ -9,7 +9,8 @@ changes slot assignment.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
+from types import MappingProxyType
 from typing import Iterable, Mapping, Union
 
 import numpy as np
@@ -113,7 +114,8 @@ class Slot:
 
 @dataclass(frozen=True)
 class ParameterLayout:
-    """Flat slot indices 0..n_params-1, with the slot of every (variable, outcome) pair."""
+    """Flat slot indices 0..n_params-1, with the slot of every (variable, outcome) pair
+    (a read-only mapping: a bound design's layout is shared)."""
 
     outcome_set: OutcomeSet
     slots: tuple[Slot, ...]
@@ -148,7 +150,7 @@ def build_layout(model: ModelSpec) -> ParameterLayout:
         key=lambda s: (s.variable, s.outcomes),
     )
     slot_of = {(s.variable, out): idx for idx, s in enumerate(slots) for out in s.outcomes}
-    return ParameterLayout(model.outcome_set, tuple(slots), slot_of)
+    return ParameterLayout(model.outcome_set, tuple(slots), MappingProxyType(slot_of))
 
 
 # a parameter value by data.real: ValueError if it is not a number, NumericError if not finite
@@ -213,13 +215,14 @@ def utility(model: ModelSpec, theta: ThetaLike, obs: Observation, outcome: int) 
     return float(values[design.entry_slot[on]] @ x[design.entry_col[on]])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Design:
     """Model spec bound to a dataset's variable order, flattened for the kernels.
 
     Each entry is one (slot, outcome, column) triple; shared coefficients
     produce several entries pointing at the same slot. Column ``n_variables``
-    of the kernel covariate matrix is the implicit constant-1 column.
+    of the kernel covariate matrix is the implicit constant-1 column. A design
+    compares and hashes by identity: ``bind_design`` returns one per binding.
     """
 
     layout: ParameterLayout
@@ -236,8 +239,14 @@ class Design:
         return self.layout.outcome_set.n_outcomes
 
 
+@lru_cache(maxsize=32)
 def bind_design(model: ModelSpec, variable_names: tuple[str, ...]) -> Design:
-    """Resolve a model's terms against a dataset's variable columns, in term order."""
+    """Resolve a model's terms against a dataset's variable columns, in term order.
+
+    Cached per (model, variable names): equal specs bound to the same names share one
+    immutable design, its layout's map and index arrays read-only, so every fit, draw and
+    report on those names binds once. A missing variable raises on every call.
+    """
     layout = build_layout(model)
     col_of = {name: i for i, name in enumerate(variable_names)}
     col_of[CONSTANT] = len(variable_names)
@@ -252,12 +261,10 @@ def bind_design(model: ModelSpec, variable_names: tuple[str, ...]) -> Design:
             slots.append(layout.slot_of[(term.variable, out)])
             outs.append(out)
             cols.append(col_of[term.variable])
-    return Design(
-        layout,
-        np.asarray(slots, dtype=np.int64),
-        np.asarray(outs, dtype=np.int64),
-        np.asarray(cols, dtype=np.int64),
-    )
+    arrays = [np.asarray(entries, dtype=np.int64) for entries in (slots, outs, cols)]
+    for array in arrays:
+        array.flags.writeable = False
+    return Design(layout, *arrays)
 
 
 def augmented_matrix(x: np.ndarray) -> np.ndarray:

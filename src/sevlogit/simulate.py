@@ -194,9 +194,14 @@ def simulate(config: GeneratorConfig) -> Dataset:
             if rows.size:
                 prob[:, rows] = _probabilities(augmented_matrix(matrix[rows]), design, group_theta).T
 
-    # cumsum adds in outcome order along either axis; along axis 0 it runs over length-n rows
-    cumulative = np.cumsum(prob, axis=0)
-    outcome = np.minimum((uniforms >= cumulative).sum(axis=0), n_outcomes - 1).astype(np.int64)
+    # inverse CDF: a running sum adds the contiguous length-n rows in outcome order, as a
+    # cumsum would; an observation's outcome counts the partial sums at or below its uniform,
+    # all but the total, which may round below 1 and would count one outcome too many
+    running = prob[0].copy()
+    outcome = (uniforms >= running).astype(np.int64)
+    for row in prob[1:-1]:
+        running += row
+        outcome += uniforms >= running
 
     return Dataset.from_columns(
         config.model.outcome_set,

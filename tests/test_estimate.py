@@ -217,6 +217,7 @@ class TestNewtonLoop:
         assert all(s is scratches[0] for s in scratches[:passes])
         assert all(s is scratches[passes] for s in scratches[passes:])
         assert scratches[passes] is not scratches[0]
+        assert scratches[passes].tables is scratches[0].tables  # built once per design
 
     def test_nonfinite_trial_is_halved_not_raised(self, speed_model, speed_dataset, monkeypatch):
         expected = sl.estimate(speed_model, speed_dataset, TIGHT).theta_hat.values
@@ -372,15 +373,48 @@ class TestStart:
         assert result.ll_zero == pytest.approx(at_zero, rel=1e-12)
 
 
-def test_full_passes_over_a_criterion_06_seed_block(monkeypatch):
-    # 16 fits of 2,500 rows took 116 full passes from theta = 0 and take 89 from the
-    # constants-only start; the bound between the two catches a return to the old start
+def _fit_a_criterion_06_seed_block():
+    """Draw and fit 16 seeds of 2,500 rows each."""
     model, theta, covariates = _calib_model()
-    full_passes = _count_full_passes(monkeypatch)
     for seed in range(1000, 1016):
         data = sl.simulate(sl.GeneratorConfig(model, theta, 2500, covariates, seed=seed))
         assert sl.estimate(model, data).converged
+
+
+def test_full_passes_over_a_criterion_06_seed_block(monkeypatch):
+    # 16 fits of 2,500 rows took 116 full passes from theta = 0 and take 89 from the
+    # constants-only start; the bound between the two catches a return to the old start
+    full_passes = _count_full_passes(monkeypatch)
+    _fit_a_criterion_06_seed_block()
     assert full_passes[0] <= 102
+
+
+def test_a_criterion_06_seed_block_binds_once_and_builds_its_tables_once():
+    # 16 draws and 16 fits of one model on one variable list: one binding, one set of tables
+    bind_design.cache_clear()
+    _kernels._tables.cache_clear()
+    _fit_a_criterion_06_seed_block()
+    assert bind_design.cache_info().misses == 1
+    assert _kernels._tables.cache_info().misses == 1
+
+
+def test_fits_after_a_cleared_cache_are_bit_identical_to_warm_ones():
+    model, theta, covariates = _calib_model()
+    config = sl.GeneratorConfig(model, theta, 2500, covariates, seed=1003)
+    data = sl.simulate(config)
+    warm = sl.estimate(model, data)
+    design = bind_design(model, data.variable_names)
+    bind_design.cache_clear()
+    _kernels._tables.cache_clear()
+    cold_data = sl.simulate(config)
+    cold = sl.estimate(model, cold_data)
+    assert bind_design(model, data.variable_names) is not design  # bound anew
+    assert cold_data == data
+    assert cold.theta_hat.values.tobytes() == warm.theta_hat.values.tobytes()
+    for field in ("covariance", "t_ratios"):
+        assert getattr(cold, field).tobytes() == getattr(warm, field).tobytes()
+    assert (cold.ll_converged, cold.iterations, cold.gradient_max) == (
+        warm.ll_converged, warm.iterations, warm.gradient_max)
 
 
 @functools.cache

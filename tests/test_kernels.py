@@ -172,6 +172,16 @@ def test_a_fits_scratch_gives_on_every_pass_what_a_fresh_one_gives(rows, name, m
     assert sorted(scratch._views) == ([464, 512] if rows == 512 else [2000])
 
 
+def test_the_scratches_of_one_design_share_its_read_only_tables():
+    (x, _, _), design, _ = _case("shared-and-specific", "F")
+    tables = _kernels.Scratch(design, x).tables
+    assert _kernels.Scratch(design, x[:100]).tables is tables
+    assert isinstance(tables[0], tuple)
+    for array in tables[1:]:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+
+
 @pytest.mark.parametrize("n", [5000, 40001])
 def test_a_warm_pass_allocates_less_than_one_block(n):
     (x, y, w), design, theta = _case("non-unit-weights", "F", n)

@@ -1,12 +1,13 @@
 """Term specs, parameter layout, and utility evaluation."""
 
+import dataclasses
 import re
 
 import numpy as np
 import pytest
 
 import sevlogit as sl
-from sevlogit.modelspec import Slot
+from sevlogit.modelspec import Slot, bind_design
 
 
 class TestTermSpec:
@@ -272,3 +273,62 @@ class TestParameterVectorOwnsItsNumbers:
         assert theta.values[0] == 0.0
         with pytest.raises(ValueError, match="read-only"):
             theta.values[0] = np.inf  # no value can turn non-finite after the check
+
+
+class TestBoundDesignIsSharedAndImmutable:
+    NAMES = ("speed_limit", "curve")
+
+    @staticmethod
+    def _speed_model():
+        """A spec equal to the speed model's, built anew: equal, not the same object."""
+        return sl.ModelSpec(
+            sl.OutcomeSet(),
+            (
+                sl.TermSpec("constant", (1, 2)),
+                sl.TermSpec("speed_limit", (1, 2), shared=True),
+                sl.TermSpec("curve", (2,)),
+            ),
+        )
+
+    def test_an_equal_spec_gets_the_same_design(self, speed_model):
+        other = self._speed_model()
+        assert other == speed_model and other is not speed_model
+        design = bind_design(speed_model, self.NAMES)
+        assert bind_design(other, self.NAMES) is design
+        assert bind_design(speed_model, tuple(list(self.NAMES))) is design  # an equal tuple
+
+    def test_designs_compare_and_hash_by_identity(self, speed_model):
+        design = bind_design(speed_model, self.NAMES)
+        reordered = bind_design(speed_model, self.NAMES[::-1])
+        # a dataclass __eq__ over the index arrays raised "truth value ... is ambiguous"
+        assert design == bind_design(self._speed_model(), self.NAMES)
+        assert design != reordered
+        assert hash(design) == hash(bind_design(self._speed_model(), self.NAMES))
+        assert len({design, bind_design(speed_model, self.NAMES), reordered}) == 2
+
+    def test_a_designs_arrays_and_layout_are_read_only(self, speed_model):
+        design = bind_design(speed_model, self.NAMES)
+        slots = design.entry_slot.copy()
+        for array in (design.entry_slot, design.entry_outcome, design.entry_col):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 5
+        with pytest.raises(TypeError):
+            design.layout.slot_of[("speed_limit", 1)] = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            design.entry_slot = np.zeros(4, dtype=np.int64)
+        assert np.array_equal(design.entry_slot, slots)
+        assert design.layout.slot_of[("speed_limit", 1)] == 3  # after constant:*, curve:fatality
+
+    def test_a_results_layout_map_is_read_only(self, speed_model, speed_dataset):
+        layout = sl.estimate(speed_model, speed_dataset).theta_hat.layout
+        assert layout is bind_design(speed_model, speed_dataset.variable_names).layout
+        with pytest.raises(TypeError):
+            layout.slot_of[("curve", 1)] = 0
+        assert ("curve", 1) not in layout.slot_of
+
+    def test_a_missing_variable_raises_on_every_call(self, speed_model):
+        cached = bind_design.cache_info().currsize
+        for _ in range(3):
+            with pytest.raises(sl.SchemaError, match="'curve' is not in the dataset"):
+                bind_design(speed_model, ("speed_limit",))
+        assert bind_design.cache_info().currsize == cached
