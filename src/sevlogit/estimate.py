@@ -5,8 +5,10 @@ closed-form constants-only optimum, every other slot 0 (the objective is
 globally concave, so the start only affects the iteration count; Train,
 *Discrete Choice Methods with Simulation*, 2nd ed., 2009, ch. 8). Every
 iterate's information matrix, the start's included, is checked for
-singularity before a step is taken from it. Covariance comes from the
-observed information (inverse negative Hessian) at the optimum.
+singularity before a step is taken from it, and the step comes from the
+eigendecomposition that check makes: one factorisation per iterate.
+Covariance comes from the observed information (inverse negative Hessian)
+at the optimum.
 """
 
 from __future__ import annotations
@@ -120,6 +122,7 @@ def _deficient_slots(eigvals: np.ndarray, eigvecs: np.ndarray) -> list[int]:
     return sorted(slots)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the loop's finiteness checks name overflow
 def estimate(
     model: ModelSpec, dataset: Dataset, options: EstimateOptions | None = None
 ) -> EstimationResult:
@@ -136,7 +139,9 @@ def estimate(
         singular past the condition limit; raised at that iterate, before a
         step is taken from it. The exception names the offending slots.
     NumericError
-        The log-likelihood at the start is not finite.
+        The log-likelihood at the start is not finite, or the score or the
+        information matrix at some iterate is not (a covariate so large its
+        squares overflow); raised at that iterate.
     ValueError
         The dataset is empty.
     """
@@ -177,6 +182,8 @@ def estimate(
     failure = None  # why the loop stopped short of an optimum
 
     while True:
+        if not (np.isfinite(grad).all() and np.isfinite(hess).all()):
+            raise NumericError(f"score or information matrix is not finite at iteration {iterations}")
         # the log-likelihood is concave, so -Hessian singular past the limit at
         # any iterate means collinear columns or separation: stop right there
         neg_hess = -hess
@@ -212,7 +219,7 @@ def estimate(
             failure = f"no convergence after {iterations} iterations"
             break
 
-        direction = np.linalg.solve(neg_hess, grad)
+        direction = eigvecs @ ((eigvecs.T @ grad) / eigvals)
         # accept within summation-noise slack: near the optimum the true Newton
         # gain sinks below the evaluation noise of a several-thousand-unit LL
         slack = 1e-12 * (abs(ll) + 1.0)

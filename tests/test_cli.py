@@ -127,6 +127,35 @@ class TestExitCodes:
         assert code == 2
         assert "not found" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "scale, code, message",
+        [(1e160, 1, "score or information matrix is not finite at iteration 0"),
+         (1e100, 5, "information matrix is singular or near-singular at iteration 0")],
+    )
+    def test_a_hugely_scaled_covariate_exits_with_one_named_error(
+        self, workdir, scale, code, message
+    ):
+        # at 1e160 the information matrix overflows to inf; at 1e100 it is finite but
+        # singular. A subprocess shows whether numpy's overflow warning reaches stderr.
+        header, *rows = (workdir / "data.csv").read_text().splitlines()
+        k = header.split(",").index("speed_limit")
+        scaled = [header]
+        for row in rows:
+            cells = row.split(",")
+            cells[k] = repr(float(cells[k]) * scale)
+            scaled.append(",".join(cells))
+        (workdir / "data.csv").write_text("\n".join(scaled) + "\n")
+        src = str(Path(sl.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "sevlogit", "estimate", "--data", "data.csv",
+             "--model", "spec.json", "--out", "fit.txt"],
+            cwd=workdir, env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        )
+        assert proc.returncode == code
+        assert proc.stderr.startswith(f"error: {message}")
+        assert len(proc.stderr.splitlines()) == 1
+        assert not (workdir / "fit.txt").exists()
+
     @pytest.mark.parametrize("kind", ["directory", "fifo", "summarize-directory"])
     def test_an_input_that_is_not_a_regular_file_exits_2(self, workdir, kind, capsys):
         path = workdir / ("fifo.csv" if kind == "fifo" else "adir")

@@ -2,6 +2,7 @@
 
 import functools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -121,6 +122,23 @@ class TestEstimate:
         expected_t = result.theta_hat.values / np.sqrt(np.diag(result.covariance))
         assert np.allclose(result.t_ratios, expected_t, atol=0)
 
+    @pytest.mark.parametrize("fit", ["speed", "near-collinear"])
+    def test_covariance_is_within_condition_times_epsilon_of_the_exact_inverse(
+        self, speed_model, speed_dataset, fit
+    ):
+        # the oracle is -H at theta-hat inverted in rational arithmetic; an inverse computed
+        # in floating point errs by up to about condition x epsilon, relative to the scale
+        # sqrt(var_i var_j). The fits' conditions are about 9e4 and 1.4e9.
+        model, ds = (speed_model, speed_dataset) if fit == "speed" else near_collinear_dataset()
+        result = sl.estimate(model, ds)
+        neg_hess = -gradient_hessian(model, result.theta_hat, ds).hessian
+        exact = _exact_inverse(neg_hess)
+        errors = np.vectorize(lambda c, e: float(Fraction(c) - e))(result.covariance, exact)
+        variances = np.diag(exact).astype(float)
+        relative = np.abs(errors) / np.sqrt(np.outer(variances, variances))
+        eigvals = np.linalg.eigvalsh(neg_hess)
+        assert relative.max() <= eigvals.max() / eigvals.min() * np.finfo(float).eps
+
     def test_missing_outcome_warns(self, three_outcomes, monkeypatch):
         ds = dataset_from_outcomes([0, 1, 0, 1, 0, 1] * 20)  # fatality never occurs
         model = sl.ModelSpec(three_outcomes, (sl.TermSpec("constant", (1, 2)),))
@@ -185,6 +203,34 @@ def _record_thetas(monkeypatch):
 
     monkeypatch.setattr(_kernels, "loglik_grad_hess", recorded)
     return thetas
+
+
+def _count_linalg(monkeypatch):
+    """Count calls of the numpy.linalg factorisations a fit may make, by name."""
+    calls = dict.fromkeys(("eigh", "solve", "inv"), 0)
+    for name in calls:
+        def counted(*args, _name=name, _real=getattr(np.linalg, name)):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def _exact_inverse(matrix):
+    """The inverse of a float matrix in rational arithmetic, by Gauss-Jordan elimination."""
+    n = matrix.shape[0]
+    rows = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
+            for i, row in enumerate(matrix.tolist())]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if rows[r][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rows[col] = [v / rows[col][col] for v in rows[col]]
+        for r in range(n):
+            if r != col and rows[r][col] != 0:
+                factor = rows[r][col]
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
+    return np.array([row[n:] for row in rows], dtype=object)
 
 
 class TestNewtonLoop:
@@ -287,6 +333,54 @@ class TestNewtonLoop:
         monkeypatch.setattr(_kernels, "loglik_grad_hess", nan_ll)
         with pytest.raises(sl.NumericError):
             sl.estimate(speed_model, speed_dataset)
+
+    def test_an_information_matrix_that_overflows_raises_numeric_error(
+        self, speed_model, speed_dataset
+    ):
+        # speed limits near 1e162 square past the largest double: the information matrix
+        # holds inf at the start. No overflow warning escapes (warnings fail tests here).
+        x = speed_dataset.columns["X"].copy()
+        x[:, speed_dataset.variable_names.index("speed_limit")] *= 1e160
+        huge = sl.Dataset.from_columns(
+            speed_dataset.outcome_set, speed_dataset.variable_names,
+            dict(speed_dataset.columns, X=x),
+        )
+        with pytest.raises(
+            sl.NumericError, match="^score or information matrix is not finite at iteration 0$"
+        ):
+            sl.estimate(speed_model, huge)
+
+    @pytest.mark.parametrize("which", [1, 2], ids=["score", "information"])
+    def test_a_nonfinite_score_or_information_raises_at_its_iterate(
+        self, speed_model, speed_dataset, monkeypatch, which
+    ):
+        real = _kernels.loglik_grad_hess
+        calls = [0]
+
+        def nan_at_first_step(*args):
+            calls[0] += 1
+            out = list(real(*args))
+            if calls[0] == 2:  # pass 1 is the start, pass 2 the first full Newton step
+                out[which] = np.full_like(out[which], math.nan)
+            return tuple(out)
+
+        monkeypatch.setattr(_kernels, "loglik_grad_hess", nan_at_first_step)
+        with pytest.raises(
+            sl.NumericError, match="^score or information matrix is not finite at iteration 1$"
+        ):
+            sl.estimate(speed_model, speed_dataset)
+
+    def test_one_eigendecomposition_per_iterate_and_one_inverse_per_converged_fit(
+        self, speed_model, speed_dataset, monkeypatch
+    ):
+        calls = _count_linalg(monkeypatch)
+        result = sl.estimate(speed_model, speed_dataset)
+        assert result.iterations >= 3
+        assert calls == {"eigh": result.iterations + 1, "solve": 0, "inv": 1}
+        calls.update(dict.fromkeys(calls, 0))
+        with pytest.raises(sl.NonConvergenceError) as err:
+            sl.estimate(speed_model, speed_dataset, EstimateOptions(max_iterations=2))
+        assert calls == {"eigh": err.value.last_result.iterations + 1, "solve": 0, "inv": 0}
 
 
 def _weighted(outcome_set, weights_by_outcome):
@@ -430,6 +524,23 @@ def separable_dataset(n):
     return model, sl.Dataset(outs, tuple(obs), ("z",))
 
 
+@functools.cache
+def near_collinear_dataset():
+    """x2 is x1 plus noise of scale 1e-4: identified, with an ill-conditioned information."""
+    outs = sl.OutcomeSet()
+    model = sl.ModelSpec(
+        outs, (sl.TermSpec("constant", (1, 2)), sl.TermSpec("x1", (1,)), sl.TermSpec("x2", (1,)))
+    )
+    rng = np.random.default_rng(0)
+    obs = []
+    for _ in range(500):
+        v = float(rng.uniform(0, 3))
+        p_injury = 0.9 / (1.0 + math.exp(1.0 - 0.5 * v))
+        outcome = int(rng.choice(3, p=[0.9 - p_injury, p_injury, 0.1]))
+        obs.append(sl.Observation({"x1": v, "x2": v + 1e-4 * rng.standard_normal()}, outcome))
+    return model, sl.Dataset(outs, tuple(obs), ("x1", "x2"))
+
+
 class TestNonIdentification:
     def test_collinear_covariates_raise_with_both_slots(self, three_outcomes, monkeypatch):
         # identical columns make the information matrix singular at every theta,
@@ -477,21 +588,10 @@ class TestNonIdentification:
         layout = sl.build_layout(model)
         assert "z:fatality" in {layout.slot_names()[i] for i in err.value.slots}
 
-    def test_near_collinearity_flagged_not_silent(self, three_outcomes):
+    def test_near_collinearity_flagged_not_silent(self):
         # identified but ill-conditioned: below the condition limit the fit is kept,
         # with a conditioning note
-        model = sl.ModelSpec(
-            three_outcomes,
-            (sl.TermSpec("constant", (1, 2)), sl.TermSpec("x1", (1,)), sl.TermSpec("x2", (1,))),
-        )
-        rng = np.random.default_rng(0)
-        obs = []
-        for _ in range(500):
-            v = float(rng.uniform(0, 3))
-            p_injury = 0.9 / (1.0 + math.exp(1.0 - 0.5 * v))
-            outcome = int(rng.choice(3, p=[0.9 - p_injury, p_injury, 0.1]))
-            obs.append(sl.Observation({"x1": v, "x2": v + 1e-4 * rng.standard_normal()}, outcome))
-        result = sl.estimate(model, sl.Dataset(three_outcomes, tuple(obs), ("x1", "x2")))
+        result = sl.estimate(*near_collinear_dataset())
         eigvals = np.linalg.eigvalsh(np.linalg.inv(result.covariance))
         assert 1e8 < eigvals.max() / eigvals.min() <= 1e10
         assert result.converged
