@@ -8,7 +8,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .chi2 import chi_square_sf
-from .data import Dataset, checked_count, partition, partition_dims, real
+from .data import Dataset, checked_count, checked_real, partition, partition_dims, real
 from .errors import EmptyPartitionError, InconsistencyError, SevlogitError
 from .estimate import EstimateOptions, EstimationResult, estimate
 from .likelihood import _probabilities, probability_matrix
@@ -230,11 +230,19 @@ def lr_split_test(
 
     statistic = -2 * (pooled LL - sum of subset LLs), chi-square with
     df = sum of subset parameter counts - pooled parameter count (the familiar
-    (M - 1) * K when every model has the same K).
+    (M - 1) * K when every model has the same K). A log-likelihood that is not
+    finite, or a parameter count that is not a positive integer, is a ValueError.
     """
     if len(subsets) < 2:
         raise ValueError(f"need at least two subsets, got {len(subsets)}")
-    ll_sum = float(sum(ll for ll, _ in subsets))
+    ll_pooled = checked_real("pooled log-likelihood", ll_pooled)
+    k_pooled = checked_count("pooled parameter count", k_pooled)
+    subsets = [
+        (checked_real(f"subset {i} log-likelihood", ll),
+         checked_count(f"subset {i} parameter count", k))
+        for i, (ll, k) in enumerate(subsets)
+    ]
+    ll_sum = sum(ll for ll, _ in subsets)
     statistic = -2.0 * (ll_pooled - ll_sum)
     if statistic < -1e-8:
         details = ", ".join(f"subset{i}: LL={ll:.6f}" for i, (ll, _) in enumerate(subsets))
@@ -244,12 +252,10 @@ def lr_split_test(
             f"failed (pooled LL={ll_pooled:.6f}; {details})"
         )
     statistic = max(statistic, 0.0)
-    df = int(sum(k for _, k in subsets)) - int(k_pooled)
-    if df <= 0:
-        raise ValueError(f"degrees of freedom must be positive, got {df}")
-    p_value = chi_square_sf(statistic, df)
-    components = {"pooled": float(ll_pooled)}
-    components.update({f"subset{i}": float(ll) for i, (ll, _) in enumerate(subsets)})
+    df = sum(k for _, k in subsets) - k_pooled
+    p_value = chi_square_sf(statistic, df)  # refuses a df below 1
+    components = {"pooled": ll_pooled}
+    components.update({f"subset{i}": ll for i, (ll, _) in enumerate(subsets)})
     decisions = {level: p_value < 1.0 - level for level in levels}
     return LRTestResult(statistic, df, p_value, decisions, components)
 

@@ -7,7 +7,7 @@ import pytest
 from scipy import integrate, special
 
 from sevlogit import chi_square_sf
-from sevlogit.chi2 import regularized_gamma_q
+from sevlogit.chi2 import chi_square_sf as chi_square_sf_by_module
 
 
 def quadrature_sf(x, df):
@@ -78,18 +78,41 @@ class TestChiSquareSF:
                 assert 0.0 <= p <= 1.0
 
 
-class TestRegularizedGammaQ:
-    def test_matches_scipy(self):
-        rng = np.random.default_rng(7)
-        for _ in range(200):
-            a = float(rng.uniform(0.1, 40))
-            x = float(rng.uniform(0, 80))
-            assert regularized_gamma_q(a, x) == pytest.approx(
-                float(special.gammaincc(a, x)), abs=1e-13
-            )
+class TestLargeDegreesOfFreedom:
+    @pytest.mark.parametrize("df", [100, 1_000, 10_000])
+    @pytest.mark.parametrize("ratio", [0.5, 0.9, 1.0, 1.1, 2.0])
+    def test_against_scipy_gammaincc(self, df, ratio):
+        x = ratio * df
+        assert chi_square_sf(x, df) == pytest.approx(
+            float(special.gammaincc(df / 2.0, x / 2.0)), abs=1e-11
+        )
 
-    def test_invalid_shape(self):
-        with pytest.raises(ValueError):
-            regularized_gamma_q(0.0, 1.0)
-        with pytest.raises(ValueError):
-            regularized_gamma_q(1.0, -1.0)
+    def test_far_upper_tail_relative(self):
+        worst = 0.0
+        for df in range(1, 201):
+            for x in np.linspace(df, df + 400.0, 41):
+                reference = float(special.gammaincc(df / 2.0, x / 2.0))
+                worst = max(worst, abs(chi_square_sf(float(x), df) - reference) / reference)
+        assert worst <= 1e-12
+
+
+class TestInputRule:
+    def test_nan_statistic_refused(self):
+        with pytest.raises(ValueError, match="non-negative number"):
+            chi_square_sf(float("nan"), 3)
+
+    @pytest.mark.parametrize("df", [2.5, True, np.True_, float("nan"), float("inf"), -1, "3"])
+    def test_df_not_a_positive_integer_refused(self, df):
+        with pytest.raises(ValueError, match="degrees of freedom"):
+            chi_square_sf(2.0, df)
+
+    @pytest.mark.parametrize("df", [3.0, np.int64(3), np.float64(3.0)])
+    def test_integral_df_of_any_numeric_type(self, df):
+        assert chi_square_sf(2.0, df) == chi_square_sf(2.0, 3)
+
+    @pytest.mark.parametrize("df", [1, 2, 3, 50])
+    def test_infinite_statistic_is_zero(self, df):
+        assert chi_square_sf(float("inf"), df) == 0.0
+
+    def test_module_path_is_the_package_function(self):
+        assert chi_square_sf_by_module is chi_square_sf

@@ -353,6 +353,41 @@ class TestLRSplitTest:
         for level, flag in test.reject_at.items():
             assert flag == (test.p_value < 1.0 - level)
 
+    @pytest.mark.parametrize(
+        "ll_pooled, subsets, name",
+        [
+            (float("nan"), [(-10.0, 6), (-12.0, 6)], "pooled log-likelihood"),
+            (-22.0, [(-10.0, 6), (float("nan"), 6)], "subset 1 log-likelihood"),
+            (-22.0, [(float("-inf"), 6), (-12.0, 6)], "subset 0 log-likelihood"),
+            (float("inf"), [(-10.0, 6), (-12.0, 6)], "pooled log-likelihood"),
+        ],
+    )
+    def test_non_finite_log_likelihood_refused(self, ll_pooled, subsets, name):
+        with pytest.raises(ValueError, match=name):
+            lr_split_test(ll_pooled, 6, subsets)
+
+    @pytest.mark.parametrize(
+        "k_pooled, subsets, name",
+        [
+            (6.5, [(-10.0, 6), (-12.0, 6)], "pooled parameter count"),
+            (True, [(-10.0, 6), (-12.0, 6)], "pooled parameter count"),
+            (6, [(-10.0, 6), (-12.0, True)], "subset 1 parameter count"),
+            (6, [(-10.0, 0), (-12.0, 6)], "subset 0 parameter count"),
+        ],
+    )
+    def test_parameter_count_not_a_positive_integer_refused(self, k_pooled, subsets, name):
+        with pytest.raises(ValueError, match=name):
+            lr_split_test(-22.0, k_pooled, subsets)
+
+    def test_numpy_counts_and_log_likelihoods_accepted(self):
+        test = lr_split_test(np.float64(-100.0), np.int64(3), [(-55.0, np.int64(3)), (-40.0, 3)])
+        assert test == lr_split_test(-100.0, 3, [(-55.0, 3), (-40.0, 3)])
+
+    def test_input_checked_before_inconsistency(self):
+        # with a K of 2 these log-likelihoods raise InconsistencyError
+        with pytest.raises(ValueError, match="subset 1 parameter count"):
+            lr_split_test(-100.0, 2, [(-60.0, 2), (-41.0, 2.5)])
+
 
 class TestLRTemporalTest:
     def test_identical_periods_retained_everywhere(self):
@@ -376,6 +411,12 @@ class TestLRTemporalTest:
     def test_component_lls_echoed(self):
         test = lr_temporal_test(-100.0, -60.0, -39.5, 4, 4, 4)
         assert test.component_lls == {"combined": -100.0, "first": -60.0, "second": -39.5}
+
+    def test_nan_log_likelihood_and_fractional_count_refused(self):
+        with pytest.raises(ValueError, match="log-likelihood"):
+            lr_temporal_test(-100.0, float("nan"), -40.0, 4, 4, 4)
+        with pytest.raises(ValueError, match="parameter count"):
+            lr_temporal_test(-100.0, -60.0, -40.0, 4, 4.5, 4)
 
 
 @pytest.fixture(scope="module")
