@@ -1,23 +1,26 @@
 """Hot numeric kernels: stabilized MNL probabilities, log-likelihood, score, information.
 
 Each kernel takes the design matrix x first and the bound ``modelspec.Design``
-whole. Outcome-major numpy: the design's entries (slot, outcome, column) fill a
-(J, cols) matrix C; utilities are C @ xᵀ, (J, n), so outcome reductions run along
-contiguous length-n rows, not along n rows only J wide, which numpy reduces
-slowly. The score is (w·(Y − P)) @ x and each information block, one per
-referenced outcome pair j ≤ k, is (xᵀ·w·p_j·(δ_jk − p_k)) @ x; both are gathered
-to entries and summed into slots, an entry pair in block (k, j) read from block
-(j, k) transposed, so no block is copied. x ends in the constant-1 column and is
-column-major, so xᵀ is contiguous. Over ROWS rows, a pass splits at the largest
-power-of-two multiple of ROWS below n and adds the two sides' LL, score and
-information: blocks of ROWS rows, whose (J, rows) arrays fit in cache, are
-summed pairwise before the gather. Reductions run in a fixed order, so results
-are bit-reproducible per machine.
+whole. θ reaches the (J, cols) coefficient matrix C through one 0/1 slot map P of
+(J·cols, K), P[j·cols + c, s] = 1 where slot s is outcome j's coefficient on column
+c: C is P·θ, the gradient Pᵀ·s for the flattened (J, cols) score s, and the Hessian
+−(M + Mᵀ) for M = Pᵀ·B·P, where B lays the information blocks out as one
+(J·cols, J·cols) matrix with the diagonal blocks halved. Outcome-major numpy:
+utilities are C @ xᵀ, (J, n), so outcome reductions run along contiguous length-n
+rows, not along n rows only J wide, which numpy reduces slowly. The score is
+(w·(Y − P)) @ x and each information block, one per referenced outcome pair j ≤ k,
+is (xᵀ·w·p_j·(δ_jk − p_k)) @ x; block (k, j) is block (j, k) transposed, so only
+the upper ones are formed. x ends in the constant-1 column and is column-major, so
+xᵀ is contiguous. Over ROWS rows, a pass splits at the largest power-of-two
+multiple of ROWS below n and adds the two sides' LL, score and information: blocks
+of ROWS rows, whose (J, rows) arrays fit in cache, are summed pairwise before P
+folds them into slots. Reductions run in a fixed order, so results are
+bit-reproducible per machine.
 A pass writes its blocks' arrays into a ``Scratch`` built for one fit (its design
 and its x), which all of the fit's passes reuse, so a pass allocates nothing of a
 block's size; the probability matrix is filled in ROWS-row blocks with no (J, n)
-temporaries. The design's index tables are built once per design and shared
-read-only by every scratch, so a fit allocates only its buffers.
+temporaries. The design's tables are built once per design and shared read-only
+by every scratch, so a fit allocates only its buffers.
 Probabilities are floored at the smallest positive normal before logs; the
 floored count flags quasi-separation.
 """
@@ -30,32 +33,20 @@ _LOG_FLOOR = float(np.log(np.finfo(np.float64).tiny))
 ROWS = 16384  # rows per block of a likelihood pass: its (J, rows) arrays stay in cache
 
 
-def _coefficients(design, theta, cols):
-    """(J, cols) coefficients; the base outcome's row, never referenced, stays 0."""
-    coef = np.zeros((design.n_outcomes, cols))
-    coef[design.entry_outcome, design.entry_col] = theta[design.entry_slot]
-    return coef
-
-
 @lru_cache(maxsize=32)
 def _tables(design, cols):
-    """A design's read-only tables for x of cols columns: referenced outcome pairs (j ≤ k),
-    each entry's flat (J, cols) position, and each (entry, entry) pair's flat
-    (J, J, cols, cols) position, in the block (j, k) with j ≤ k, and Hessian slot pair.
-    Cached per design, which hashes by identity, so the fits of one binding build them once."""
-    n_outcomes, n_params = design.n_outcomes, design.n_params
-    slot, outcome, col = design.entry_slot, design.entry_outcome, design.entry_col
-    referenced = np.flatnonzero(np.bincount(outcome, minlength=n_outcomes)).tolist()
-    a, b = np.broadcast_arrays(*np.ix_(range(len(slot)), range(len(slot))))
-    a, b = np.where(outcome[a] > outcome[b], (b, a), (a, b))  # block (k, j) is (j, k)ᵀ
-    arrays = (
-        outcome * cols + col,
-        (((outcome[a] * n_outcomes + outcome[b]) * cols + col[a]) * cols + col[b]).ravel(),
-        (slot[:, None] * n_params + slot).ravel(),
-    )
-    for array in arrays:
+    """A design's read-only tables for x of cols columns: the referenced outcome pairs
+    (j ≤ k), the (J·cols, K) slot map P and the (J, J, 1, 1) block weights, ½ on the
+    diagonal, that fold the upper blocks into one symmetric matrix. Cached per design,
+    which hashes by identity, so the fits of one binding build them once."""
+    n_outcomes = design.n_outcomes
+    slot_map = np.zeros((n_outcomes * cols, design.n_params))
+    slot_map[design.entry_outcome * cols + design.entry_col, design.entry_slot] = 1.0
+    referenced = np.flatnonzero(slot_map.reshape(n_outcomes, -1).any(axis=1)).tolist()
+    weights = (1.0 - 0.5 * np.eye(n_outcomes))[:, :, None, None]
+    for array in (slot_map, weights):
         array.flags.writeable = False
-    return (tuple((j, k) for i, j in enumerate(referenced) for k in referenced[i:]), *arrays)
+    return tuple((j, k) for i, j in enumerate(referenced) for k in referenced[i:]), slot_map, weights
 
 
 class Scratch:
@@ -123,7 +114,7 @@ def _pairwise(block, x, y, w):
 def prob_matrix(x, design, theta):
     """(n, J) outcome probabilities, a transposed view of the (J, n) result."""
     n, cols = x.shape
-    coef = _coefficients(design, theta, cols)
+    coef = (_tables(design, cols)[1] @ theta).reshape(design.n_outcomes, cols)
     prob = np.empty((design.n_outcomes, n))
     top, total = np.empty((2, min(n, ROWS)))
     for start in range(0, n, ROWS):
@@ -135,15 +126,15 @@ def prob_matrix(x, design, theta):
 
 def loglik(x, y, w, design, theta, scratch=None):
     scratch = Scratch(design, x) if scratch is None else scratch
-    coef = _coefficients(design, theta, x.shape[1])
+    coef = (scratch.tables[1] @ theta).reshape(design.n_outcomes, -1)
     return _pairwise(lambda xb, yb, wb: _forward(coef, xb, yb, wb, scratch)[:2], x, y, w)
 
 
 def loglik_grad_hess(x, y, w, design, theta, scratch=None):
     scratch = Scratch(design, x) if scratch is None else scratch
-    n_params, n_outcomes, cols = theta.shape[0], design.n_outcomes, x.shape[1]
-    coef = _coefficients(design, theta, cols)
-    upper, flat, info_index, pairs = scratch.tables
+    n_outcomes, cols = design.n_outcomes, x.shape[1]
+    upper, slot_map, block_weights = scratch.tables
+    coef = (slot_map @ theta).reshape(n_outcomes, cols)
 
     def block(xb, yb, wb):
         value, n_floored, views = _forward(coef, xb, yb, wb, scratch)
@@ -160,11 +151,9 @@ def loglik_grad_hess(x, y, w, design, theta, scratch=None):
         return value, n_floored, resid @ xb, blocks
 
     value, n_floored, score, blocks = _pairwise(block, x, y, w)
-    gradient = np.bincount(design.entry_slot, weights=np.take(score, flat), minlength=n_params)
-    info = np.take(blocks, info_index)
-    hessian = np.bincount(pairs, weights=info, minlength=n_params**2).reshape(n_params, -1)
-    hessian = -0.5 * (hessian + hessian.T)
-    return value, gradient, hessian, n_floored
+    upper_layout = (blocks * block_weights).transpose(0, 2, 1, 3).reshape(n_outcomes * cols, -1)  # B
+    half = slot_map.T @ upper_layout @ slot_map
+    return value, slot_map.T @ score.ravel(), -(half + half.T), n_floored
 
 
 def active_backend() -> str:

@@ -43,6 +43,7 @@ def _data_inputs(dataset: Dataset):
     return augmented_matrix(dataset.covariate_matrix), dataset.outcome_indices, dataset.weights
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the finiteness check names overflow
 def _probabilities(x: np.ndarray, design: Design, theta: ThetaLike) -> np.ndarray:
     """(rows, n_outcomes) outcome probabilities of a design matrix from ``augmented_matrix``."""
     p = _kernels.prob_matrix(x, design, _theta_values(theta, design.layout))

@@ -178,21 +178,13 @@ def simulate(config: GeneratorConfig) -> Dataset:
 
     uniforms = rng.random(n)
 
-    # (J, n) probabilities, one pass per theta: components without their own share the config's
-    n_outcomes = config.model.outcome_set.n_outcomes
-    groups: dict[Optional[int], tuple] = {}  # theta's owner (None: the config) -> theta, members
+    # (J, n) probabilities: every row at the config's theta in one pass, then the rows of
+    # each component with its own theta again at that theta
+    prob = _probabilities(augmented_matrix(matrix), design, theta).T
     for idx, comp in enumerate(components):
-        owner, own = (None, theta) if comp.theta is None else (idx, comp.theta)
-        groups.setdefault(owner, (own, []))[1].append(idx)
-    if len(groups) == 1:  # every row: no gather, no scatter
-        [(group_theta, _)] = groups.values()
-        prob = _probabilities(augmented_matrix(matrix), design, group_theta).T
-    else:
-        prob = np.empty((n_outcomes, n))
-        for group_theta, members in groups.values():
-            rows = np.flatnonzero(np.isin(component, members))
-            if rows.size:
-                prob[:, rows] = _probabilities(augmented_matrix(matrix[rows]), design, group_theta).T
+        if comp.theta is not None:
+            rows = np.flatnonzero(component == idx)
+            prob[:, rows] = _probabilities(augmented_matrix(matrix[rows]), design, comp.theta).T
 
     # inverse CDF: a running sum adds the contiguous length-n rows in outcome order, as a
     # cumsum would; an observation's outcome counts the partial sums at or below its uniform,

@@ -1640,6 +1640,27 @@ def test_a_config_value_of_another_type_exits_2_and_writes_nothing(tmp_path, cha
     assert os.listdir(tmp_path) == ["gen.json"]
 
 
+def test_a_simulate_utility_overflow_exits_1_with_one_named_error(tmp_path):
+    # speed_limit up to 1.7e308 times 10 overflows the utilities; a subprocess shows
+    # whether numpy's overflow and invalid-value warnings reach stderr
+    config = {
+        "model": {"outcomes": ["a", "b"], "terms": [{"variable": "speed_limit", "outcomes": [1]}]},
+        "theta": [10],
+        "n": 20,
+        "covariates": {"speed_limit": {"dist": "uniform", "low": 0, "high": 1.7e308}},
+    }
+    (tmp_path / "gen.json").write_text(json.dumps(config))
+    src = str(Path(sl.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "sevlogit", "simulate", "--config", "gen.json", "--out", "data.csv"],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: non-finite utility while computing probabilities")
+    assert len(proc.stderr.splitlines()) == 1
+    assert os.listdir(tmp_path) == ["gen.json"]
+
+
 def test_a_constant_column_exits_3_and_is_named(workdir, capsys):
     data = workdir / "data.csv"
     data.write_text(data.read_text().replace("curve", "constant", 1))

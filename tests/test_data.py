@@ -92,6 +92,26 @@ class TestDataset:
         with pytest.raises(ValueError, match="covariates do not match"):
             sl.Dataset(outs, (good, bad), ("a",))
 
+    @pytest.mark.parametrize(
+        "names, change, message",
+        [(("x", "x"), {"X": np.zeros((2, 2))}, "duplicate variable names"),
+         (("x",), {"w": [1.0]}, "columns do not all hold 2 rows of 1 covariates"),
+         (("x",), {"X": np.zeros((2, 2))}, "columns do not all hold 2 rows of 1 covariates")],
+        ids=["duplicate-names", "short-weights", "wide-covariates"],
+    )
+    def test_from_columns_refuses_duplicate_names_and_mismatched_columns(self, names, change,
+                                                                         message):
+        columns = {"X": np.zeros((2, 1)), "y": [0, 1], "w": [1.0, 1.0], "period": [-1, -1],
+                   **{dim: [0, 0] for dim in sl.data.SEGMENT_LEVELS}, **change}
+        with pytest.raises(ValueError, match=message):
+            sl.Dataset.from_columns(sl.OutcomeSet(), names, columns)
+
+    def test_attributes_cannot_be_set(self):
+        ds = sl.Dataset(sl.OutcomeSet(), (sl.Observation({"x": 1.5}, 1),), ("x",))
+        with pytest.raises(AttributeError, match="Dataset is read-only; cannot set 'variable_names'"):
+            ds.variable_names = ("y",)
+        assert ds.variable_names == ("x",)
+
     def test_outcome_in_range(self):
         outs = sl.OutcomeSet(("a", "b"))
         with pytest.raises(ValueError, match="out of range"):
@@ -364,9 +384,12 @@ class TestConcatenate:
         outs = sl.OutcomeSet()
         a = sl.Dataset(outs, (sl.Observation({"x": 1.0}, 0),), ("x",))
         b = sl.Dataset(outs, (sl.Observation({"y": 1.0}, 0),), ("y",))
-        with pytest.raises(ValueError):
+        c = sl.Dataset(sl.OutcomeSet(("a", "b")), (sl.Observation({"x": 1.0}, 0),), ("x",))
+        with pytest.raises(ValueError, match="variable lists differ"):
             sl.concatenate([a, b])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="outcome sets differ"):
+            sl.concatenate([a, c])
+        with pytest.raises(ValueError, match="nothing to concatenate"):
             sl.concatenate([])
 
 

@@ -299,6 +299,17 @@ class TestElasticityReport:
         assert cell.per_observation.shape == (speed_dataset.n_obs,)
         assert cell.elasticity == pytest.approx(cell.per_observation.mean())
 
+    def test_a_cell_the_report_lacks_is_a_key_error(self, speed_model, speed_dataset):
+        rep = sl.elasticity_report(speed_model, sl.estimate(speed_model, speed_dataset),
+                                   speed_dataset)
+        with pytest.raises(KeyError, match=r"no cell for \('curve', outcome 0\)"):
+            rep.cell("curve", 0)
+
+    def test_an_empty_dataset_is_refused(self, speed_model, speed_dataset):
+        result = sl.estimate(speed_model, speed_dataset)
+        with pytest.raises(ValueError, match="^dataset is empty$"):
+            sl.elasticity_report(speed_model, result, speed_dataset.take(np.zeros(0, dtype=int)))
+
     def test_unconverged_result_rejected(self, speed_model, speed_dataset, speed_theta):
         bad = sl.EstimationResult(
             theta_hat=speed_theta,

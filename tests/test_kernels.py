@@ -172,12 +172,27 @@ def test_a_fits_scratch_gives_on_every_pass_what_a_fresh_one_gives(rows, name, m
     assert sorted(scratch._views) == ([464, 512] if rows == 512 else [2000])
 
 
+@pytest.mark.parametrize("name", ["shared-and-specific", "unreferenced-outcome"])
+def test_the_slot_map_is_the_oracles_scatter_on_outcome_column_rows(name):
+    (x, _, _), design, _ = _case(name, "F")
+    cols, n_outcomes = x.shape[1], design.n_outcomes
+    _, scatter = _entry_tables(design.entry_slot, design.entry_outcome, n_outcomes, design.n_params)
+    expected = np.zeros((n_outcomes * cols, design.n_params))
+    np.add.at(expected, design.entry_outcome * cols + design.entry_col, scatter.T)
+    upper, slot_map, weights = _kernels._tables(design, cols)
+    assert np.array_equal(slot_map, expected)
+    referenced = sorted(set(design.entry_outcome.tolist()))
+    assert upper == tuple((j, k) for j in referenced for k in referenced if j <= k)
+    assert np.array_equal(weights[:, :, 0, 0], 1.0 - 0.5 * np.eye(n_outcomes))
+
+
 def test_the_scratches_of_one_design_share_its_read_only_tables():
     (x, _, _), design, _ = _case("shared-and-specific", "F")
     tables = _kernels.Scratch(design, x).tables
     assert _kernels.Scratch(design, x[:100]).tables is tables
-    assert isinstance(tables[0], tuple)
-    for array in tables[1:]:
+    upper, slot_map, weights = tables
+    assert isinstance(upper, tuple)
+    for array in (slot_map, weights):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
 

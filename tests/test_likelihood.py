@@ -69,6 +69,18 @@ class TestProbabilities:
         with pytest.raises(sl.NumericError):
             sl.probabilities(constants_model, np.array([np.inf, 0.0]), sl.Observation({}, 0))
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_a_non_finite_utility_is_refused(self, bad):
+        with pytest.raises(sl.NumericError, match="^non-finite utility$"):
+            sl.probabilities_from_utilities(np.array([0.0, bad, 1.0]))
+
+    def test_an_overflowing_utility_is_refused_without_a_warning(self):
+        # 10 × 1.7e308 overflows to inf, and the softmax's inf − inf is NaN; numpy's
+        # warnings about both would fail this test (pytest turns them into errors)
+        model = sl.ModelSpec(sl.OutcomeSet(("a", "b")), (sl.TermSpec("x", (1,)),))
+        with pytest.raises(sl.NumericError, match="^non-finite utility while computing"):
+            sl.probabilities(model, np.array([10.0]), sl.Observation({"x": 1.7e308}, 0))
+
 
 class TestLogLikelihood:
     def test_uniform_single_observation(self, constants_model):
@@ -214,6 +226,11 @@ class TestGradientHessian:
         ev_untied = gradient_hessian(untied, np.array([beta, beta]), ds)
         assert ev_shared.gradient[0] == pytest.approx(ev_untied.gradient.sum(), rel=1e-12)
         assert ev_shared.hessian[0, 0] == pytest.approx(ev_untied.hessian.sum(), rel=1e-12)
+
+    def test_empty_dataset_rejected(self, constants_model):
+        ds = sl.Dataset(sl.OutcomeSet(), (), ())
+        with pytest.raises(ValueError, match="dataset is empty"):
+            gradient_hessian(constants_model, np.zeros(2), ds)
 
     def test_flooring_reported(self):
         outs = sl.OutcomeSet(("a", "b"))

@@ -159,6 +159,12 @@ class TestParameterVector:
         with pytest.raises(ValueError, match="missing"):
             sl.ParameterVector.from_dict(layout, {"constant:injury": 1.0})
 
+    def test_zeros(self, speed_model):
+        layout = sl.build_layout(speed_model)
+        theta = sl.ParameterVector.zeros(layout)
+        assert theta.layout is layout
+        assert np.array_equal(theta.values, np.zeros(layout.n_params))
+
 
 class TestUtility:
     def test_base_outcome_always_zero(self, speed_model, speed_theta):
@@ -210,6 +216,17 @@ class TestUtility:
         obs = sl.Observation({"speed_limit": 55.0}, 0)
         with pytest.raises(sl.SchemaError, match="curve"):
             sl.utility(speed_model, speed_theta, obs, 2)
+
+    def test_an_outcome_out_of_range_is_refused(self, speed_model, speed_theta):
+        obs = sl.Observation({"speed_limit": 55.0, "curve": 1.0}, 0)
+        with pytest.raises(ValueError, match="^outcome index 3 out of range$"):
+            sl.utility(speed_model, speed_theta, obs, 3)
+
+    def test_another_layouts_vector_is_refused(self, speed_model, constants_model):
+        other = sl.ParameterVector.zeros(sl.build_layout(constants_model))
+        obs = sl.Observation({"speed_limit": 55.0, "curve": 1.0}, 0)
+        with pytest.raises(ValueError, match="^parameter vector layout does not match this model$"):
+            sl.utility(speed_model, other, obs, 1)
 
     def test_constant_contributes_coefficient(self, constants_model):
         obs = sl.Observation({}, 0)

@@ -148,6 +148,11 @@ class TestGeneratorConfigValidation:
         with pytest.raises(sl.ConfigError):
             sl.IndicatorDist(1.5)
 
+    @pytest.mark.parametrize("weight", [0, -0.5])
+    def test_a_segment_weight_must_be_positive(self, weight):
+        with pytest.raises(sl.ConfigError, match=f"^segment weight must be positive, got {weight}"):
+            sl.SegmentComponent(sl.SegmentKey(), weight)
+
     def test_segment_weights_must_sum_to_one(self, constants_model):
         with pytest.raises(sl.ConfigError, match="sum to 1"):
             sl.GeneratorConfig(
@@ -230,10 +235,13 @@ class TestThetaForTargetShares:
         assert np.allclose(p, targets, atol=1e-12)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="sum to 1"):
             theta_for_target_shares([0.5, 0.4])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="positive"):
             theta_for_target_shares([1.0, 0.0, 0.0])
+        for shape in ([1.0], [[0.5, 0.5]]):
+            with pytest.raises(ValueError, match="need one share per outcome"):
+                theta_for_target_shares(shape)
 
 
 # (constructor of one config type from a value of the named field, the field as named)
